@@ -1,5 +1,6 @@
 """Linear-chain CRF: log-partition via the forward algorithm, Viterbi
-decoding, and a tape-differentiable negative log-likelihood.
+decoding, and the negative log-likelihood with its gradient by
+forward-backward posteriors.
 
 Transition matrices are (K+2) x (K+2): K tag states plus a start state at
 index K and a stop state at index K+1.
@@ -10,8 +11,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-
-from . import autodiff as ad
 
 
 def _logsumexp(x: np.ndarray, axis: Optional[int] = None):
@@ -31,14 +30,21 @@ def crf_score(emissions: np.ndarray, transitions: np.ndarray, tags: Sequence[int
     return float(score + transitions[tags[-1], stop])
 
 
+def _forward_scores(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
+    """alpha[t, j]: log sum of exp(score) over path prefixes ending in tag
+    j at step t, the start transition included."""
+    t_len, k = emissions.shape
+    alpha = np.empty((t_len, k))
+    alpha[0] = transitions[k, :k] + emissions[0]
+    for t in range(1, t_len):
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + transitions[:k, :k] + emissions[t][None, :], axis=0)
+    return alpha
+
+
 def crf_log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
     """log sum over all tag paths of exp(path score)."""
-    t_len, k = emissions.shape
-    start, stop = k, k + 1
-    alpha = transitions[start, :k] + emissions[0]
-    for t in range(1, t_len):
-        alpha = _logsumexp(alpha[:, None] + transitions[:k, :k] + emissions[t][None, :], axis=0)
-    return float(_logsumexp(alpha + transitions[:k, stop]))
+    k = emissions.shape[1]
+    return float(_logsumexp(_forward_scores(emissions, transitions)[-1] + transitions[:k, k + 1]))
 
 
 def crf_neg_log_likelihood(
@@ -68,21 +74,31 @@ def viterbi_decode(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
     return path
 
 
-def tape_crf_nll(emissions: ad.Tensor, transitions: ad.Tensor, tags: Sequence[int]) -> ad.Tensor:
-    """Differentiable NLL: same recursion as crf_log_partition, built from
-    tape operations so gradients flow to emissions and transitions."""
+def crf_nll_grad(
+    emissions: np.ndarray, transitions: np.ndarray, tags: Sequence[int]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """crf_neg_log_likelihood and its gradients with respect to emissions
+    and transitions: posterior tag (and tag-pair) marginals from the
+    forward-backward algorithm, minus the gold path's indicators."""
     t_len, k = emissions.shape
     start, stop = k, k + 1
+    trans = transitions[:k, :k]
+    alpha = _forward_scores(emissions, transitions)
+    beta = np.empty((t_len, k))  # log sum over path suffixes after step t
+    beta[-1] = transitions[:k, stop]
+    for t in range(t_len - 2, -1, -1):
+        beta[t] = _logsumexp(trans + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
+    log_z = float(_logsumexp(alpha[-1] + beta[-1]))
+
+    d_emissions = np.exp(alpha + beta - log_z)
+    d_transitions = np.zeros_like(transitions)
+    d_transitions[start, :k] = d_emissions[0]
+    d_transitions[:k, stop] = d_emissions[-1]
+    if t_len > 1:
+        pairs = alpha[:-1, :, None] + trans[None] + (emissions[1:] + beta[1:])[:, None, :]
+        d_transitions[:k, :k] = np.exp(pairs - log_z).sum(axis=0)
+
     tags = np.asarray(tags, dtype=np.intp)
-
-    alpha = transitions[start, :k] + emissions[0]
-    for t in range(1, t_len):
-        grid = alpha.reshape((k, 1)) + transitions[:k, :k] + emissions[t].reshape((1, k))
-        alpha = ad.logsumexp(grid, axis=0)
-    log_z = ad.logsumexp(alpha + transitions[:k, stop])
-
-    em_gold = ad.tsum(emissions[np.arange(t_len), tags])
-    prevs = np.concatenate(([start], tags))
-    nexts = np.concatenate((tags, [stop]))
-    tr_gold = ad.tsum(transitions[prevs, nexts])
-    return log_z - em_gold - tr_gold
+    d_emissions[np.arange(t_len), tags] -= 1.0
+    np.subtract.at(d_transitions, (np.concatenate(([start], tags)), np.concatenate((tags, [stop]))), 1.0)
+    return log_z - crf_score(emissions, transitions, tags), d_emissions, d_transitions

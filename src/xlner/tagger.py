@@ -1,20 +1,20 @@
 """BiLSTM-CRF tagger: character and word BiLSTM encoders over trainable
-embeddings, CRF training via the differentiable forward algorithm, Viterbi
-decoding with optional BIO2 transition constraints, SGD with early stopping."""
+embeddings with hand-written numpy forward and backward passes, CRF
+training by forward-backward, Viterbi decoding with optional BIO2
+transition constraints, SGD with sparse word-embedding updates and early
+stopping."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .conll import TAGS, Corpus, Sentence, _split_tag
-from .crf import tape_crf_nll, viterbi_decode
+from .crf import crf_nll_grad, viterbi_decode
 from .embeddings import EmbeddingTable, _DIGITS
+from .lstm import lstm_backward, lstm_forward
 from .serialize import read_container, write_container
 
 UNK = "<unk>"
@@ -173,56 +173,84 @@ class Tagger:
     params: dict[str, np.ndarray]
 
 
-def _lstm_states(
-    xs: list[Tensor], wx: Tensor, wh: Tensor, b: Tensor, hidden: int
-) -> list[Tensor]:
-    h = Tensor(np.zeros(hidden))
-    c = Tensor(np.zeros(hidden))
-    states = []
-    for x in xs:
-        gates = x @ wx + h @ wh + b
-        i = ad.sigmoid(gates[0:hidden])
-        f = ad.sigmoid(gates[hidden : 2 * hidden])
-        g = ad.tanh(gates[2 * hidden : 3 * hidden])
-        o = ad.sigmoid(gates[3 * hidden : 4 * hidden])
-        c = f * c + i * g
-        h = o * ad.tanh(c)
-        states.append(h)
-    return states
+def _stacked(params: dict[str, np.ndarray], layer: str) -> tuple[np.ndarray, ...]:
+    """A BiLSTM layer's weights with the direction (fwd, bwd) as axis 0."""
+    return tuple(
+        np.stack([params[f"{layer}_fwd_{name}"], params[f"{layer}_bwd_{name}"]])
+        for name in ("wx", "wh", "b")
+    )
 
 
-def _encode(
-    params_t: dict[str, Tensor],
-    config: TaggerConfig,
+def _forward(
+    params: dict[str, np.ndarray],
     vocab: Vocab,
     sentence: Sentence,
     word_ids: Sequence[int],
-    train_mode: bool,
-    rng: Optional[np.random.Generator],
-) -> Tensor:
-    hc, hw = config.char_lstm_dim, config.word_lstm_dim
-    reps = []
-    for token, wid in zip(sentence, word_ids):
-        char_ids = np.array([vocab.char_id(c) for c in token.text], dtype=np.intp)
-        char_rows = params_t["char_emb"][char_ids]
-        xs = [char_rows[i] for i in range(len(char_ids))]
-        fwd = _lstm_states(xs, params_t["char_fwd_wx"], params_t["char_fwd_wh"], params_t["char_fwd_b"], hc)
-        bwd = _lstm_states(xs[::-1], params_t["char_bwd_wx"], params_t["char_bwd_wh"], params_t["char_bwd_b"], hc)
-        rep = ad.concat([params_t["word_emb"][wid], fwd[-1], bwd[-1]])
-        if train_mode and config.dropout > 0.0:
-            keep = 1.0 - config.dropout
-            mask = (rng.random(rep.shape[0]) < keep) / keep
-            rep = rep * mask
-        reps.append(rep)
+    dropout_mask: Optional[np.ndarray],
+):
+    """Emissions (len(sentence), num_tags) and the cache _backward needs.
+    The char-BiLSTM runs over all tokens at once as a (max_chars, tokens)
+    padded batch; dropout_mask, if given, scales the token representations."""
+    chars = [[vocab.char_id(c) for c in token.text] for token in sentence]
+    lengths = np.array([len(ids) for ids in chars])
+    char_ids = np.zeros((2, lengths.max(), len(chars)), dtype=np.intp)
+    for j, ids in enumerate(chars):
+        char_ids[0, : len(ids), j] = ids
+        char_ids[1, : len(ids), j] = ids[::-1]
+    keep = np.arange(char_ids.shape[1])[:, None] < lengths[None, :]  # (max_chars, tokens)
+    char_w = _stacked(params, "char")
+    char_cache = lstm_forward(params["char_emb"][char_ids], *char_w, keep[:, :, None])
+    char_final = char_cache[2][:, -1]  # (dirs, tokens, char_lstm_dim)
 
-    fwd = _lstm_states(reps, params_t["word_fwd_wx"], params_t["word_fwd_wh"], params_t["word_fwd_b"], hw)
-    bwd = _lstm_states(reps[::-1], params_t["word_bwd_wx"], params_t["word_bwd_wh"], params_t["word_bwd_b"], hw)
-    bwd = bwd[::-1]
-    rows = [
-        ad.concat([f, b]) @ params_t["proj_w"] + params_t["proj_b"]
-        for f, b in zip(fwd, bwd)
-    ]
-    return ad.stack(rows)
+    reps = np.concatenate([params["word_emb"][word_ids], char_final[0], char_final[1]], axis=1)
+    if dropout_mask is not None:
+        reps = reps * dropout_mask
+    word_w = _stacked(params, "word")
+    word_cache = lstm_forward(np.stack([reps, reps[::-1]])[:, :, None, :], *word_w)
+    hs = word_cache[2][:, 1:, 0]
+    feats = np.concatenate([hs[0], hs[1][::-1]], axis=1)
+    emissions = feats @ params["proj_w"] + params["proj_b"]
+    return emissions, (char_ids, keep, char_w, char_cache, dropout_mask, word_w, word_cache, feats)
+
+
+def _backward(
+    params: dict[str, np.ndarray], cache, d_emissions: np.ndarray, grads: dict[str, np.ndarray]
+) -> np.ndarray:
+    """Accumulate one sentence's gradients into grads (every tensor but
+    word_emb) and return the gradient of its word_emb rows, one per token."""
+    char_ids, keep, char_w, char_cache, dropout_mask, word_w, word_cache, feats = cache
+    grads["proj_w"] += feats.T @ d_emissions
+    grads["proj_b"] += d_emissions.sum(axis=0)
+    d_feats = d_emissions @ params["proj_w"].T
+    hw = d_feats.shape[1] // 2
+    d_hs = np.stack([d_feats[:, :hw], d_feats[::-1, hw:]])[:, :, None, :]
+    d_xs, *d_word_w = lstm_backward(word_cache, d_hs, *word_w[:2])
+    d_reps = d_xs[0, :, 0] + d_xs[1, ::-1, 0]
+    if dropout_mask is not None:
+        d_reps = d_reps * dropout_mask
+
+    dw = params["word_emb"].shape[1]
+    hc = char_w[1].shape[1]
+    d_char_hs = np.zeros((*char_ids.shape, hc))
+    d_char_hs[:, -1] = np.stack([d_reps[:, dw : dw + hc], d_reps[:, dw + hc :]])
+    d_chars, *d_char_w = lstm_backward(char_cache, d_char_hs, *char_w[:2])
+    real = np.broadcast_to(keep, char_ids.shape)
+    np.add.at(grads["char_emb"], char_ids[real], d_chars[real])
+    for layer, d_w in (("char", d_char_w), ("word", d_word_w)):
+        for name, d in zip(("wx", "wh", "b"), d_w):
+            grads[f"{layer}_fwd_{name}"] += d[0]
+            grads[f"{layer}_bwd_{name}"] += d[1]
+    return d_reps[:, :dw]
+
+
+def _dropout_mask(config: TaggerConfig, rng: np.random.Generator, n_tokens: int) -> Optional[np.ndarray]:
+    """Inverted-dropout mask over token representations; one draw per
+    sentence, the same stream as one rng.random(rep_dim) per token."""
+    if config.dropout <= 0.0:
+        return None
+    keep = 1.0 - config.dropout
+    rep_dim = config.word_emb_dim + 2 * config.char_lstm_dim
+    return (rng.random((n_tokens, rep_dim)) < keep) / keep
 
 
 def encode_sentence(
@@ -232,11 +260,41 @@ def encode_sentence(
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """Per-token unnormalized tag scores, shape (len(sentence), 9)."""
-    if train_mode and rng is None:
-        rng = np.random.default_rng(tagger.config.seed)
-    params_t = {name: Tensor(arr) for name, arr in tagger.params.items()}
+    mask = None
+    if train_mode:
+        if rng is None:
+            rng = np.random.default_rng(tagger.config.seed)
+        mask = _dropout_mask(tagger.config, rng, len(sentence))
     word_ids = [tagger.vocab.word_id(t.text) for t in sentence]
-    return _encode(params_t, tagger.config, tagger.vocab, sentence, word_ids, train_mode, rng).value
+    return _forward(tagger.params, tagger.vocab, sentence, word_ids, mask)[0]
+
+
+def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, train_mode: bool, word_id_fn):
+    """Mean CRF NLL over the batch, the dense gradient of every tensor but
+    word_emb, and word_emb's gradient as (row ids, rows) with one row per
+    token; a repeated id appears once per occurrence."""
+    params = tagger.params
+    grads = {name: np.zeros_like(arr) for name, arr in params.items() if name != "word_emb"}
+    total = 0.0
+    row_ids, rows = [], []
+    for sentence in batch:
+        word_ids = (
+            word_id_fn(sentence, rng)
+            if word_id_fn is not None
+            else [tagger.vocab.word_id(t.text) for t in sentence]
+        )
+        mask = _dropout_mask(tagger.config, rng, len(sentence)) if train_mode else None
+        emissions, cache = _forward(params, tagger.vocab, sentence, word_ids, mask)
+        tag_ids = [tagger.vocab.tag_id(t.tag) for t in sentence]
+        nll, d_emissions, d_transitions = crf_nll_grad(emissions, params["transitions"], tag_ids)
+        total += nll
+        grads["transitions"] += d_transitions
+        rows.append(_backward(params, cache, d_emissions, grads))
+        row_ids.extend(word_ids)
+    scale = 1.0 / len(batch)
+    for grad in grads.values():
+        grad *= scale
+    return total * scale, grads, (np.array(row_ids, dtype=np.intp), np.concatenate(rows) * scale)
 
 
 def batch_gradients(
@@ -250,25 +308,10 @@ def batch_gradients(
     with respect to every parameter tensor."""
     if rng is None:
         rng = np.random.default_rng(tagger.config.seed)
-    params_t = {name: Tensor(arr) for name, arr in tagger.params.items()}
-    total = None
-    for sentence in batch:
-        word_ids = (
-            word_id_fn(sentence, rng)
-            if word_id_fn is not None
-            else [tagger.vocab.word_id(t.text) for t in sentence]
-        )
-        emissions = _encode(params_t, tagger.config, tagger.vocab, sentence, word_ids, train_mode, rng)
-        tag_ids = [tagger.vocab.tag_id(t.tag) for t in sentence]
-        nll = tape_crf_nll(emissions, params_t["transitions"], tag_ids)
-        total = nll if total is None else total + nll
-    loss = total / float(len(batch))
-    ad.backward(loss)
-    grads = {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.value))
-        for name, t in params_t.items()
-    }
-    return float(loss.value), grads
+    loss, grads, (row_ids, rows) = _gradients(tagger, batch, rng, train_mode, word_id_fn)
+    word_grad = np.zeros_like(tagger.params["word_emb"])
+    np.add.at(word_grad, row_ids, rows)
+    return loss, {name: word_grad if name == "word_emb" else grads[name] for name in tagger.params}
 
 
 def constrained_transitions(transitions: np.ndarray, tags: Sequence[str] = TAGS) -> np.ndarray:
@@ -291,19 +334,27 @@ def constrained_transitions(transitions: np.ndarray, tags: Sequence[str] = TAGS)
     return out
 
 
-def decode_sentence(tagger: Tagger, sentence: Sentence) -> list[str]:
-    emissions = encode_sentence(tagger, sentence)
+def _decode_transitions(tagger: Tagger) -> np.ndarray:
     transitions = tagger.params["transitions"]
     if tagger.config.constrain_decode:
         transitions = constrained_transitions(transitions, tagger.vocab.tags)
-    path = viterbi_decode(emissions, transitions)
+    return transitions
+
+
+def _decode(tagger: Tagger, sentence: Sentence, transitions: np.ndarray) -> list[str]:
+    path = viterbi_decode(encode_sentence(tagger, sentence), transitions)
     return [tagger.vocab.tags[i] for i in path]
+
+
+def decode_sentence(tagger: Tagger, sentence: Sentence) -> list[str]:
+    return _decode(tagger, sentence, _decode_transitions(tagger))
 
 
 def tag_corpus(tagger: Tagger, corpus: Corpus) -> Corpus:
     """Viterbi-tag every sentence; token texts are untouched."""
+    transitions = _decode_transitions(tagger)
     return Corpus(
-        tuple(s.with_tags(decode_sentence(tagger, s)) for s in corpus),
+        tuple(s.with_tags(_decode(tagger, s, transitions)) for s in corpus),
         corpus.language,
     )
 
@@ -372,11 +423,12 @@ def train(
         order = rng.permutation(len(sentences))
         for start in range(0, len(order), config.batch_size):
             batch = [sentences[i] for i in order[start : start + config.batch_size]]
-            loss, grads = batch_gradients(tagger, batch, rng=rng, word_id_fn=word_ids_for)
+            loss, grads, (row_ids, rows) = _gradients(tagger, batch, rng, True, word_ids_for)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}")
             for name, grad in grads.items():
                 tagger.params[name] -= config.learning_rate * grad
+            np.subtract.at(tagger.params["word_emb"], row_ids, config.learning_rate * rows)
         report = evaluate(dev_corpus, tag_corpus(tagger, dev_corpus))
         history.dev_f1.append(report.f1)
         if log is not None:

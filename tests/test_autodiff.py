@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+"""Finite-difference checks of the hand-written differentiation: the LSTM
+kernels' backward-through-time, the embedding gathers' scatter-add, and
+the CRF's log-sum-exp."""
 
-from xlner import autodiff as ad
+import numpy as np
+
+from xlner.crf import _logsumexp
+from xlner.lstm import lstm_backward, lstm_forward
+from xlner.tagger import Tagger, TaggerConfig, batch_gradients, build_vocab, init_params
+
+from conftest import make_corpus
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -11,100 +18,105 @@ def numeric_grad(fn, x, eps=1e-6):
     for i in range(x.size):
         orig = xf[i]
         xf[i] = orig + eps
-        hi = fn(x)
+        hi = fn()
         xf[i] = orig - eps
-        lo = fn(x)
+        lo = fn()
         xf[i] = orig
         flat[i] = (hi - lo) / (2 * eps)
     return g
 
 
-def check(build, *shapes, seed=0):
-    """build(tensors...) -> scalar Tensor; compare tape grads with central
-    finite differences for every input."""
+def lstm_instance(steps, batch, lengths=None, seed=0, d=3, hd=2):
+    """Random inputs and weights for both directions of an LSTM layer,
+    random loss weights on every output state, and the step mask for
+    sequences of the given lengths (None: no padding)."""
     rng = np.random.default_rng(seed)
-    values = [rng.standard_normal(shape) for shape in shapes]
-    tensors = [ad.Tensor(v.copy()) for v in values]
-    out = build(*tensors)
-    ad.backward(out)
-    for i, value in enumerate(values):
-        def fn(x, i=i):
-            args = [ad.Tensor(v) for v in values]
-            args[i] = ad.Tensor(x)
-            return float(build(*args).value)
+    xs = rng.standard_normal((2, steps, batch, d))
+    wx = rng.standard_normal((2, d, 4 * hd)) * 0.5
+    wh = rng.standard_normal((2, hd, 4 * hd)) * 0.5
+    b = rng.standard_normal((2, 4 * hd)) * 0.5
+    weights = rng.standard_normal((2, steps, batch, hd))
+    keep = None
+    if lengths is not None:
+        keep = (np.arange(steps)[:, None] < np.asarray(lengths)[None, :])[:, :, None]
+    return xs, wx, wh, b, keep, weights
 
-        num = numeric_grad(fn, value.copy())
-        assert np.allclose(tensors[i].grad, num, atol=1e-7), (i, tensors[i].grad, num)
+
+def check_lstm(names, xs, wx, wh, b, keep, weights):
+    """The loss sum(weights * h) over every output state: lstm_backward's
+    gradients of the named inputs against central finite differences."""
+    def loss():
+        return float((lstm_forward(xs, wx, wh, b, keep)[2][:, 1:] * weights).sum())
+
+    cache = lstm_forward(xs, wx, wh, b, keep)
+    grads = dict(zip(("xs", "wx", "wh", "b"), lstm_backward(cache, weights, wx, wh)))
+    values = {"xs": xs, "wx": wx, "wh": wh, "b": b}
+    for name in names:
+        num = numeric_grad(loss, values[name])
+        assert np.allclose(grads[name], num, atol=1e-7), name
 
 
 def test_add_broadcast():
-    check(lambda a, b: ad.tsum(a + b), (3, 4), (4,))
-
-
-def test_mul_broadcast():
-    check(lambda a, b: ad.tsum(a * b), (2, 3), (3,))
+    # The bias is added at every step of every sequence, padded ones too.
+    check_lstm(["b"], *lstm_instance(4, 3, lengths=[4, 2, 1], seed=1))
 
 
 def test_matmul():
-    check(lambda a, b: ad.tsum(a @ b), (3, 4), (4, 2))
+    # Gate inputs are one matmul xs @ wx per direction over all steps.
+    check_lstm(["xs", "wx"], *lstm_instance(4, 3, lengths=[3, 4, 1], seed=2))
 
 
 def test_vector_matmul():
-    check(lambda a, b: ad.tsum(a @ b), (4,), (4, 3))
+    # The word-BiLSTM's shape: one sequence, a batch of one.
+    check_lstm(["xs", "wx", "wh", "b"], *lstm_instance(5, 1, seed=3))
 
 
 def test_tanh_sigmoid():
-    check(lambda a: ad.tsum(ad.tanh(a) * ad.sigmoid(a)), (5,))
-
-
-def test_getitem_slice():
-    check(lambda a: ad.tsum(a[1:3] * a[0:2]), (5,))
-
-
-def test_getitem_fancy_repeated_indices():
-    idx = np.array([0, 1, 0, 2])
-    check(lambda a: ad.tsum(a[idx]), (4, 3))
-
-
-def test_getitem_pair_index():
-    rows = np.array([0, 1, 1])
-    cols = np.array([2, 0, 0])
-    check(lambda a: ad.tsum(a[rows, cols]), (3, 3))
-
-
-def test_concat_stack_reshape():
-    def build(a, b):
-        c = ad.concat([a, b])
-        m = ad.stack([c, c * 2.0])
-        return ad.tsum(m.reshape((2, a.shape[0] + b.shape[0])) * 0.5)
-
-    check(build, (3,), (2,))
-
-
-def test_logsumexp_full():
-    check(lambda a: ad.logsumexp(a), (4, 3))
-
-
-def test_logsumexp_axis():
-    check(lambda a: ad.tsum(ad.logsumexp(a, axis=0) * 2.0), (4, 3))
-    check(lambda a: ad.tsum(ad.logsumexp(a, axis=1)), (4, 3))
+    # A single step: only the gate nonlinearities lie between inputs and h.
+    check_lstm(["xs", "wx", "b"], *lstm_instance(1, 2, seed=4))
 
 
 def test_shared_subexpression_accumulates():
-    def build(a):
-        h = ad.tanh(a)
-        return ad.tsum(h * h + h)
-
-    check(build, (4,))
-
-
-def test_backward_requires_scalar():
-    with pytest.raises(ValueError):
-        ad.backward(ad.Tensor(np.zeros(3)))
+    # Each h feeds both the loss and the next step; each c the next step
+    # and h. Padded steps carry h and c on, so their gradient flows back.
+    check_lstm(["xs", "wh"], *lstm_instance(4, 2, seed=5))
+    check_lstm(["xs", "wh"], *lstm_instance(4, 3, lengths=[2, 4, 3], seed=6))
 
 
-def test_constants_do_not_break_graph():
-    a = ad.Tensor(np.ones(3))
-    out = ad.tsum(a * np.array([1.0, 2.0, 3.0]) + 5.0)
-    ad.backward(out)
-    assert np.allclose(a.grad, [1.0, 2.0, 3.0])
+def test_getitem_fancy_repeated_indices():
+    # "Rom" twice in one sentence and characters repeated within and across
+    # tokens: gathered embedding rows must accumulate every occurrence.
+    corpus = make_corpus([("Rom", "B-LOC"), ("og", "O"), ("Rom", "B-LOC"), ("Roma", "B-LOC")])
+    config = TaggerConfig(
+        word_emb_dim=3, word_lstm_dim=2, char_emb_dim=2, char_lstm_dim=2, dropout=0.0, max_epochs=0
+    )
+    vocab = build_vocab([corpus])
+    tagger = Tagger(config, vocab, init_params(config, vocab))
+    batch = list(corpus.sentences)
+    _, grads = batch_gradients(tagger, batch)
+
+    def loss():
+        return batch_gradients(tagger, batch)[0]
+
+    char_num = numeric_grad(loss, tagger.params["char_emb"])
+    assert np.allclose(grads["char_emb"], char_num, atol=1e-7)
+    row = vocab.words["Rom"]
+    word_num = numeric_grad(loss, tagger.params["word_emb"][row])
+    assert np.allclose(grads["word_emb"][row], word_num, atol=1e-7)
+
+
+def test_logsumexp_full():
+    x = np.random.default_rng(7).standard_normal((4, 3))
+    assert np.isclose(_logsumexp(x), np.log(np.exp(x).sum()))
+    # Large magnitudes neither overflow nor underflow.
+    assert np.isclose(_logsumexp(x + 1000.0), _logsumexp(x) + 1000.0)
+    assert np.isclose(_logsumexp(x - 1000.0), _logsumexp(x) - 1000.0)
+
+
+def test_logsumexp_axis():
+    x = np.random.default_rng(8).standard_normal((4, 3))
+    for axis in (0, 1):
+        got = _logsumexp(x, axis=axis)
+        assert got.shape == (x.shape[1 - axis],)
+        assert np.allclose(got, np.log(np.exp(x).sum(axis=axis)))
+        assert np.allclose(_logsumexp(x + 1000.0, axis=axis), got + 1000.0)

@@ -3,12 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from xlner import autodiff as ad
 from xlner.crf import (
     crf_log_partition,
     crf_neg_log_likelihood,
+    crf_nll_grad,
     crf_score,
-    tape_crf_nll,
     viterbi_decode,
 )
 
@@ -143,36 +142,48 @@ def test_decoded_score_dominates_gold():
         assert crf_score(em, tr, decoded) >= crf_score(em, tr, gold) - 1e-12
 
 
+# Shapes (T, k) for the gradient checks: single steps, a single tag, both.
+GRAD_SHAPES = [(1, 1), (1, 3), (3, 1), (2, 2), (3, 3), (4, 2), (2, 4)]
+
+
 def test_tape_nll_matches_plain():
     rng = np.random.default_rng(10)
-    for _ in range(20):
-        t_len = int(rng.integers(1, 5))
-        k = int(rng.integers(2, 5))
+    for t_len, k in GRAD_SHAPES * 3:
         em, tr = random_instance(rng, t_len, k)
         gold = [int(g) for g in rng.integers(0, k, t_len)]
-        tape = tape_crf_nll(ad.Tensor(em), ad.Tensor(tr), gold)
-        assert float(tape.value) == pytest.approx(
-            crf_neg_log_likelihood(em, tr, gold), abs=1e-10
-        )
+        nll, _, _ = crf_nll_grad(em, tr, gold)
+        assert nll == pytest.approx(crf_neg_log_likelihood(em, tr, gold), abs=1e-10)
+
+
+def test_nll_grad_emissions_are_posterior_minus_gold():
+    rng = np.random.default_rng(11)
+    for t_len, k in GRAD_SHAPES:
+        em, tr = random_instance(rng, t_len, k)
+        gold = [int(g) for g in rng.integers(0, k, t_len)]
+        scores = brute_force_paths(em, tr)
+        log_z = np.logaddexp.reduce(list(scores.values()))
+        expected = np.zeros((t_len, k))
+        for path, score in scores.items():
+            expected[np.arange(t_len), list(path)] += np.exp(score - log_z)
+        expected[np.arange(t_len), gold] -= 1.0
+        _, d_em, _ = crf_nll_grad(em, tr, gold)
+        assert np.allclose(d_em, expected, atol=1e-10), (t_len, k)
 
 
 def test_tape_nll_gradients():
-    rng = np.random.default_rng(11)
-    em, tr = random_instance(rng, 3, 3)
-    gold = [0, 2, 1]
-    emt, trt = ad.Tensor(em), ad.Tensor(tr)
-    ad.backward(tape_crf_nll(emt, trt, gold))
+    rng = np.random.default_rng(12)
     eps = 1e-6
-    for arr, grad in ((em, emt.grad), (tr, trt.grad)):
-        num = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = arr[ix]
-            arr[ix] = orig + eps
+    for t_len, k in GRAD_SHAPES:
+        em, tr = random_instance(rng, t_len, k)
+        gold = [int(g) for g in rng.integers(0, k, t_len)]
+        _, _, d_tr = crf_nll_grad(em, tr, gold)
+        num = np.zeros_like(tr)
+        for ix in np.ndindex(tr.shape):
+            orig = tr[ix]
+            tr[ix] = orig + eps
             hi = crf_neg_log_likelihood(em, tr, gold)
-            arr[ix] = orig - eps
+            tr[ix] = orig - eps
             lo = crf_neg_log_likelihood(em, tr, gold)
-            arr[ix] = orig
+            tr[ix] = orig
             num[ix] = (hi - lo) / (2 * eps)
-        assert np.allclose(grad, num, atol=1e-8)
+        assert np.allclose(d_tr, num, atol=1e-8), (t_len, k)

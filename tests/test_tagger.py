@@ -132,6 +132,46 @@ def test_encode_dropout_reproducible_with_fixed_stream(corpus):
     assert np.array_equal(a, b)
 
 
+def reference_emissions(tagger, sentence):
+    """Oracle: the BiLSTM-CRF emissions by a plain loop, one token and one
+    time step at a time, with no padding or batching."""
+    p = tagger.params
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def lstm(xs, layer, direction):
+        wx, wh, b = (p[f"{layer}_{direction}_{n}"] for n in ("wx", "wh", "b"))
+        hd = wh.shape[0]
+        h, c, out = np.zeros(hd), np.zeros(hd), []
+        for x in xs:
+            z = x @ wx + h @ wh + b
+            i, f, g, o = sigmoid(z[:hd]), sigmoid(z[hd : 2 * hd]), np.tanh(z[2 * hd : 3 * hd]), sigmoid(z[3 * hd :])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            out.append(h)
+        return out
+
+    reps = []
+    for token in sentence:
+        chars = [p["char_emb"][tagger.vocab.char_id(ch)] for ch in token.text]
+        word = p["word_emb"][tagger.vocab.word_id(token.text)]
+        reps.append(np.concatenate([word, lstm(chars, "char", "fwd")[-1], lstm(chars[::-1], "char", "bwd")[-1]]))
+    fwd, bwd = lstm(reps, "word", "fwd"), lstm(reps[::-1], "word", "bwd")[::-1]
+    return np.array([np.concatenate([f, b]) @ p["proj_w"] + p["proj_b"] for f, b in zip(fwd, bwd)])
+
+
+def test_emissions_match_reference_loop():
+    corpus = make_corpus(
+        [("I", "O"), ("Copenhagen", "B-LOC"), ("og", "O"), ("Rom", "B-LOC")],
+        [("Elvis", "B-PER")],
+    )
+    tagger = small_tagger(corpus)
+    for sentence in corpus:
+        got = encode_sentence(tagger, sentence)
+        assert np.allclose(got, reference_emissions(tagger, sentence), rtol=0.0, atol=1e-12)
+
+
 def test_unused_vocab_rows_do_not_affect_emissions(corpus):
     extra = make_corpus([("Aarhus", "O")])
     table = EmbeddingTable(4, {"Aarhus": np.ones(4)})
@@ -166,6 +206,73 @@ def test_gradients_match_finite_differences(corpus):
             num = (hi - lo) / (2 * eps)
             ana = grads[name].reshape(-1)[i]
             assert abs(num - ana) <= max(1e-4 * abs(num), 1e-6), (name, i)
+
+
+def test_gradients_match_finite_differences_with_dropout():
+    # Tokens of unequal length exercise the padded char-BiLSTM; "Rom"
+    # twice in one sentence exercises repeated word-row accumulation.
+    corpus = make_corpus(
+        [("Rom", "B-LOC"), ("og", "O"), ("Rom", "B-LOC"), ("Copenhagen", "B-LOC")],
+        [("Elvis", "B-PER"), ("sang", "O"), ("i", "O"), ("Rom", "B-LOC")],
+    )
+    config = TaggerConfig(**{**SMALL.__dict__, "dropout": 0.5, "unk_word_dropout": True})
+    tagger = small_tagger(corpus, config)
+    vocab = tagger.vocab
+    counts = {}
+    for sentence in corpus:
+        for token in sentence:
+            counts[token.text] = counts.get(token.text, 0) + 1
+
+    def unk_dropout_ids(sentence, rng):  # train()'s singleton-to-UNK rule
+        return [
+            vocab.words["<unk>"] if counts[t.text] == 1 and rng.random() < 0.5 else vocab.word_id(t.text)
+            for t in sentence
+        ]
+
+    batch = list(corpus.sentences)
+
+    def gradients():
+        return batch_gradients(tagger, batch, rng=np.random.default_rng(4), word_id_fn=unk_dropout_ids)
+
+    loss, grads = gradients()
+    assert np.count_nonzero(grads["word_emb"][vocab.words["<unk>"]])  # some singleton was dropped
+    eps = 1e-5
+    rng = np.random.default_rng(0)
+    for name, arr in tagger.params.items():
+        flat = arr.reshape(-1)
+        picks = list(rng.choice(arr.size, size=min(5, arr.size), replace=False))
+        if name == "word_emb":
+            width = arr.shape[1]
+            picks += [vocab.words["Rom"] * width, vocab.words["<unk>"] * width + 1]
+        for i in picks:
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi, _ = gradients()
+            flat[i] = orig - eps
+            lo, _ = gradients()
+            flat[i] = orig
+            num = (hi - lo) / (2 * eps)
+            ana = grads[name].reshape(-1)[i]
+            assert abs(num - ana) <= max(1e-4 * abs(num), 1e-6), (name, i)
+
+
+def test_train_epoch_applies_batch_gradients():
+    sentence = [("Rom", "B-LOC"), ("og", "O"), ("Rom", "B-LOC"), (".", "O")]
+    corpus = make_corpus(sentence)
+    dev = make_corpus([("Rom", "B-LOC")])
+    extra = make_corpus([("Aarhus", "O")])
+    table = EmbeddingTable(4, {"Aarhus": np.ones(4)})
+    config = TaggerConfig(**{**SMALL.__dict__, "max_epochs": 1})
+    vocab = build_vocab([corpus, dev, extra], table)
+    initial = Tagger(config, vocab, init_params(config, vocab, table))
+    _, grads = batch_gradients(initial, list(corpus.sentences))
+    trained, _ = train(config, corpus, dev, initial=initial)
+    for name, arr in initial.params.items():
+        expected = arr - config.learning_rate * grads[name]
+        assert np.allclose(trained.params[name], expected, rtol=0.0, atol=1e-12), name
+    outside = [i for w, i in vocab.words.items() if w not in {"Rom", "og", "."}]
+    assert len(outside) == 2  # <unk> and Aarhus
+    assert np.array_equal(trained.params["word_emb"][outside], initial.params["word_emb"][outside])
 
 
 def test_unused_word_rows_have_zero_gradient(corpus):
