@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import tnt
 from .conll import (
-    BioViolation,
     ConllError,
     convert_corpus_iob1_to_bio2,
     corpus_stats,
@@ -31,7 +30,7 @@ from .embeddings import (
 )
 from .evaluation import evaluate, render_report
 from .serialize import ContainerError
-from .tagger import TaggerConfig, TrainingError, load_model, save_model, tag_corpus, train
+from .tagger import TaggerConfig, TrainingError, load_model, parse_tagger_config, save_model, tag_corpus, train
 from .transfer import (
     ExperimentError,
     parse_experiment_config,
@@ -67,31 +66,6 @@ def _log(message: str) -> None:
 
 def _emit(payload: dict, text: str, fmt: str) -> None:
     print(json.dumps(payload, indent=2) if fmt == "json" else text)
-
-
-def _parse_tagger_config(path: str, seed: int) -> TaggerConfig:
-    """Flat `key = value` tagger options; unknown keys are errors."""
-    kwargs = {"seed": seed}
-    fields = {f.name for f in dataclasses.fields(TaggerConfig)}
-    defaults = TaggerConfig()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.removeprefix("tagger.")
-        if key not in fields:
-            raise ValueError(f"{path}:{lineno}: unknown tagger option {key!r}")
-        current = getattr(defaults, key)
-        if isinstance(current, bool):
-            kwargs[key] = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = float(value)
-    return TaggerConfig(**kwargs)
 
 
 def _cmd_stats(args) -> int:
@@ -151,7 +125,7 @@ def _cmd_align(args) -> int:
 
 def _cmd_train(args) -> int:
     config = (
-        _parse_tagger_config(args.config, args.seed)
+        parse_tagger_config(Path(args.config).read_text(encoding="utf-8"), args.seed)
         if args.config
         else TaggerConfig(seed=args.seed)
     )

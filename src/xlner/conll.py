@@ -3,8 +3,8 @@ span extraction, statistics and inter-annotator agreement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence, Union
 
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 # Fixed 9-label BIO2 alphabet, O first.

@@ -1,24 +1,22 @@
-"""Word embedding tables: loading/saving, lookup with fallbacks, identical-
-word seed mining, and orthogonal Procrustes alignment between languages."""
+"""Word embedding tables: text loading/saving, the word-form fallback
+chain shared by vocabulary building and pretrained-row lookup,
+identical-word seed mining, and orthogonal Procrustes alignment between
+languages."""
 
 from __future__ import annotations
 
 import logging
 import re
-import struct
-from dataclasses import dataclass, field
+from collections.abc import Container
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
-from .svd import jacobi_svd
-
 log = logging.getLogger(__name__)
 
 _DIGITS = re.compile(r"\d")
-
-CACHE_MAGIC = b"XLNEMB1\x00"
 
 
 class EmbeddingError(Exception):
@@ -29,11 +27,8 @@ class EmbeddingError(Exception):
 class EmbeddingTable:
     dim: int
     vectors: dict[str, np.ndarray]
-    unk_vector: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.unk_vector is None:
-            self.unk_vector = np.zeros(self.dim)
         for word, vec in self.vectors.items():
             if vec.shape != (self.dim,):
                 raise EmbeddingError(f"vector for {word!r} has shape {vec.shape}, want ({self.dim},)")
@@ -41,18 +36,18 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
 
-
-def lookup(table: EmbeddingTable, word: str) -> np.ndarray:
-    """Fallback chain: exact form, lowercased form, digit-normalized form
-    (digits -> #), unk vector."""
-    for candidate in (word, word.lower(), _DIGITS.sub("#", word)):
-        vec = table.vectors.get(candidate)
-        if vec is not None:
-            return vec
-    return table.unk_vector
+def word_form(known: Container[str], word: str) -> Optional[str]:
+    """The first of the exact form, the lowercased form and the
+    digit-normalized form (digits -> #) of word that is in known, or None.
+    Each form is built only when the ones before it miss."""
+    if word in known:
+        return word
+    lower = word.lower()
+    if lower in known:
+        return lower
+    digits = _DIGITS.sub("#", word)
+    return digits if digits in known else None
 
 
 def load_embeddings(
@@ -96,39 +91,11 @@ def load_embeddings(
     return EmbeddingTable(dim if dim is not None else 0, vectors)
 
 
-def save_embeddings(table: EmbeddingTable, path: Union[str, Path], header: bool = True) -> None:
+def save_embeddings(table: EmbeddingTable, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(table)} {table.dim}\n")
+        fh.write(f"{len(table)} {table.dim}\n")
         for word, vec in table.vectors.items():
             fh.write(word + " " + " ".join(repr(float(x)) for x in vec) + "\n")
-
-
-def write_cache(table: EmbeddingTable, path: Union[str, Path]) -> None:
-    """Binary cache: magic, uint32 dim, uint32 count, then per word a
-    uint32 byte length + UTF-8 bytes + dim little-endian float64s."""
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<II", table.dim, len(table)))
-        for word, vec in table.vectors.items():
-            raw = word.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(vec.astype("<f8").tobytes())
-
-
-def read_cache(path: Union[str, Path]) -> EmbeddingTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            raise EmbeddingError(f"bad cache magic {magic!r}")
-        dim, count = struct.unpack("<II", fh.read(8))
-        vectors = {}
-        for _ in range(count):
-            (wlen,) = struct.unpack("<I", fh.read(4))
-            word = fh.read(wlen).decode("utf-8")
-            vectors[word] = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
-    return EmbeddingTable(dim, vectors)
 
 
 @dataclass(frozen=True)
@@ -176,15 +143,21 @@ class OrthogonalMap:
 
 def procrustes_align(x: np.ndarray, y: np.ndarray) -> OrthogonalMap:
     """Orthogonal W minimizing ||X W - Y||_F, closed form W = U V' from the
-    SVD of X'Y. Rows of X and Y are paired seed vectors (target, source)."""
+    SVD of X'Y. Rows of X and Y are paired seed vectors (target, source).
+
+    W is unique when X'Y has full rank. With fewer independent seed pairs
+    than dimensions (say the 38 synthetic.SHARED_WORDS seeds in 64-d) it
+    is not: any orthogonal W that agrees on the span of the seeds reaches
+    the same minimum, and which one is returned depends on how the SVD
+    completes the null space of X'Y."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 2:
         raise EmbeddingError(f"shape mismatch: {x.shape} vs {y.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise EmbeddingError("non-finite values in alignment input")
-    u, _, v = jacobi_svd(x.T @ y)
-    return OrthogonalMap(u @ v.T)
+    u, _, vt = np.linalg.svd(x.T @ y)
+    return OrthogonalMap(u @ vt)
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
@@ -206,12 +179,8 @@ def align_tables(src: EmbeddingTable, tgt: EmbeddingTable, seeds: Optional[SeedL
 
 
 def apply_mapping(table: EmbeddingTable, mapping: OrthogonalMap) -> EmbeddingTable:
-    """Rotate every vector (and the unk vector) into the aligned space."""
+    """Rotate every vector into the aligned space."""
     if table.dim != mapping.dim:
         raise EmbeddingError(f"dimension mismatch: table {table.dim} vs map {mapping.dim}")
     w = mapping.matrix
-    return EmbeddingTable(
-        table.dim,
-        {word: vec @ w for word, vec in table.vectors.items()},
-        table.unk_vector @ w,
-    )
+    return EmbeddingTable(table.dim, {word: vec @ w for word, vec in table.vectors.items()})

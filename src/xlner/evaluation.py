@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .conll import ENTITY_TYPES, Corpus, extract_spans, repair_bio
 

@@ -2,20 +2,21 @@
 embeddings with hand-written numpy forward and backward passes, CRF
 training by forward-backward, Viterbi decoding with optional BIO2
 transition constraints, SGD with sparse word-embedding updates and early
-stopping."""
+stopping; the `key = value` tagger-option parser that `xlner train` and
+experiment configs share; checked model files."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .conll import TAGS, Corpus, Sentence, _split_tag
 from .crf import crf_nll_grad, viterbi_decode
-from .embeddings import EmbeddingTable, _DIGITS
+from .embeddings import EmbeddingTable, word_form
 from .lstm import lstm_backward, lstm_forward
-from .serialize import read_container, write_container
+from .serialize import ContainerError, read_container, write_container
 
 UNK = "<unk>"
 MODEL_MAGIC = b"XLNMDL1\x00"
@@ -52,6 +53,50 @@ class TaggerConfig:
             raise ValueError("bad training schedule")
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def option_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for each `key = value` line of text;
+    `#` starts a comment, blank lines are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
+def tagger_option(name: str, value: str):
+    """The text value of TaggerConfig option `name`, coerced to the type of
+    its default. Booleans are true/false, yes/no or 1/0 in any case."""
+    defaults = {f.name: f.default for f in fields(TaggerConfig)}
+    if name not in defaults:
+        raise ValueError(f"unknown tagger option {name!r}")
+    kind = type(defaults[name])
+    if kind is not bool:
+        return kind(value)
+    if value.lower() not in _BOOLEANS:
+        raise ValueError(f"tagger option {name!r} wants true/false/yes/no/1/0, got {value!r}")
+    return _BOOLEANS[value.lower()]
+
+
+def parse_tagger_config(text: str, seed: int) -> TaggerConfig:
+    """A TaggerConfig from `key = value` option lines, each key optionally
+    prefixed `tagger.`; seed applies unless the text sets it. Unknown keys
+    and malformed values are errors naming their line."""
+    kwargs = {"seed": seed}
+    for lineno, key, value in option_lines(text):
+        name = key.removeprefix("tagger.")
+        try:
+            kwargs[name] = tagger_option(name, value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return TaggerConfig(**kwargs)
+
+
 @dataclass(frozen=True)
 class Vocab:
     words: dict[str, int]  # UNK at index 0
@@ -71,24 +116,14 @@ class Vocab:
         return len(self.tags)
 
     def word_id(self, word: str) -> int:
-        for candidate in (word, word.lower(), _DIGITS.sub("#", word)):
-            idx = self.words.get(candidate)
-            if idx is not None:
-                return idx
-        return self.words[UNK]
+        form = word_form(self.words, word)
+        return self.words[UNK if form is None else form]
 
     def char_id(self, char: str) -> int:
         return self.chars.get(char, self.chars[UNK])
 
     def tag_id(self, tag: str) -> int:
         return self.tags.index(tag)
-
-
-def _embedding_form(table: EmbeddingTable, word: str) -> Optional[str]:
-    for candidate in (word, word.lower(), _DIGITS.sub("#", word)):
-        if candidate in table.vectors:
-            return candidate
-    return None
 
 
 def build_vocab(corpora: Sequence[Corpus], embeddings: Optional[EmbeddingTable] = None) -> Vocab:
@@ -107,7 +142,7 @@ def build_vocab(corpora: Sequence[Corpus], embeddings: Optional[EmbeddingTable] 
         for corpus in corpora[1:]:
             for sentence in corpus:
                 for token in sentence:
-                    if _embedding_form(embeddings, token.text) is not None:
+                    if word_form(embeddings.vectors, token.text) is not None:
                         words.add(token.text)
     word_map = {UNK: 0}
     for w in sorted(words):
@@ -123,6 +158,23 @@ def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
+def _param_shapes(config: TaggerConfig, vocab: Vocab) -> dict[str, tuple[int, ...]]:
+    """Every parameter tensor's shape, in the order init_params draws them."""
+    dw, dc = config.word_emb_dim, config.char_emb_dim
+    hc, hw = config.char_lstm_dim, config.word_lstm_dim
+    k = vocab.num_tags
+    shapes = {"word_emb": (vocab.num_words, dw), "char_emb": (vocab.num_chars, dc)}
+    for layer, n_in, h in (("char", dc, hc), ("word", dw + 2 * hc, hw)):
+        for direction in ("fwd", "bwd"):
+            shapes[f"{layer}_{direction}_wx"] = (n_in, 4 * h)
+            shapes[f"{layer}_{direction}_wh"] = (h, 4 * h)
+            shapes[f"{layer}_{direction}_b"] = (4 * h,)
+    shapes["proj_w"] = (2 * hw, k)
+    shapes["proj_b"] = (k,)
+    shapes["transitions"] = (k + 2, k + 2)
+    return shapes
+
+
 def init_params(
     config: TaggerConfig,
     vocab: Vocab,
@@ -135,32 +187,20 @@ def init_params(
             f"pretrained dim {pretrained.dim} != word_emb_dim {config.word_emb_dim}"
         )
     rng = np.random.default_rng(config.seed)
-    dw, dc = config.word_emb_dim, config.char_emb_dim
-    hc, hw = config.char_lstm_dim, config.word_lstm_dim
-    rep = dw + 2 * hc
-    k = vocab.num_tags
-
-    params = {
-        "word_emb": _uniform(rng, (vocab.num_words, dw), dw),
-        "char_emb": _uniform(rng, (vocab.num_chars, dc), dc),
-    }
-    for direction in ("fwd", "bwd"):
-        params[f"char_{direction}_wx"] = _uniform(rng, (dc, 4 * hc), dc)
-        params[f"char_{direction}_wh"] = _uniform(rng, (hc, 4 * hc), hc)
-        params[f"char_{direction}_b"] = np.zeros(4 * hc)
-    for direction in ("fwd", "bwd"):
-        params[f"word_{direction}_wx"] = _uniform(rng, (rep, 4 * hw), rep)
-        params[f"word_{direction}_wh"] = _uniform(rng, (hw, 4 * hw), hw)
-        params[f"word_{direction}_b"] = np.zeros(4 * hw)
-    params["proj_w"] = _uniform(rng, (2 * hw, k), 2 * hw)
-    params["proj_b"] = np.zeros(k)
-    params["transitions"] = _uniform(rng, (k + 2, k + 2), k + 2)
+    params = {}
+    for name, shape in _param_shapes(config, vocab).items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape)
+        else:
+            # embedding rows are indexed, so their fan-in is the row width
+            fan_in = shape[1] if name.endswith("_emb") else shape[0]
+            params[name] = _uniform(rng, shape, fan_in)
 
     if pretrained is not None and len(pretrained):
         for word, idx in vocab.words.items():
             if word == UNK:
                 continue
-            form = _embedding_form(pretrained, word)
+            form = word_form(pretrained.vectors, word)
             if form is not None:
                 params["word_emb"][idx] = pretrained.vectors[form]
     return params
@@ -461,12 +501,28 @@ def save_model(tagger: Tagger, path) -> None:
 
 
 def load_model(path) -> Tagger:
+    """Read a model file; the header config must name only TaggerConfig
+    fields, and the tensors must be exactly those the config and vocab
+    sizes call for, in their shapes."""
     header, tensors = read_container(path, MODEL_MAGIC)
-    config = TaggerConfig(**header["config"])
+    try:
+        config = TaggerConfig(**header["config"])
+    except TypeError as exc:
+        raise ContainerError(f"{path}: bad tagger config in header: {exc}") from None
     v = header["vocab"]
     vocab = Vocab(
         {w: i for i, w in enumerate(v["words"])},
         {c: i for i, c in enumerate(v["chars"])},
         tuple(v["tags"]),
     )
+    expected = _param_shapes(config, vocab)
+    problems = [f"missing tensor {name!r}" for name in expected if name not in tensors]
+    problems += [f"unexpected tensor {name!r}" for name in tensors if name not in expected]
+    problems += [
+        f"tensor {name!r} has shape {tensors[name].shape}, want {shape}"
+        for name, shape in expected.items()
+        if name in tensors and tensors[name].shape != shape
+    ]
+    if problems:
+        raise ContainerError(f"{path}: " + "; ".join(problems))
     return Tagger(config, vocab, tensors)

@@ -4,7 +4,6 @@ rendered result matrix."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -26,7 +25,7 @@ from .evaluation import (
     evaluate,
     majority_baseline,
 )
-from .tagger import Tagger, TaggerConfig, build_vocab, save_model, tag_corpus, train
+from .tagger import Tagger, TaggerConfig, option_lines, save_model, tag_corpus, tagger_option, train
 
 REGIMES = (
     "zero_shot",
@@ -165,7 +164,7 @@ def _merge_tables(primary: EmbeddingTable, secondary: EmbeddingTable) -> Embeddi
     """Union of two same-dimension tables; primary wins on shared words."""
     vectors = dict(secondary.vectors)
     vectors.update(primary.vectors)
-    return EmbeddingTable(primary.dim, vectors, primary.unk_vector)
+    return EmbeddingTable(primary.dim, vectors)
 
 
 def bilingual_table(config: ExperimentConfig, res: Resources) -> EmbeddingTable:
@@ -372,38 +371,25 @@ def parse_experiment_config(text: str) -> list[ExperimentConfig]:
     keys apply to every cell; each `cell = regime:source:target` line adds
     one grid cell. A file with no cell lines but a `regime` key defines a
     single cell."""
-    shared: dict[str, str] = {}
     cells: list[tuple[str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ExperimentError(f"line {lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
+    tagger_kwargs = {}
+    config_kwargs = {}
+    try:
+        lines = list(option_lines(text))
+    except ValueError as exc:
+        raise ExperimentError(str(exc)) from None
+    for lineno, key, value in lines:
         if key == "cell":
             parts = value.split(":")
             if len(parts) != 3:
                 raise ExperimentError(f"line {lineno}: cell must be regime:source:target")
             cells.append((parts[0], parts[1], parts[2]))
-        else:
-            shared[key] = value
-
-    tagger_kwargs = {}
-    config_kwargs = {}
-    tagger_fields = {f.name: f.type for f in dataclasses.fields(TaggerConfig)}
-    for key, value in shared.items():
-        if key.startswith("tagger."):
+        elif key.startswith("tagger."):
             name = key[len("tagger.") :]
-            if name not in tagger_fields:
-                raise ExperimentError(f"unknown tagger option {name!r}")
-            current = getattr(TaggerConfig(), name)
-            if isinstance(current, bool):
-                tagger_kwargs[name] = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                tagger_kwargs[name] = int(value)
-            else:
-                tagger_kwargs[name] = float(value)
+            try:
+                tagger_kwargs[name] = tagger_option(name, value)
+            except ValueError as exc:
+                raise ExperimentError(f"line {lineno}: {exc}") from None
         elif key == "seeds":
             config_kwargs["seeds"] = tuple(int(s) for s in value.split(",") if s.strip())
         elif key in (
@@ -421,7 +407,7 @@ def parse_experiment_config(text: str) -> list[ExperimentConfig]:
         ):
             config_kwargs[key] = value
         else:
-            raise ExperimentError(f"unknown option {key!r}")
+            raise ExperimentError(f"line {lineno}: unknown option {key!r}")
 
     tagger_config = TaggerConfig(**tagger_kwargs)
     if not cells:

@@ -6,6 +6,8 @@ import pytest
 from xlner.cli import main
 from xlner.conll import parse_conll, write_conll
 from xlner.embeddings import EmbeddingTable, load_embeddings, save_embeddings
+from xlner.serialize import read_container, write_container
+from xlner.tagger import MODEL_MAGIC, Tagger, TaggerConfig, build_vocab, init_params, save_model
 
 from conftest import TABLE_FIXTURE, make_corpus
 
@@ -204,6 +206,69 @@ def test_train_rejects_unknown_config_key(capsys, tmp_path, sample):
     )
     assert code == 1
     assert "unknown tagger option" in err
+
+
+def test_train_rejects_malformed_boolean(capsys, tmp_path, sample):
+    config_path = tmp_path / "typo.conf"
+    config_path.write_text("max_epochs = 1\nunk_word_dropout = ture\n")
+    code, _, err = run(
+        capsys,
+        "train",
+        "--train", sample,
+        "--dev", sample,
+        "--out", tmp_path / "m.bin",
+        "--config", config_path,
+    )
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "line 2" in errors[0] and "unk_word_dropout" in errors[0]
+    assert not (tmp_path / "m.bin").exists()
+
+
+# ----------------------------------------------------------- bad model files
+
+
+def write_model(path, sample, edit):
+    """A small model file whose header and tensors pass through edit first."""
+    corpus = parse_conll(sample.read_text())
+    config = TaggerConfig(word_emb_dim=4, word_lstm_dim=3, char_emb_dim=2, char_lstm_dim=2)
+    vocab = build_vocab([corpus])
+    save_model(Tagger(config, vocab, init_params(config, vocab)), path)
+    header, tensors = read_container(path, MODEL_MAGIC)
+    edit(header, tensors)
+    write_container(path, MODEL_MAGIC, header, tensors)
+
+
+def assert_tag_fails(capsys, model_path, sample, *words):
+    code, out, err = run(capsys, "tag", "--model", model_path, sample)
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    for word in words:
+        assert word in errors[0]
+
+
+def test_tag_rejects_unknown_config_key(capsys, tmp_path, sample):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: header["config"].update(width=3))
+    assert_tag_fails(capsys, path, sample, "config", "width")
+
+
+@pytest.mark.parametrize(
+    "edit, words",
+    [
+        (lambda tensors: tensors.pop("proj_b"), ("missing", "proj_b")),
+        (lambda tensors: tensors.update(extra_b=np.zeros(3)), ("unexpected", "extra_b")),
+        (lambda tensors: tensors.update(proj_b=np.zeros(4)), ("proj_b", "(4,)", "(9,)")),
+    ],
+    ids=["missing", "extra", "misshapen"],
+)
+def test_tag_rejects_bad_tensors(capsys, tmp_path, sample, edit, words):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: edit(tensors))
+    assert_tag_fails(capsys, path, sample, *words)
 
 
 # ------------------------------------------------------------------ baseline

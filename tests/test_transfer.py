@@ -318,6 +318,14 @@ def test_parse_errors():
         parse_experiment_config("seeds = 1")
 
 
+def test_parse_boolean_spellings():
+    for text, want in (("True", True), ("yes", True), ("1", True), ("FALSE", False), ("No", False), ("0", False)):
+        (config,) = parse_experiment_config(f"regime = majority\ntagger.unk_word_dropout = {text}")
+        assert config.tagger.unk_word_dropout is want
+    with pytest.raises(ExperimentError, match="line 2.*unk_word_dropout"):
+        parse_experiment_config("regime = majority\ntagger.unk_word_dropout = ture")
+
+
 def test_parse_paths_and_direction():
     (config,) = parse_experiment_config(
         """
