@@ -11,6 +11,8 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 from typing import Union
@@ -48,21 +50,63 @@ def write_container(
 
 
 def read_container(path: Union[str, Path], magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and tensors of a container file. A short read, a header that
+    is not a UTF-8 JSON object, a tensor name that is not UTF-8, or bytes
+    after the last tensor raise ContainerError naming the offset."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int, what: str) -> bytes:
+            offset = fh.tell()
+            if n > size - offset:  # checked before reading: a corrupt length may be huge
+                raise ContainerError(
+                    f"{path}: truncated {what} at offset {offset}: "
+                    f"needs {n} bytes, {size - offset} left"
+                )
+            return fh.read(n)
+
+        def text(n: int, what: str) -> str:
+            offset = fh.tell()
+            try:
+                return take(n, what).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ContainerError(f"{path}: {what} at offset {offset} is not UTF-8") from None
+
         got = fh.read(8)
         if got != magic:
             raise ContainerError(f"bad magic: expected {magic!r}, got {got!r}")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        version, header_len = struct.unpack("<II", take(8, "version and header length"))
         if version != FORMAT_VERSION:
             raise ContainerError(f"unsupported format version {version} (expected {FORMAT_VERSION})")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        offset = fh.tell()
+        try:
+            header = json.loads(text(header_len, "header"))
+        except json.JSONDecodeError as exc:
+            raise ContainerError(f"{path}: header at offset {offset} is not JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise ContainerError(f"{path}: header at offset {offset} is not a JSON object")
+        (count,) = struct.unpack("<I", take(4, "tensor count"))
         tensors = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            tensors[name] = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape).copy()
+            (name_len,) = struct.unpack("<I", take(4, "tensor name length"))
+            name = text(name_len, "tensor name")
+            (ndim,) = struct.unpack("<I", take(4, f"tensor {name!r} rank"))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"tensor {name!r} shape"))
+            data = take(8 * math.prod(shape), f"tensor {name!r} data")
+            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        if fh.tell() != size:
+            raise ContainerError(
+                f"{path}: {size - fh.tell()} trailing bytes after the last tensor at offset {fh.tell()}"
+            )
     return header, tensors
+
+
+def require_keys(mapping, keys: tuple[str, ...], path, where: str = "header") -> dict:
+    """mapping itself, once it is a dict holding every key; otherwise
+    ContainerError naming the keys it lacks."""
+    if not isinstance(mapping, dict):
+        raise ContainerError(f"{path}: {where} is not a JSON object")
+    missing = [key for key in keys if key not in mapping]
+    if missing:
+        raise ContainerError(f"{path}: {where} lacks " + ", ".join(repr(key) for key in missing))
+    return mapping

@@ -16,7 +16,7 @@ from .conll import TAGS, Corpus, Sentence, _split_tag
 from .crf import crf_nll_grad, viterbi_decode
 from .embeddings import EmbeddingTable, word_form
 from .lstm import lstm_backward, lstm_forward
-from .serialize import ContainerError, read_container, write_container
+from .serialize import ContainerError, read_container, require_keys, write_container
 
 UNK = "<unk>"
 MODEL_MAGIC = b"XLNMDL1\x00"
@@ -505,11 +505,12 @@ def load_model(path) -> Tagger:
     fields, and the tensors must be exactly those the config and vocab
     sizes call for, in their shapes."""
     header, tensors = read_container(path, MODEL_MAGIC)
+    require_keys(header, ("config", "vocab"), path)
     try:
         config = TaggerConfig(**header["config"])
     except TypeError as exc:
         raise ContainerError(f"{path}: bad tagger config in header: {exc}") from None
-    v = header["vocab"]
+    v = require_keys(header["vocab"], ("words", "chars", "tags"), path, "header vocab")
     vocab = Vocab(
         {w: i for i, w in enumerate(v["words"])},
         {c: i for i, c in enumerate(v["chars"])},

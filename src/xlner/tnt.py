@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .conll import Corpus, Sentence
-from .serialize import read_container, write_container
+from .serialize import read_container, require_keys, write_container
 
 START = "<s>"
 STOP = "</s>"
@@ -264,6 +264,19 @@ def tag_corpus(model: TntModel, corpus: Corpus, beam: Optional[int] = None) -> C
     return Corpus(tuple(tagged), corpus.language)
 
 
+_HEADER_KEYS = (
+    "tags",
+    "unigrams",
+    "bigrams",
+    "trigrams",
+    "lambdas",
+    "emissions",
+    "word_freq",
+    "suffix",
+    "total_tokens",
+)
+
+
 def save_model(model: TntModel, path) -> None:
     header = {
         "tags": list(model.tags),
@@ -288,6 +301,8 @@ def save_model(model: TntModel, path) -> None:
 
 def load_model(path) -> TntModel:
     header, _ = read_container(path, TNT_MAGIC)
+    require_keys(header, _HEADER_KEYS, path)
+    require_keys(header["suffix"], ("tag_probs", "theta", "counts"), path, "header suffix")
     return TntModel(
         tags=tuple(header["tags"]),
         unigrams=Counter(header["unigrams"]),

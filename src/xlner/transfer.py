@@ -36,6 +36,8 @@ REGIMES = (
     "tnt_baseline",
     "majority",
 )
+# Regimes that train on the aligned source+target embedding table.
+BILINGUAL_REGIMES = ("zero_shot", "joint", "fine_tune")
 SOURCE_SIZES = ("none", "medium", "large")
 TARGET_SIZES = ("none", "tiny", "small")
 
@@ -127,8 +129,18 @@ def _slice_target(corpus: Corpus, size: str) -> Corpus:
     return corpus
 
 
-def load_resources(config: ExperimentConfig) -> Resources:
+def load_resources(config: ExperimentConfig, loaded: Optional[dict] = None) -> Resources:
+    """The corpora and embedding tables a config names. Passing the same
+    `loaded` dict to several calls makes them share what they read: a
+    file, or a prepared source split, already in it is not read again."""
     root = Path(config.data_dir or os.environ.get("XLNER_DATA_DIR", "."))
+    if loaded is None:
+        loaded = {}
+
+    def once(key, read):
+        if key not in loaded:
+            loaded[key] = read()
+        return loaded[key]
 
     def corpus(path, language):
         if path is None:
@@ -136,7 +148,7 @@ def load_resources(config: ExperimentConfig) -> Resources:
         p = Path(path) if Path(path).is_absolute() else root / path
         if not p.exists():
             raise ExperimentError(f"missing corpus file: {p}")
-        return read_conll(p, language)
+        return once(("corpus", p, language), lambda: read_conll(p, language))
 
     def table(path):
         if path is None:
@@ -144,7 +156,7 @@ def load_resources(config: ExperimentConfig) -> Resources:
         p = Path(path) if Path(path).is_absolute() else root / path
         if not p.exists():
             raise ExperimentError(f"missing embedding file: {p}")
-        return load_embeddings(p)
+        return once(("table", p), lambda: load_embeddings(p))
 
     res = Resources(
         tgt_train=corpus(config.tgt_train_path, "da"),
@@ -156,7 +168,9 @@ def load_resources(config: ExperimentConfig) -> Resources:
         res.src_train = corpus(config.src_train_path, "en")
         res.src_dev = corpus(config.src_dev_path, "en")
     elif config.source_size in ("medium", "large"):
-        res.src_train, res.src_dev = prepare_sources(config)
+        res.src_train, res.src_dev = once(
+            ("sources", root, config.source_size), lambda: prepare_sources(config)
+        )
     return res
 
 
@@ -189,8 +203,15 @@ def _require(res: Resources, *names: str) -> None:
             raise ExperimentError(f"regime needs resource {name!r}")
 
 
-def run_seed(config: ExperimentConfig, res: Resources, seed: int) -> tuple[EvalReport, Optional[Tagger]]:
-    """One training/evaluation run; the report scores the target dev set."""
+def run_seed(
+    config: ExperimentConfig,
+    res: Resources,
+    seed: int,
+    shared: Optional[EmbeddingTable] = None,
+) -> tuple[EvalReport, Optional[Tagger]]:
+    """One training/evaluation run; the report scores the target dev set.
+    Bilingual regimes train on `shared`, the bilingual table of res in the
+    config's direction, and build it when it is None."""
     tagger_config = replace(config.tagger, seed=seed)
     regime = config.regime
 
@@ -215,7 +236,8 @@ def run_seed(config: ExperimentConfig, res: Resources, seed: int) -> tuple[EvalR
         return evaluate(res.tgt_dev, tag_corpus(tagger, res.tgt_dev)), tagger
 
     _require(res, "src_train", "src_dev", "tgt_dev")
-    shared = bilingual_table(config, res)
+    if shared is None:
+        shared = bilingual_table(config, res)
 
     if regime == "zero_shot":
         tagger, _ = train(
@@ -260,13 +282,15 @@ def run_regime(
     config: ExperimentConfig,
     resources: Optional[Resources] = None,
     out_dir: Optional[Path] = None,
+    shared: Optional[EmbeddingTable] = None,
 ) -> AggregateReport:
     """Run the configured cell once per seed and aggregate. With out_dir
-    set, per-seed models/reports land under <regime>/<src>/<tgt>/<seed>/."""
+    set, per-seed models/reports land under <regime>/<src>/<tgt>/<seed>/.
+    `shared` goes to every run_seed call."""
     res = resources if resources is not None else load_resources(config)
     reports = []
     for seed in config.seeds:
-        report, tagger = run_seed(config, res, seed)
+        report, tagger = run_seed(config, res, seed, shared)
         reports.append(report)
         if out_dir is not None:
             cell_dir = Path(out_dir) / config.regime / config.source_size / config.target_size / str(seed)
@@ -336,28 +360,75 @@ def render_matrix(matrix: ResultMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _grid_inputs(
+    configs: list[ExperimentConfig], resources: Optional[Resources]
+) -> list[tuple[Resources, Optional[EmbeddingTable]]]:
+    """Each cell's resources and, for bilingual regimes, its bilingual
+    table. Every input file is read once and every table pair aligned
+    once per direction, however many cells use them."""
+    loaded: dict = {}
+    aligned: dict = {}
+    inputs = []
+    for config in configs:
+        res = resources if resources is not None else load_resources(config, loaded)
+        shared = None
+        if config.regime in BILINGUAL_REGIMES:
+            key = (id(res.src_emb), id(res.tgt_emb), config.alignment_direction)
+            if key not in aligned:
+                aligned[key] = bilingual_table(config, res)
+            shared = aligned[key]
+        inputs.append((res, shared))
+    return inputs
+
+
+# A --jobs worker's copy of the grid's inputs, set once when the worker
+# process starts, by the pool initializer; never set in the parent.
+_worker_inputs: list[tuple[Resources, Optional[EmbeddingTable]]] = []
+
+
+def _init_worker(inputs: list[tuple[Resources, Optional[EmbeddingTable]]]) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _run_worker_cell(config: ExperimentConfig, index: int, out_dir: Optional[Path]) -> AggregateReport:
+    res, shared = _worker_inputs[index]
+    return run_regime(config, res, out_dir, shared)
+
+
 def run_grid(
     configs: list[ExperimentConfig],
     resources: Optional[Resources] = None,
     out_dir: Optional[Path] = None,
     jobs: int = 1,
 ) -> ResultMatrix:
+    """Run every cell and collect the matrix. Cells share their inputs:
+    `resources` when given, otherwise each file the configs name is read
+    once, and each bilingual table is aligned once. With jobs > 1 the cells
+    run in that many worker processes, each handed the shared inputs once."""
     keys = [c.cell for c in configs]
     if len(set(keys)) != len(keys):
         raise ExperimentError("duplicate cell keys in grid")
+    inputs = _grid_inputs(configs, resources)
     matrix = ResultMatrix()
-    if jobs > 1 and resources is None:
+    if jobs > 1 and len(configs) > 1:
         import concurrent.futures
+        import multiprocessing
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(run_regime, config, None, out_dir): config for config in configs
-            }
-            for future, config in futures.items():
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(jobs, len(configs)),
+            mp_context=multiprocessing.get_context("spawn"),  # fork is unsafe with BLAS threads
+            initializer=_init_worker,
+            initargs=(inputs,),
+        ) as pool:
+            futures = [
+                pool.submit(_run_worker_cell, config, i, out_dir) for i, config in enumerate(configs)
+            ]
+            for future, config in zip(futures, configs):
                 matrix.add(config.cell, future.result())
     else:
-        for config in configs:
-            matrix.add(config.cell, run_regime(config, resources, out_dir))
+        for config, (res, shared) in zip(configs, inputs):
+            matrix.add(config.cell, run_regime(config, res, out_dir, shared))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

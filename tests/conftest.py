@@ -36,3 +36,11 @@ def make_corpus(*tagged_sentences, language=""):
         ),
         language,
     )
+
+
+def drop_key(header: dict, dotted: str) -> None:
+    """Delete a model header key; `vocab.words` names a nested one."""
+    *parents, key = dotted.split(".")
+    for name in parents:
+        header = header[name]
+    del header[key]

@@ -9,7 +9,7 @@ from xlner.embeddings import EmbeddingTable, load_embeddings, save_embeddings
 from xlner.serialize import read_container, write_container
 from xlner.tagger import MODEL_MAGIC, Tagger, TaggerConfig, build_vocab, init_params, save_model
 
-from conftest import TABLE_FIXTURE, make_corpus
+from conftest import TABLE_FIXTURE, drop_key, make_corpus
 
 
 @pytest.fixture
@@ -269,6 +269,35 @@ def test_tag_rejects_bad_tensors(capsys, tmp_path, sample, edit, words):
     path = tmp_path / "model.bin"
     write_model(path, sample, lambda header, tensors: edit(tensors))
     assert_tag_fails(capsys, path, sample, *words)
+
+
+@pytest.mark.parametrize("key", ["config", "vocab", "vocab.words", "vocab.chars", "vocab.tags"])
+def test_tag_rejects_missing_header_key(capsys, tmp_path, sample, key):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: drop_key(header, key))
+    assert_tag_fails(capsys, path, sample, "lacks", repr(key.split(".")[-1]))
+
+
+def test_tag_rejects_file_cut_in_header(capsys, tmp_path, sample):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: None)
+    path.write_bytes(path.read_bytes()[:40])  # magic, version, length, 24 header bytes
+    assert_tag_fails(capsys, path, sample, "truncated header", "offset 16")
+
+
+def test_tag_rejects_file_cut_in_tensor_data(capsys, tmp_path, sample):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: None)
+    path.write_bytes(path.read_bytes()[:-4])
+    assert_tag_fails(capsys, path, sample, "truncated tensor", "data", "offset")
+
+
+def test_tag_rejects_trailing_bytes(capsys, tmp_path, sample):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: None)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\0" * 3)
+    assert_tag_fails(capsys, path, sample, "3 trailing bytes", f"offset {size}")
 
 
 # ------------------------------------------------------------------ baseline

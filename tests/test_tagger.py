@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from xlner.conll import TAGS, validate_bio
 from xlner.embeddings import EmbeddingTable
-from xlner.serialize import FORMAT_VERSION, ContainerError
+from xlner.serialize import FORMAT_VERSION, ContainerError, read_container
 from xlner.tagger import (
+    MODEL_MAGIC,
     Tagger,
     TaggerConfig,
     batch_gradients,
@@ -400,6 +402,15 @@ def test_model_rejects_version_mismatch(tmp_path, corpus):
     path.write_bytes(bytes(raw))
     with pytest.raises(ContainerError, match="version"):
         load_model(path)
+
+
+def test_every_truncation_is_a_container_error(tmp_path, corpus):
+    path = tmp_path / "model.bin"
+    save_model(small_tagger(corpus), path)
+    for end in reversed(range(path.stat().st_size)):
+        os.truncate(path, end)
+        with pytest.raises(ContainerError):
+            read_container(path, MODEL_MAGIC)
 
 
 def test_model_rejects_wrong_magic(tmp_path, corpus):

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from xlner.serialize import ContainerError, read_container, write_container
 from xlner.tnt import (
     START,
     STOP,
+    TNT_MAGIC,
     TntModel,
     estimate,
     load_model,
@@ -15,7 +17,7 @@ from xlner.tnt import (
     tnt_decode,
 )
 
-from conftest import make_corpus
+from conftest import drop_key, make_corpus
 
 
 def sequence_logp(model, words, tags):
@@ -187,3 +189,14 @@ def test_model_round_trip(tmp_path, train3):
     assert loaded.transition_logp("O", "O", "B-PER") == pytest.approx(
         model.transition_logp("O", "O", "B-PER")
     )
+
+
+@pytest.mark.parametrize("key", ["tags", "emissions", "total_tokens", "suffix.theta"])
+def test_load_model_rejects_missing_header_key(tmp_path, train3, key):
+    path = tmp_path / "tnt.bin"
+    save_model(estimate(train3), path)
+    header, tensors = read_container(path, TNT_MAGIC)
+    drop_key(header, key)
+    write_container(path, TNT_MAGIC, header, tensors)
+    with pytest.raises(ContainerError, match=f"lacks '{key.split('.')[-1]}'"):
+        load_model(path)

@@ -265,6 +265,100 @@ def test_run_grid_deterministic(twins):
     assert a.cells[key].f1 == b.cells[key].f1
 
 
+# ------------------------------------------------- shared grid inputs, --jobs
+
+GRID_CELLS = (
+    "majority:none:tiny",
+    "tnt_baseline:none:tiny",
+    "in_language_plain:none:tiny",
+    "in_language_pretrained:none:tiny",
+    "zero_shot:large:none",
+    "joint:large:tiny",
+    "fine_tune:large:tiny",
+)
+ONE_EPOCH = replace(FAST, max_epochs=1, patience=1)
+
+
+def write_grid(directory):
+    """A seven-cell grid config over small twin-language files in
+    directory; returns the config path."""
+    twins = make_twin_languages(seed=1, n_src_train=12, n_src_dev=6, n_tgt_train=8, n_tgt_dev=6)
+    for name in ("src_train", "src_dev", "tgt_train", "tgt_dev"):
+        (directory / f"{name}.conll").write_text(write_conll(getattr(twins, name)))
+    save_embeddings(twins.src_emb, directory / "src.vec")
+    save_embeddings(twins.tgt_emb, directory / "tgt.vec")
+    lines = [
+        f"data_dir = {directory}",
+        *(f"{name}_path = {name}.conll" for name in ("src_train", "src_dev", "tgt_train", "tgt_dev")),
+        "src_emb_path = src.vec",
+        "tgt_emb_path = tgt.vec",
+        "seeds = 1, 2",
+        *(f"tagger.{key} = {value}" for key, value in vars(ONE_EPOCH).items()),
+        *(f"cell = {cell}" for cell in GRID_CELLS),
+    ]
+    path = directory / "grid.conf"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_run_grid_reads_each_input_once_and_aligns_once_per_direction(tmp_path, monkeypatch):
+    import xlner.transfer as transfer
+
+    configs = parse_experiment_config(write_grid(tmp_path).read_text())
+    # fine_tune maps the other way, so both directions are fitted
+    configs = [
+        replace(c, alignment_direction="src_to_tgt") if c.regime == "fine_tune" else c
+        for c in configs
+    ]
+    reads, fits = [], []
+
+    def counted(name, log, arg):
+        original = getattr(transfer, name)
+
+        def wrapper(*args, **kwargs):
+            log.append(arg(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, name, wrapper)
+
+    counted("read_conll", reads, lambda path, *_: path.name)
+    counted("load_embeddings", reads, lambda path, *_: path.name)
+    counted("align_tables", fits, lambda src, tgt, *_: (id(src), id(tgt)))
+
+    matrix = run_grid(configs)
+    assert sorted(reads) == sorted(
+        ["src_train.conll", "src_dev.conll", "tgt_train.conll", "tgt_dev.conll", "src.vec", "tgt.vec"]
+    )
+    assert len(fits) == 2 and len(set(fits)) == 2
+
+    for config in configs:
+        alone = run_regime(config, None)
+        assert matrix.cells[config.cell].to_dict() == alone.to_dict()
+
+
+def test_run_grid_jobs_match_serial_in_memory(twins):
+    configs = [
+        ExperimentConfig(
+            regime=regime, source_size=source, target_size=target, seeds=(1,), tagger=ONE_EPOCH
+        )
+        for regime, source, target in (cell.split(":") for cell in GRID_CELLS)
+    ]
+    serial = run_grid(configs, twin_resources(twins), jobs=1)
+    parallel = run_grid(configs, twin_resources(twins), jobs=2)
+    assert parallel.to_dict() == serial.to_dict()
+
+
+def test_experiment_jobs_match_serial_from_files(tmp_path, capsys):
+    from xlner.cli import main
+
+    config_path = write_grid(tmp_path)
+    for jobs in ("1", "2"):
+        argv = ["experiment", "--config", str(config_path), "--out", str(tmp_path / f"out{jobs}")]
+        assert main([*argv, "--jobs", jobs]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "out2" / "matrix.json").read_text() == (tmp_path / "out1" / "matrix.json").read_text()
+
+
 # ------------------------------------------------------------- config parser
 
 
