@@ -9,6 +9,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import tnt
 from .conll import (
@@ -22,8 +23,6 @@ from .conll import (
 )
 from .embeddings import (
     EmbeddingError,
-    align_tables,
-    apply_mapping,
     load_embeddings,
     mine_identical_seeds,
     save_embeddings,
@@ -35,6 +34,7 @@ from .transfer import (
     ExperimentError,
     parse_experiment_config,
     render_matrix,
+    rotated_table,
     run_grid,
 )
 
@@ -64,15 +64,26 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit(payload: dict, text: str, fmt: str) -> None:
+def _emit(report, fmt: str, text: Optional[str] = None) -> None:
+    """A report dataclass as indented JSON, or as text: `text` when
+    given, else one `field: value` line per field."""
+    payload = dataclasses.asdict(report)
+    if text is None:
+        text = "\n".join(f"{key}: {value}" for key, value in payload.items())
     print(json.dumps(payload, indent=2) if fmt == "json" else text)
+
+
+def _output(text: str, out: Optional[str]) -> None:
+    """Write text to the --out file, or to stdout without one."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_stats(args) -> int:
     corpus = read_conll(_resolve(args.file))
-    report = corpus_stats(corpus)
-    text = "\n".join(f"{key}: {value}" for key, value in report.to_dict().items())
-    _emit(report.to_dict(), text, args.format)
+    _emit(corpus_stats(corpus), args.format)
     return 0
 
 
@@ -92,18 +103,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_convert(args) -> int:
     corpus = convert_corpus_iob1_to_bio2(read_conll(_resolve(args.file)))
-    output = write_conll(corpus)
-    if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
-        sys.stdout.write(output)
+    _output(write_conll(corpus), args.out)
     return 0
 
 
 def _cmd_kappa(args) -> int:
     result = entity_kappa(read_conll(_resolve(args.a)), read_conll(_resolve(args.b)))
-    text = "\n".join(f"{key}: {value}" for key, value in result.to_dict().items())
-    _emit(result.to_dict(), text, args.format)
+    _emit(result, args.format)
     return 0
 
 
@@ -112,12 +118,7 @@ def _cmd_align(args) -> int:
     tgt = load_embeddings(_resolve(args.tgt))
     seeds = mine_identical_seeds(src, tgt)
     _log(f"seeds: {len(seeds)}")
-    if args.direction == "tgt_to_src":
-        mapping = align_tables(src, tgt, seeds)
-        mapped = apply_mapping(tgt, mapping)
-    else:
-        mapping = align_tables(tgt, src, seeds)
-        mapped = apply_mapping(src, mapping)
+    mapped = rotated_table(args.direction, src, tgt, seeds)
     save_embeddings(mapped, args.out)
     _log(f"wrote mapped table ({len(mapped)} words, dim {mapped.dim}) to {args.out}")
     return 0
@@ -142,17 +143,13 @@ def _cmd_train(args) -> int:
 def _cmd_tag(args) -> int:
     tagger = load_model(_resolve(args.model))
     corpus = read_conll(_resolve(args.input))
-    output = write_conll(tag_corpus(tagger, corpus))
-    if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
-        sys.stdout.write(output)
+    _output(write_conll(tag_corpus(tagger, corpus)), args.out)
     return 0
 
 
 def _cmd_eval(args) -> int:
     report = evaluate(read_conll(_resolve(args.gold)), read_conll(_resolve(args.pred)))
-    _emit(report.to_dict(), render_report(report), args.format)
+    _emit(report, args.format, render_report(report))
     return 0
 
 
@@ -168,11 +165,7 @@ def _cmd_baseline(args) -> int:
         from .evaluation import majority_baseline
 
         tagged = majority_baseline(train_corpus, input_corpus)
-    output = write_conll(tagged)
-    if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
-        sys.stdout.write(output)
+    _output(write_conll(tagged), args.out)
     return 0
 
 

@@ -4,7 +4,7 @@ span extraction, statistics and inter-annotator agreement."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 # Fixed 9-label BIO2 alphabet, O first.
@@ -151,8 +151,12 @@ def write_conll(corpus: Corpus) -> str:
 
 
 def read_conll(path, language: str = "") -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        return parse_conll(fh.read(), language)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConllError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_conll(text, language)
 
 
 def validate_bio(tags: Sequence[str]) -> list[BioViolation]:
@@ -226,17 +230,13 @@ def extract_sentence_spans(tags: Sequence[str]) -> set[tuple[int, int, str]]:
     return spans
 
 
-def extract_spans(obj: Union[Corpus, Sentence, Sequence[str]]) -> set[EntitySpan]:
-    """Entity spans of a corpus, a sentence, or a bare tag sequence
-    (sentence_index 0 for the latter two)."""
-    if isinstance(obj, Corpus):
-        spans = set()
-        for si, sentence in enumerate(obj):
-            for start, end, label in extract_sentence_spans(sentence.tags):
-                spans.add(EntitySpan(si, start, end, label))
-        return spans
-    tags = obj.tags if isinstance(obj, Sentence) else tuple(obj)
-    return {EntitySpan(0, s, e, l) for s, e, l in extract_sentence_spans(tags)}
+def extract_spans(corpus: Corpus) -> set[EntitySpan]:
+    """Entity spans of every sentence of a corpus."""
+    return {
+        EntitySpan(si, start, end, label)
+        for si, sentence in enumerate(corpus)
+        for start, end, label in extract_sentence_spans(sentence.tags)
+    }
 
 
 @dataclass(frozen=True)
@@ -248,17 +248,6 @@ class StatsReport:
     sentences_with_ne: int
     sentences_with_ne_pct: Optional[float]
     entities: int
-
-    def to_dict(self) -> dict:
-        return {
-            "sentences": self.sentences,
-            "tokens": self.tokens,
-            "types": self.types,
-            "ttr": self.ttr,
-            "sentences_with_ne": self.sentences_with_ne,
-            "sentences_with_ne_pct": self.sentences_with_ne_pct,
-            "entities": self.entities,
-        }
 
 
 def corpus_stats(corpus: Corpus) -> StatsReport:
@@ -307,15 +296,6 @@ class KappaResult:
     p_e: float
     items: int
     degenerate: bool = False  # p_e == 1: agreement is trivially perfect
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "p_o": self.p_o,
-            "p_e": self.p_e,
-            "items": self.items,
-            "degenerate": self.degenerate,
-        }
 
 
 def cohen_kappa(a: Sequence[str], b: Sequence[str]) -> KappaResult:

@@ -6,6 +6,7 @@ languages."""
 from __future__ import annotations
 
 import logging
+import math
 import re
 from collections.abc import Container
 from dataclasses import dataclass
@@ -55,10 +56,14 @@ def load_embeddings(
     expected_dim: Optional[int] = None,
 ) -> EmbeddingTable:
     """Read `word v1 ... vd` text lines; an optional `count dim` header is
-    recognized on the first line. Duplicate words keep the first row."""
+    recognized on the first line. Duplicate words keep the first row.
+    Values must be finite numbers."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            return load_embeddings(fh, expected_dim)
+            try:
+                return load_embeddings(fh, expected_dim)
+            except UnicodeDecodeError as exc:
+                raise EmbeddingError(f"{source}: not UTF-8 text ({exc.reason})") from None
 
     vectors: dict[str, np.ndarray] = {}
     dim: Optional[int] = expected_dim
@@ -87,7 +92,16 @@ def load_embeddings(
         if word in vectors:
             log.warning("duplicate word %r at line %d; keeping first", word, lineno)
             continue
-        vectors[word] = np.array([float(v) for v in values])
+        try:
+            row = [float(v) for v in values]
+        except ValueError as exc:
+            raise EmbeddingError(f"line {lineno}: {exc}") from None
+        # The sum is finite unless a value is not (or finite values overflow):
+        # one cheap test per row, the per-value test only when it fails.
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            bad = next(v for v in values if not math.isfinite(float(v)))
+            raise EmbeddingError(f"line {lineno}: non-finite value {bad!r}")
+        vectors[word] = np.array(row)
     return EmbeddingTable(dim if dim is not None else 0, vectors)
 
 

@@ -36,30 +36,8 @@ class EvalReport:
     gold: int
     predicted: int
     correct: int
+    repairs: int  # BIO2 fixes applied to the prediction before scoring
     per_type: dict[str, TypeScores]
-    repairs: int = 0  # BIO2 fixes applied to the prediction before scoring
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "gold": self.gold,
-            "predicted": self.predicted,
-            "correct": self.correct,
-            "repairs": self.repairs,
-            "per_type": {
-                t: {
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "gold": s.gold,
-                    "predicted": s.predicted,
-                    "correct": s.correct,
-                }
-                for t, s in self.per_type.items()
-            },
-        }
 
 
 def repair_corpus(corpus: Corpus) -> tuple[Corpus, int]:
@@ -105,8 +83,8 @@ def evaluate(gold: Corpus, pred: Corpus) -> EvalReport:
         gold=len(gold_spans),
         predicted=len(pred_spans),
         correct=len(correct_spans),
-        per_type=per_type,
         repairs=pred_fixes,
+        per_type=per_type,
     )
 
 
@@ -123,15 +101,6 @@ class AggregateReport:
     recall: MetricSummary
     f1: MetricSummary
     per_type_f1: dict[str, MetricSummary]
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "precision": {"mean": self.precision.mean, "std": self.precision.std},
-            "recall": {"mean": self.recall.mean, "std": self.recall.std},
-            "f1": {"mean": self.f1.mean, "std": self.f1.std},
-            "per_type_f1": {t: {"mean": m.mean, "std": m.std} for t, m in self.per_type_f1.items()},
-        }
 
 
 def _summary(values: Sequence[float]) -> MetricSummary:

@@ -501,16 +501,23 @@ def save_model(tagger: Tagger, path) -> None:
 
 
 def load_model(path) -> Tagger:
-    """Read a model file; the header config must name only TaggerConfig
-    fields, and the tensors must be exactly those the config and vocab
-    sizes call for, in their shapes."""
+    """Read a model file; the header config must be a valid TaggerConfig,
+    the vocab words, chars and tags lists of strings (words and chars
+    holding UNK), and the tensors exactly those the config and vocab sizes
+    call for, in their shapes."""
     header, tensors = read_container(path, MODEL_MAGIC)
     require_keys(header, ("config", "vocab"), path)
     try:
         config = TaggerConfig(**header["config"])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: bad tagger config in header: {exc}") from None
     v = require_keys(header["vocab"], ("words", "chars", "tags"), path, "header vocab")
+    for key in ("words", "chars", "tags"):
+        if not isinstance(v[key], list) or not all(isinstance(item, str) for item in v[key]):
+            raise ContainerError(f"{path}: header vocab {key!r} is not a list of strings")
+    for key in ("words", "chars"):
+        if UNK not in v[key]:
+            raise ContainerError(f"{path}: header vocab {key!r} lacks {UNK!r}")
     vocab = Vocab(
         {w: i for i, w in enumerate(v["words"])},
         {c: i for i, c in enumerate(v["chars"])},

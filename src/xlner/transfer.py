@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -14,6 +14,7 @@ from . import tnt
 from .conll import Corpus, convert_corpus_iob1_to_bio2, read_conll, take_first_tokens
 from .embeddings import (
     EmbeddingTable,
+    SeedLexicon,
     align_tables,
     apply_mapping,
     load_embeddings,
@@ -70,6 +71,8 @@ class ExperimentConfig:
     tgt_emb_path: Optional[str] = None
 
     def __post_init__(self):
+        if not self.seeds:
+            raise ExperimentError("seeds must name at least one seed")
         if self.regime not in REGIMES:
             raise ExperimentError(f"unknown regime {self.regime!r}")
         if self.source_size not in SOURCE_SIZES or self.target_size not in TARGET_SIZES:
@@ -96,11 +99,16 @@ class Resources:
     tgt_emb: Optional[EmbeddingTable] = None
 
 
-def prepare_sources(config: ExperimentConfig, data_dir: Optional[str] = None) -> tuple[Corpus, Corpus]:
+def _data_root(config: ExperimentConfig) -> Path:
+    """data_dir, else $XLNER_DATA_DIR, else the working directory."""
+    return Path(config.data_dir or os.environ.get("XLNER_DATA_DIR", "."))
+
+
+def prepare_sources(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
     """English source corpora in BIO2. Large trains on eng.train with
     eng.testa for early stopping; Medium trains on the first 90% of
     eng.testa sentences and holds out the last 10% for early stopping."""
-    root = Path(data_dir or config.data_dir or os.environ.get("XLNER_DATA_DIR", "."))
+    root = _data_root(config)
     if config.source_size == "large":
         train_path, dev_path = root / "eng.train", root / "eng.testa"
         for p in (train_path, dev_path):
@@ -133,7 +141,7 @@ def load_resources(config: ExperimentConfig, loaded: Optional[dict] = None) -> R
     """The corpora and embedding tables a config names. Passing the same
     `loaded` dict to several calls makes them share what they read: a
     file, or a prepared source split, already in it is not read again."""
-    root = Path(config.data_dir or os.environ.get("XLNER_DATA_DIR", "."))
+    root = _data_root(config)
     if loaded is None:
         loaded = {}
 
@@ -142,31 +150,23 @@ def load_resources(config: ExperimentConfig, loaded: Optional[dict] = None) -> R
             loaded[key] = read()
         return loaded[key]
 
-    def corpus(path, language):
+    def read(path, what, reader, *args):
         if path is None:
             return None
-        p = Path(path) if Path(path).is_absolute() else root / path
+        p = root / path  # an absolute path replaces the root
         if not p.exists():
-            raise ExperimentError(f"missing corpus file: {p}")
-        return once(("corpus", p, language), lambda: read_conll(p, language))
-
-    def table(path):
-        if path is None:
-            return None
-        p = Path(path) if Path(path).is_absolute() else root / path
-        if not p.exists():
-            raise ExperimentError(f"missing embedding file: {p}")
-        return once(("table", p), lambda: load_embeddings(p))
+            raise ExperimentError(f"missing {what} file: {p}")
+        return once((what, p, *args), lambda: reader(p, *args))
 
     res = Resources(
-        tgt_train=corpus(config.tgt_train_path, "da"),
-        tgt_dev=corpus(config.tgt_dev_path, "da"),
-        src_emb=table(config.src_emb_path),
-        tgt_emb=table(config.tgt_emb_path),
+        tgt_train=read(config.tgt_train_path, "corpus", read_conll, "da"),
+        tgt_dev=read(config.tgt_dev_path, "corpus", read_conll, "da"),
+        src_emb=read(config.src_emb_path, "embedding", load_embeddings),
+        tgt_emb=read(config.tgt_emb_path, "embedding", load_embeddings),
     )
     if config.src_train_path or config.src_dev_path:
-        res.src_train = corpus(config.src_train_path, "en")
-        res.src_dev = corpus(config.src_dev_path, "en")
+        res.src_train = read(config.src_train_path, "corpus", read_conll, "en")
+        res.src_dev = read(config.src_dev_path, "corpus", read_conll, "en")
     elif config.source_size in ("medium", "large"):
         res.src_train, res.src_dev = once(
             ("sources", root, config.source_size), lambda: prepare_sources(config)
@@ -181,15 +181,25 @@ def _merge_tables(primary: EmbeddingTable, secondary: EmbeddingTable) -> Embeddi
     return EmbeddingTable(primary.dim, vectors)
 
 
+def rotated_table(
+    direction: str, src: EmbeddingTable, tgt: EmbeddingTable, seeds: Optional[SeedLexicon] = None
+) -> EmbeddingTable:
+    """The table an alignment direction rotates, in the other table's
+    space: tgt into the src space for "tgt_to_src", src into the tgt space
+    for "src_to_tgt". Seeds default to the identical words of the two."""
+    if direction == "tgt_to_src":
+        return apply_mapping(tgt, align_tables(src, tgt, seeds))
+    return apply_mapping(src, align_tables(tgt, src, seeds))
+
+
 def bilingual_table(config: ExperimentConfig, res: Resources) -> EmbeddingTable:
     """Source and target embeddings in one shared space via identical-seed
-    Procrustes alignment."""
+    Procrustes alignment; source-side vectors win on shared words."""
     if res.src_emb is None or res.tgt_emb is None:
         raise ExperimentError("bilingual regimes need both embedding tables")
+    mapped = rotated_table(config.alignment_direction, res.src_emb, res.tgt_emb)
     if config.alignment_direction == "tgt_to_src":
-        mapped = apply_mapping(res.tgt_emb, align_tables(res.src_emb, res.tgt_emb))
         return _merge_tables(res.src_emb, mapped)
-    mapped = apply_mapping(res.src_emb, align_tables(res.tgt_emb, res.src_emb))
     return _merge_tables(mapped, res.tgt_emb)
 
 
@@ -197,10 +207,22 @@ def _concat(a: Corpus, b: Corpus) -> Corpus:
     return Corpus(a.sentences + b.sentences, f"{a.language}+{b.language}")
 
 
-def _require(res: Resources, *names: str) -> None:
-    for name in names:
-        if getattr(res, name) is None:
-            raise ExperimentError(f"regime needs resource {name!r}")
+# The resources each regime reads; bilingual_table checks the embedding tables.
+_NEEDS = {
+    "majority": ("tgt_train", "tgt_dev"),
+    "tnt_baseline": ("tgt_train", "tgt_dev"),
+    "in_language_plain": ("tgt_train", "tgt_dev"),
+    "in_language_pretrained": ("tgt_train", "tgt_dev", "tgt_emb"),
+    "zero_shot": ("src_train", "src_dev", "tgt_dev"),
+    "joint": ("src_train", "src_dev", "tgt_train", "tgt_dev"),
+    "fine_tune": ("src_train", "src_dev", "tgt_train", "tgt_dev"),
+}
+
+# Baselines: (target training corpus, corpus to tag) -> tagged corpus.
+_BASELINES = {
+    "majority": majority_baseline,
+    "tnt_baseline": lambda train_corpus, corpus: tnt.tag_corpus(tnt.estimate(train_corpus), corpus),
+}
 
 
 def run_seed(
@@ -212,34 +234,21 @@ def run_seed(
     """One training/evaluation run; the report scores the target dev set.
     Bilingual regimes train on `shared`, the bilingual table of res in the
     config's direction, and build it when it is None."""
-    tagger_config = replace(config.tagger, seed=seed)
     regime = config.regime
-
-    if regime == "majority":
-        _require(res, "tgt_train", "tgt_dev")
-        tgt_train = _slice_target(res.tgt_train, config.target_size)
-        return evaluate(res.tgt_dev, majority_baseline(tgt_train, res.tgt_dev)), None
-
-    if regime == "tnt_baseline":
-        _require(res, "tgt_train", "tgt_dev")
-        tgt_train = _slice_target(res.tgt_train, config.target_size)
-        model = tnt.estimate(tgt_train)
-        return evaluate(res.tgt_dev, tnt.tag_corpus(model, res.tgt_dev)), None
-
-    if regime in ("in_language_plain", "in_language_pretrained"):
-        _require(res, "tgt_train", "tgt_dev")
-        tgt_train = _slice_target(res.tgt_train, config.target_size)
-        pretrained = res.tgt_emb if regime == "in_language_pretrained" else None
-        if regime == "in_language_pretrained":
-            _require(res, "tgt_emb")
-        tagger, _ = train(tagger_config, tgt_train, res.tgt_dev, pretrained=pretrained)
-        return evaluate(res.tgt_dev, tag_corpus(tagger, res.tgt_dev)), tagger
-
-    _require(res, "src_train", "src_dev", "tgt_dev")
-    if shared is None:
+    for name in _NEEDS[regime]:
+        if getattr(res, name) is None:
+            raise ExperimentError(f"regime needs resource {name!r}")
+    if regime in BILINGUAL_REGIMES and shared is None:
         shared = bilingual_table(config, res)
+    tgt_train = None if res.tgt_train is None else _slice_target(res.tgt_train, config.target_size)
+    if regime in _BASELINES:
+        return evaluate(res.tgt_dev, _BASELINES[regime](tgt_train, res.tgt_dev)), None
 
-    if regime == "zero_shot":
+    tagger_config = replace(config.tagger, seed=seed)
+    if regime in ("in_language_plain", "in_language_pretrained"):
+        pretrained = res.tgt_emb if regime == "in_language_pretrained" else None
+        tagger, _ = train(tagger_config, tgt_train, res.tgt_dev, pretrained=pretrained)
+    elif regime == "zero_shot":
         tagger, _ = train(
             tagger_config,
             res.src_train,
@@ -247,12 +256,7 @@ def run_seed(
             pretrained=shared,
             extra_vocab_corpora=[res.tgt_dev],
         )
-        return evaluate(res.tgt_dev, tag_corpus(tagger, res.tgt_dev)), tagger
-
-    _require(res, "tgt_train")
-    tgt_train = _slice_target(res.tgt_train, config.target_size)
-
-    if regime == "joint":
+    elif regime == "joint":
         # Early stopping on the target dev set (the reporting target).
         tagger, _ = train(
             tagger_config,
@@ -261,9 +265,7 @@ def run_seed(
             pretrained=shared,
             extra_vocab_corpora=[res.src_dev],
         )
-        return evaluate(res.tgt_dev, tag_corpus(tagger, res.tgt_dev)), tagger
-
-    if regime == "fine_tune":
+    else:  # fine_tune
         stage1, _ = train(
             tagger_config,
             res.src_train,
@@ -273,9 +275,7 @@ def run_seed(
         )
         # Same learning rate, fresh early stopping on the target dev set.
         tagger, _ = train(tagger_config, tgt_train, res.tgt_dev, initial=stage1)
-        return evaluate(res.tgt_dev, tag_corpus(tagger, res.tgt_dev)), tagger
-
-    raise ExperimentError(f"unhandled regime {regime!r}")
+    return evaluate(res.tgt_dev, tag_corpus(tagger, res.tgt_dev)), tagger
 
 
 def run_regime(
@@ -296,7 +296,7 @@ def run_regime(
             cell_dir = Path(out_dir) / config.regime / config.source_size / config.target_size / str(seed)
             cell_dir.mkdir(parents=True, exist_ok=True)
             (cell_dir / "report.json").write_text(
-                json.dumps(report.to_dict(), indent=2), encoding="utf-8"
+                json.dumps(asdict(report), indent=2), encoding="utf-8"
             )
             (cell_dir / "log").write_text(
                 f"regime={config.regime} source={config.source_size} "
@@ -319,7 +319,7 @@ class ResultMatrix:
 
     def to_dict(self) -> dict:
         return {
-            "/".join(key): report.to_dict() for key, report in sorted(self.cells.items())
+            "/".join(key): asdict(report) for key, report in sorted(self.cells.items())
         }
 
 
@@ -441,10 +441,15 @@ def parse_experiment_config(text: str) -> list[ExperimentConfig]:
     """Flat key-value grammar: `key = value` lines, `#` comments. Shared
     keys apply to every cell; each `cell = regime:source:target` line adds
     one grid cell. A file with no cell lines but a `regime` key defines a
-    single cell."""
-    cells: list[tuple[str, str, str]] = []
+    single cell. Every ExperimentConfig field but `tagger` (set by
+    `tagger.<option>` keys) is a key, `seeds` a comma-separated list.
+    Errors name their line: a cell's invalid combination names its `cell`
+    line, a single cell's its `regime` line."""
+    options = {f.name for f in fields(ExperimentConfig)} - {"seeds", "tagger"}
+    cells: list[tuple[int, str, str, str]] = []
     tagger_kwargs = {}
     config_kwargs = {}
+    option_line = {}
     try:
         lines = list(option_lines(text))
     except ValueError as exc:
@@ -454,7 +459,7 @@ def parse_experiment_config(text: str) -> list[ExperimentConfig]:
             parts = value.split(":")
             if len(parts) != 3:
                 raise ExperimentError(f"line {lineno}: cell must be regime:source:target")
-            cells.append((parts[0], parts[1], parts[2]))
+            cells.append((lineno, *parts))
         elif key.startswith("tagger."):
             name = key[len("tagger.") :]
             try:
@@ -462,37 +467,33 @@ def parse_experiment_config(text: str) -> list[ExperimentConfig]:
             except ValueError as exc:
                 raise ExperimentError(f"line {lineno}: {exc}") from None
         elif key == "seeds":
-            config_kwargs["seeds"] = tuple(int(s) for s in value.split(",") if s.strip())
-        elif key in (
-            "regime",
-            "source_size",
-            "target_size",
-            "alignment_direction",
-            "data_dir",
-            "src_train_path",
-            "src_dev_path",
-            "tgt_train_path",
-            "tgt_dev_path",
-            "src_emb_path",
-            "tgt_emb_path",
-        ):
+            try:
+                seeds = tuple(int(s) for s in value.split(",") if s.strip())
+            except ValueError:
+                seeds = ()
+            if not seeds:
+                raise ExperimentError(f"line {lineno}: seeds wants comma-separated integers, got {value!r}")
+            config_kwargs["seeds"] = seeds
+        elif key in options:
             config_kwargs[key] = value
+            option_line[key] = lineno
         else:
             raise ExperimentError(f"line {lineno}: unknown option {key!r}")
 
     tagger_config = TaggerConfig(**tagger_kwargs)
+
+    def config_at(lineno: int, **kwargs) -> ExperimentConfig:
+        try:
+            return ExperimentConfig(tagger=tagger_config, **kwargs)
+        except ExperimentError as exc:
+            raise ExperimentError(f"line {lineno}: {exc}") from None
+
     if not cells:
         if "regime" not in config_kwargs:
             raise ExperimentError("config defines no cells and no regime")
-        return [ExperimentConfig(tagger=tagger_config, **config_kwargs)]
+        return [config_at(option_line["regime"], **config_kwargs)]
     base = {k: v for k, v in config_kwargs.items() if k not in ("regime", "source_size", "target_size")}
     return [
-        ExperimentConfig(
-            regime=regime,
-            source_size=source,
-            target_size=target,
-            tagger=tagger_config,
-            **base,
-        )
-        for regime, source, target in cells
+        config_at(lineno, regime=regime, source_size=source, target_size=target, **base)
+        for lineno, regime, source, target in cells
     ]

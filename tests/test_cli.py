@@ -123,6 +123,28 @@ def test_kappa_disagreement(capsys, tmp_path, sample):
     assert json.loads(out)["kappa"] < 1.0
 
 
+# ----------------------------------------------------------- JSON schemas
+
+SCORE_KEYS = ["precision", "recall", "f1", "gold", "predicted", "correct"]
+JSON_KEYS = {
+    "stats": ["sentences", "tokens", "types", "ttr", "sentences_with_ne", "sentences_with_ne_pct", "entities"],
+    "kappa": ["kappa", "p_o", "p_e", "items", "degenerate"],
+    "eval": SCORE_KEYS + ["repairs", "per_type"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_KEYS))
+def test_json_report_keys(capsys, sample, command):
+    argv = {"stats": [sample], "kappa": [sample, sample], "eval": ["--gold", sample, "--pred", sample]}[command]
+    code, out, _ = run(capsys, command, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == JSON_KEYS[command]
+    if command == "eval":
+        assert list(payload["per_type"]) == ["PER", "LOC", "ORG", "MISC"]
+        assert all(list(scores) == SCORE_KEYS for scores in payload["per_type"].values())
+
+
 # --------------------------------------------------------------------- align
 
 
@@ -256,6 +278,25 @@ def test_tag_rejects_unknown_config_key(capsys, tmp_path, sample):
     assert_tag_fails(capsys, path, sample, "config", "width")
 
 
+def test_tag_rejects_out_of_range_config_value(capsys, tmp_path, sample):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: header["config"].update(dropout=9.25))
+    assert_tag_fails(capsys, path, sample, str(path), "dropout")
+
+
+def test_tag_rejects_vocab_that_is_not_a_list(capsys, tmp_path, sample):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: header["vocab"].update(words=5))
+    assert_tag_fails(capsys, path, sample, str(path), "'words'", "list of strings")
+
+
+@pytest.mark.parametrize("key", ["words", "chars"])
+def test_tag_rejects_vocab_without_unk(capsys, tmp_path, sample, key):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: header["vocab"][key].__setitem__(0, "zzz"))
+    assert_tag_fails(capsys, path, sample, str(path), repr(key), "'<unk>'")
+
+
 @pytest.mark.parametrize(
     "edit, words",
     [
@@ -298,6 +339,63 @@ def test_tag_rejects_trailing_bytes(capsys, tmp_path, sample):
     size = path.stat().st_size
     path.write_bytes(path.read_bytes() + b"\0" * 3)
     assert_tag_fails(capsys, path, sample, "3 trailing bytes", f"offset {size}")
+
+
+# ------------------------------------------------------ malformed input files
+
+# name: (file content, what the error line must name; "{path}" is the file)
+BAD_CORPORA = {
+    "one_column": ("Rom B-LOC\nblev\n", "line 2"),
+    "unknown_tag": ("Rom B-LOC\nblev B-FOO\n", "line 2"),
+    "non_utf8": (b"Rom B-LOC\n\xffblev O\n", "{path}"),
+}
+BAD_TABLES = {
+    "short_row": ("a 1 2\nb 1\n", "line 2"),
+    "non_numeric": ("a 1 2\nb 1 x\n", "line 2"),
+    "nan": ("a 1 2\nb nan 1\n", "line 2"),
+    "inf": ("a 1 2\nb 1 -inf\n", "line 2"),
+    "non_utf8": (b"a 1 2\n\xff 1 2\n", "{path}"),
+}
+COMMANDS = {
+    "stats": lambda bad, good, out: ["stats", bad],
+    "train --train": lambda bad, good, out: ["train", "--train", bad, "--dev", good, "--out", out],
+    "align --src": lambda bad, good, out: ["align", "--src", bad, "--tgt", good, "--out", out],
+    "train --embeddings": lambda bad, good, out: ["train", "--train", good, "--dev", good, "--embeddings", bad, "--out", out],
+}
+
+
+@pytest.mark.parametrize(
+    "command, content, named",
+    [
+        pytest.param(command, *BAD_CORPORA[case], id=f"{command}-{case}")
+        for command in ("stats", "train --train")
+        for case in BAD_CORPORA
+    ]
+    + [
+        pytest.param(command, *BAD_TABLES[case], id=f"{command}-{case}")
+        for command in ("align --src", "train --embeddings")
+        for case in BAD_TABLES
+    ],
+)
+def test_malformed_input_is_one_error_line(capsys, tmp_path, sample, command, content, named):
+    bad = tmp_path / "bad"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content, encoding="utf-8")
+    good = sample
+    if command == "align --src":
+        good = tmp_path / "good.vec"
+        good.write_text("a 1 2\nb 3 4\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *COMMANDS[command](bad, good, out))
+    assert code == 1
+    assert stdout == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert named.format(path=bad) in errors[0]
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ baseline

@@ -1,12 +1,15 @@
+import copy
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlner.conll import TAGS, validate_bio
 from xlner.embeddings import EmbeddingTable
-from xlner.serialize import FORMAT_VERSION, ContainerError, read_container
+from xlner.serialize import FORMAT_VERSION, ContainerError, read_container, write_container
 from xlner.tagger import (
     MODEL_MAGIC,
     Tagger,
@@ -411,6 +414,45 @@ def test_every_truncation_is_a_container_error(tmp_path, corpus):
         os.truncate(path, end)
         with pytest.raises(ContainerError):
             read_container(path, MODEL_MAGIC)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _header_paths(value, prefix=()):
+    """The key path of every value nested in a JSON header, the containers
+    included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _header_paths(child, prefix + (key,))
+
+
+def test_any_header_value_loads_or_is_a_container_error(tmp_path, corpus):
+    path = tmp_path / "model.bin"
+    save_model(small_tagger(corpus), path)
+    header, tensors = read_container(path, MODEL_MAGIC)
+    paths = list(_header_paths(header))
+
+    @given(st.sampled_from(paths), JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def check(key_path, value):
+        edited = copy.deepcopy(header)
+        parent = edited
+        for key in key_path[:-1]:
+            parent = parent[key]
+        parent[key_path[-1]] = value
+        write_container(path, MODEL_MAGIC, edited, tensors)
+        try:
+            assert isinstance(load_model(path), Tagger)
+        except ContainerError:
+            pass
+
+    check()
 
 
 def test_model_rejects_wrong_magic(tmp_path, corpus):

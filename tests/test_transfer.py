@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -90,16 +90,16 @@ def test_slice_target_respects_sentence_boundaries():
 
 
 def test_prepare_sources_missing_files(tmp_path):
-    config = ExperimentConfig(regime="zero_shot", source_size="large")
+    config = ExperimentConfig(regime="zero_shot", source_size="large", data_dir=str(tmp_path))
     with pytest.raises(ExperimentError, match="missing source"):
-        prepare_sources(config, data_dir=str(tmp_path))
+        prepare_sources(config)
 
 
 def test_prepare_sources_medium_split(tmp_path):
     rows = [[(f"w{i}", "O"), ("x", "O")] for i in range(20)]
     (tmp_path / "eng.testa").write_text(write_conll(make_corpus(*rows)))
-    config = ExperimentConfig(regime="zero_shot", source_size="medium")
-    train_c, dev_c = prepare_sources(config, data_dir=str(tmp_path))
+    config = ExperimentConfig(regime="zero_shot", source_size="medium", data_dir=str(tmp_path))
+    train_c, dev_c = prepare_sources(config)
     assert len(train_c) == 18 and len(dev_c) == 2
     assert train_c.sentences[0].texts == ("w0", "x")
     assert dev_c.sentences[-1].texts == ("w19", "x")
@@ -165,6 +165,35 @@ def test_regime_missing_resource(twins):
         run_seed(config, res, seed=1)
 
 
+# What each regime reads, and the error when exactly that one is missing.
+BILINGUAL_ERROR = "bilingual regimes need both embedding tables"
+NEEDED = {
+    "majority": ("tgt_train", "tgt_dev"),
+    "tnt_baseline": ("tgt_train", "tgt_dev"),
+    "in_language_plain": ("tgt_train", "tgt_dev"),
+    "in_language_pretrained": ("tgt_train", "tgt_dev", "tgt_emb"),
+    "zero_shot": ("src_train", "src_dev", "tgt_dev", "src_emb", "tgt_emb"),
+    "joint": ("src_train", "src_dev", "tgt_train", "tgt_dev", "src_emb", "tgt_emb"),
+    "fine_tune": ("src_train", "src_dev", "tgt_train", "tgt_dev", "src_emb", "tgt_emb"),
+}
+
+
+@pytest.mark.parametrize(
+    "regime, missing", [(regime, name) for regime in REGIMES for name in NEEDED[regime]]
+)
+def test_each_missing_resource_is_named(twins, regime, missing):
+    source = "large" if regime in ("zero_shot", "joint", "fine_tune") else "none"
+    target = "none" if regime == "zero_shot" else "tiny"
+    config = ExperimentConfig(regime=regime, source_size=source, target_size=target, tagger=FAST)
+    res = twin_resources(twins)
+    setattr(res, missing, None)
+    bilingual = regime in ("zero_shot", "joint", "fine_tune") and missing.endswith("_emb")
+    message = BILINGUAL_ERROR if bilingual else f"regime needs resource {missing!r}"
+    with pytest.raises(ExperimentError) as info:
+        run_seed(config, res, seed=1)
+    assert str(info.value) == message
+
+
 def test_run_seed_deterministic(twins):
     config = ExperimentConfig(
         regime="in_language_plain", target_size="tiny", tagger=FAST
@@ -191,6 +220,20 @@ def test_run_regime_writes_cell_layout(tmp_path, twins):
         assert (cell / "model").exists()
         payload = json.loads((cell / "report.json").read_text())
         assert {"precision", "recall", "f1", "per_type"} <= payload.keys()
+
+
+def test_report_json_keys(tmp_path, twins):
+    config = ExperimentConfig(regime="majority", target_size="tiny", seeds=(1,), tagger=FAST)
+    matrix = run_grid([config], twin_resources(twins), out_dir=tmp_path)
+    scores = ["precision", "recall", "f1", "gold", "predicted", "correct"]
+    payload = json.loads((tmp_path / "majority" / "none" / "tiny" / "1" / "report.json").read_text())
+    assert list(payload) == scores + ["repairs", "per_type"]
+    assert list(payload["per_type"]) == ["PER", "LOC", "ORG", "MISC"]
+    assert all(list(type_scores) == scores for type_scores in payload["per_type"].values())
+    cell = json.loads((tmp_path / "matrix.json").read_text())["majority/none/tiny"]
+    assert list(cell) == ["runs", "precision", "recall", "f1", "per_type_f1"]
+    assert list(cell["f1"]) == ["mean", "std"]
+    assert cell == matrix.to_dict()["majority/none/tiny"]
 
 
 def test_run_regime_baselines_write_no_model(tmp_path, twins):
@@ -333,7 +376,7 @@ def test_run_grid_reads_each_input_once_and_aligns_once_per_direction(tmp_path, 
 
     for config in configs:
         alone = run_regime(config, None)
-        assert matrix.cells[config.cell].to_dict() == alone.to_dict()
+        assert asdict(matrix.cells[config.cell]) == asdict(alone)
 
 
 def test_run_grid_jobs_match_serial_in_memory(twins):
@@ -410,6 +453,30 @@ def test_parse_errors():
         parse_experiment_config("regime = majority\ncolour = red")
     with pytest.raises(ExperimentError, match="no cells"):
         parse_experiment_config("seeds = 1")
+    with pytest.raises(ExperimentError, match="line 2: seeds"):
+        parse_experiment_config("regime = majority\nseeds = a")
+    with pytest.raises(ExperimentError, match="line 2: seeds"):
+        parse_experiment_config("regime = majority\nseeds =")
+    with pytest.raises(ExperimentError, match="line 3: zero_shot requires target_size = none"):
+        parse_experiment_config("seeds = 1\ncell = majority:none:tiny\ncell = zero_shot:large:tiny")
+    with pytest.raises(ExperimentError, match="line 2: zero_shot requires target_size = none"):
+        parse_experiment_config("target_size = tiny\nregime = zero_shot")
+    with pytest.raises(ExperimentError, match="seeds"):
+        ExperimentConfig(regime="majority", seeds=())
+
+
+def test_every_string_field_is_a_config_key():
+    values = {
+        "regime": "joint",
+        "source_size": "medium",
+        "target_size": "small",
+        "alignment_direction": "src_to_tgt",
+    }
+    strings = [f.name for f in fields(ExperimentConfig) if f.name not in ("seeds", "tagger")]
+    text = "\n".join(f"{name} = {values.get(name, name + '.value')}" for name in strings)
+    (config,) = parse_experiment_config(text)
+    for name in strings:
+        assert getattr(config, name) == values.get(name, name + ".value")
 
 
 def test_parse_boolean_spellings():
