@@ -1,5 +1,7 @@
-"""CoNLL-format NER corpora: parsing, validation, tag-scheme conversion,
-span extraction, statistics and inter-annotator agreement."""
+"""CoNLL-format NER corpora: parsing, the BIO2 rule and everything built on
+it (validation, conlleval-style repair, which doubles as IOB1 -> BIO2
+conversion, and span extraction), statistics and inter-annotator
+agreement."""
 
 from __future__ import annotations
 
@@ -94,20 +96,6 @@ class Corpus:
         return sum(len(s) for s in self.sentences)
 
 
-@dataclass(frozen=True, order=True)
-class EntitySpan:
-    sentence_index: int
-    start: int  # inclusive token index
-    end: int  # inclusive token index
-    label: str
-
-    def __post_init__(self):
-        if not (0 <= self.start <= self.end):
-            raise ValueError(f"bad span bounds ({self.start}, {self.end})")
-        if self.label not in ENTITY_TYPES:
-            raise ValueError(f"bad span label {self.label!r}")
-
-
 @dataclass(frozen=True)
 class BioViolation:
     position: int
@@ -156,57 +144,48 @@ def read_conll(path, language: str = "") -> Corpus:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConllError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return parse_conll(text, language)
+    try:
+        return parse_conll(text, language)
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def bio_violation(prev: str, tag: str) -> Optional[str]:
+    """The BIO2 rule for one adjacent pair of tags: an I-X must follow a
+    B-X or an I-X. Returns "orphan-I" for an I-X after O, "type-mismatch-I"
+    for an I-X after a tag of another type, else None. A sentence start
+    counts as prev = "O"."""
+    if not tag.startswith("I-"):
+        return None
+    if prev == "O":
+        return "orphan-I"
+    return None if prev[2:] == tag[2:] else "type-mismatch-I"
 
 
 def validate_bio(tags: Sequence[str]) -> list[BioViolation]:
-    """Report every BIO2 violation: an I-X with no immediately preceding
-    B-X/I-X is either an orphan (after O / sentence start) or a type
-    mismatch (after a tag of a different type)."""
-    violations = []
-    prev_prefix, prev_type = "O", ""
-    for i, tag in enumerate(tags):
-        prefix, etype = _split_tag(tag)
-        if prefix == "I":
-            if prev_prefix == "O":
-                violations.append(BioViolation(i, "orphan-I"))
-            elif prev_type != etype:
-                violations.append(BioViolation(i, "type-mismatch-I"))
-        prev_prefix, prev_type = prefix, etype
-    return violations
+    """Every BIO2 violation of a tag sequence, in order."""
+    return [
+        BioViolation(i, kind)
+        for i, (prev, tag) in enumerate(zip(("O", *tags), tags))
+        if (kind := bio_violation(prev, tag))
+    ]
 
 
 def repair_bio(tags: Sequence[str]) -> tuple[tuple[str, ...], int]:
     """Turn every violating I-X into B-X (conlleval tolerance).
-    Returns (repaired tags, number of repairs)."""
+    Returns (repaired tags, number of repairs). The same rewrite converts
+    IOB1 to BIO2 without changing its spans: IOB1 opens an entity with I-X
+    unless it directly follows a tag of the same type."""
     out = list(tags)
-    repairs = 0
-    for v in validate_bio(tags):
+    violations = validate_bio(tags)
+    for v in violations:
         out[v.position] = "B-" + _split_tag(tags[v.position])[1]
-        repairs += 1
-    return tuple(out), repairs
-
-
-def convert_iob1_to_bio2(tags: Sequence[str]) -> tuple[str, ...]:
-    """IOB1 -> BIO2: an I-X opening an entity (sentence-initial or after a
-    different type / O) becomes B-X; spans are unchanged."""
-    out = []
-    prev_prefix, prev_type = "O", ""
-    for tag in tags:
-        prefix, etype = _split_tag(tag)
-        if prefix == "I" and (prev_prefix == "O" or prev_type != etype):
-            tag = "B-" + etype
-            prefix = "B"
-        out.append(tag)
-        prev_prefix, prev_type = prefix, etype
-    return tuple(out)
+    return tuple(out), len(violations)
 
 
 def convert_corpus_iob1_to_bio2(corpus: Corpus) -> Corpus:
-    return Corpus(
-        tuple(s.with_tags(convert_iob1_to_bio2(s.tags)) for s in corpus),
-        corpus.language,
-    )
+    return Corpus(tuple(s.with_tags(repair_bio(s.tags)[0]) for s in corpus), corpus.language)
 
 
 def extract_sentence_spans(tags: Sequence[str]) -> set[tuple[int, int, str]]:
@@ -228,15 +207,6 @@ def extract_sentence_spans(tags: Sequence[str]) -> set[tuple[int, int, str]]:
     if start is not None:
         spans.add((start, len(tags) - 1, etype))
     return spans
-
-
-def extract_spans(corpus: Corpus) -> set[EntitySpan]:
-    """Entity spans of every sentence of a corpus."""
-    return {
-        EntitySpan(si, start, end, label)
-        for si, sentence in enumerate(corpus)
-        for start, end, label in extract_sentence_spans(sentence.tags)
-    }
 
 
 @dataclass(frozen=True)

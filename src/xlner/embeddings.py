@@ -64,6 +64,8 @@ def load_embeddings(
                 return load_embeddings(fh, expected_dim)
             except UnicodeDecodeError as exc:
                 raise EmbeddingError(f"{source}: not UTF-8 text ({exc.reason})") from None
+            except EmbeddingError as exc:
+                raise EmbeddingError(f"{source}: {exc}") from None
 
     vectors: dict[str, np.ndarray] = {}
     dim: Optional[int] = expected_dim

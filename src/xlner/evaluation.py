@@ -1,5 +1,7 @@
-"""Exact-match span precision/recall/F1 in the CoNLL style, per-type
-breakdown, the per-token majority baseline, and multi-run aggregation."""
+"""Exact-match span precision/recall/F1 in the CoNLL style, scored straight
+from each sentence's tags (predictions repaired by conll.repair_bio, as
+conlleval reads them), per-type breakdown, the per-token majority
+baseline, and multi-run aggregation."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .conll import ENTITY_TYPES, Corpus, extract_spans, repair_bio
+from .conll import ENTITY_TYPES, Corpus, extract_sentence_spans, repair_bio, validate_bio
 
 
 def _prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -40,41 +42,29 @@ class EvalReport:
     per_type: dict[str, TypeScores]
 
 
-def repair_corpus(corpus: Corpus) -> tuple[Corpus, int]:
-    repaired = []
-    total = 0
-    for sentence in corpus:
-        tags, n = repair_bio(sentence.tags)
-        repaired.append(sentence.with_tags(tags))
-        total += n
-    return Corpus(tuple(repaired), corpus.language), total
-
-
 def evaluate(gold: Corpus, pred: Corpus) -> EvalReport:
     """Exact (sentence, start, end, label) span matching, micro-averaged.
     Predictions failing BIO2 validation are repaired first (orphan/mismatched
     I becomes B), matching conlleval's tolerance."""
     if len(gold) != len(pred):
         raise ValueError(f"sentence count mismatch: gold {len(gold)} vs pred {len(pred)}")
+    gold_spans: set[tuple[int, int, int, str]] = set()  # (sentence, start, end, label)
+    pred_spans: set[tuple[int, int, int, str]] = set()
+    gold_violations = repairs = 0
     for si, (gs, ps) in enumerate(zip(gold, pred)):
         if gs.texts != ps.texts:
             raise ValueError(f"sentence {si}: token texts differ between gold and pred")
-    gold_r, gold_fixes = repair_corpus(gold)
-    pred_r, pred_fixes = repair_corpus(pred)
-    if gold_fixes:
-        raise ValueError(f"gold corpus is not BIO2-valid ({gold_fixes} violations)")
+        gold_violations += len(validate_bio(gs.tags))
+        tags, n = repair_bio(ps.tags)
+        repairs += n
+        if not gold_violations:
+            gold_spans.update((si, *span) for span in extract_sentence_spans(gs.tags))
+        pred_spans.update((si, *span) for span in extract_sentence_spans(tags))
+    if gold_violations:
+        raise ValueError(f"gold corpus is not BIO2-valid ({gold_violations} violations)")
 
-    gold_spans = extract_spans(gold_r)
-    pred_spans = extract_spans(pred_r)
     correct_spans = gold_spans & pred_spans
-
-    per_type = {}
-    for etype in ENTITY_TYPES:
-        g = sum(1 for s in gold_spans if s.label == etype)
-        p = sum(1 for s in pred_spans if s.label == etype)
-        c = sum(1 for s in correct_spans if s.label == etype)
-        per_type[etype] = TypeScores(*_prf(c, p, g), gold=g, predicted=p, correct=c)
-
+    g, p, c = (Counter(label for *_, label in spans) for spans in (gold_spans, pred_spans, correct_spans))
     prec, rec, f1 = _prf(len(correct_spans), len(pred_spans), len(gold_spans))
     return EvalReport(
         precision=prec,
@@ -83,8 +73,11 @@ def evaluate(gold: Corpus, pred: Corpus) -> EvalReport:
         gold=len(gold_spans),
         predicted=len(pred_spans),
         correct=len(correct_spans),
-        repairs=pred_fixes,
-        per_type=per_type,
+        repairs=repairs,
+        per_type={
+            t: TypeScores(*_prf(c[t], p[t], g[t]), gold=g[t], predicted=p[t], correct=c[t])
+            for t in ENTITY_TYPES
+        },
     )
 
 

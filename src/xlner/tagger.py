@@ -12,7 +12,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .conll import TAGS, Corpus, Sentence, _split_tag
+from .conll import TAGS, Corpus, Sentence, bio_violation
 from .crf import crf_nll_grad, viterbi_decode
 from .embeddings import EmbeddingTable, word_form
 from .lstm import lstm_backward, lstm_forward
@@ -71,16 +71,20 @@ def option_lines(text: str) -> Iterator[tuple[int, str, str]]:
 
 def tagger_option(name: str, value: str):
     """The text value of TaggerConfig option `name`, coerced to the type of
-    its default. Booleans are true/false, yes/no or 1/0 in any case."""
+    its default and range-checked on its own, so that callers can name the
+    option's line. Booleans are true/false, yes/no or 1/0 in any case."""
     defaults = {f.name: f.default for f in fields(TaggerConfig)}
     if name not in defaults:
         raise ValueError(f"unknown tagger option {name!r}")
     kind = type(defaults[name])
     if kind is not bool:
-        return kind(value)
-    if value.lower() not in _BOOLEANS:
+        coerced = kind(value)
+    elif value.lower() in _BOOLEANS:
+        coerced = _BOOLEANS[value.lower()]
+    else:
         raise ValueError(f"tagger option {name!r} wants true/false/yes/no/1/0, got {value!r}")
-    return _BOOLEANS[value.lower()]
+    TaggerConfig(**{name: coerced})  # range-checks this option alone
+    return coerced
 
 
 def parse_tagger_config(text: str, seed: int) -> TaggerConfig:
@@ -355,21 +359,13 @@ def batch_gradients(
 
 
 def constrained_transitions(transitions: np.ndarray, tags: Sequence[str] = TAGS) -> np.ndarray:
-    """Clamp transitions into I-X from anything but B-X/I-X (start state
-    included) to -1e4, making decoded sequences BIO2-valid."""
-    k = len(tags)
+    """Clamp to -1e4 every transition that breaks the BIO2 pair rule
+    (conll.bio_violation), the start and stop states counting as O, making
+    decoded sequences BIO2-valid."""
     out = transitions.copy()
-    for j, tag in enumerate(tags):
-        prefix, etype = _split_tag(tag)
-        if prefix != "I":
-            continue
-        for i in range(k + 2):
-            if i < k:
-                p_prefix, p_type = _split_tag(tags[i])
-                legal = p_prefix in ("B", "I") and p_type == etype
-            else:
-                legal = False  # start/stop states never precede an I tag
-            if not legal:
+    for i, prev in enumerate((*tags, "O", "O")):
+        for j, tag in enumerate(tags):
+            if bio_violation(prev, tag):
                 out[i, j] = min(out[i, j], -1e4)
     return out
 

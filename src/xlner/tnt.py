@@ -9,7 +9,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .conll import Corpus, Sentence
+from .conll import Corpus, Sentence, repair_bio
 from .serialize import read_container, require_keys, write_container
 
 START = "<s>"
@@ -255,8 +255,6 @@ def tnt_decode(
 
 
 def tag_corpus(model: TntModel, corpus: Corpus, beam: Optional[int] = None) -> Corpus:
-    from .conll import repair_bio
-
     tagged = []
     for sentence in corpus:
         tags, _ = repair_bio(tnt_decode(model, sentence, beam))

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from xlner.conll import Corpus, Sentence, Token, parse_conll
+from xlner.conll import ENTITY_TYPES, Corpus, Sentence, Token, parse_conll
 
 TABLE_FIXTURE = """\
 Rom B-LOC
@@ -44,3 +45,76 @@ def drop_key(header: dict, dotted: str) -> None:
     for name in parents:
         header = header[name]
     del header[key]
+
+
+# ---------------------------------------------------------------- strategies
+
+words = st.text(
+    alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), max_codepoint=0x24F),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def bio2_tags(draw, max_len=8):
+    """A BIO2-valid tag sequence built left to right."""
+    length = draw(st.integers(1, max_len))
+    tags = []
+    prev = "O"
+    for _ in range(length):
+        options = ["O"] + [f"B-{t}" for t in ENTITY_TYPES]
+        if prev != "O":
+            options.append("I-" + prev.split("-")[1])
+        tags.append(draw(st.sampled_from(options)))
+        prev = tags[-1]
+    return tags
+
+
+@st.composite
+def iob1_tags(draw, max_len=8):
+    """An IOB1-valid sequence: I-X opens entities; B-X only legal directly
+    after a same-type tag."""
+    length = draw(st.integers(1, max_len))
+    tags = []
+    prev = "O"
+    for _ in range(length):
+        options = ["O"] + [f"I-{t}" for t in ENTITY_TYPES]
+        if prev != "O":
+            options.append("B-" + prev.split("-")[1])
+        tags.append(draw(st.sampled_from(options)))
+        prev = tags[-1]
+    return tags
+
+
+@st.composite
+def corpora(draw, max_sentences=4):
+    n = draw(st.integers(0, max_sentences))
+    sentences = []
+    for _ in range(n):
+        tags = draw(bio2_tags())
+        tokens = tuple(Token(draw(words), tag) for tag in tags)
+        sentences.append(Sentence(tokens))
+    return Corpus(tuple(sentences))
+
+
+def _scan_spans_iob1(tags):
+    """Character-level scanner oracle for IOB1 spans."""
+    spans = set()
+    start = None
+    etype = None
+    for i, tag in enumerate(tags):
+        if tag == "O":
+            if start is not None:
+                spans.add((start, i - 1, etype))
+                start = None
+            continue
+        prefix, ttype = tag.split("-")
+        opens = start is None or ttype != etype or prefix == "B"
+        if opens:
+            if start is not None:
+                spans.add((start, i - 1, etype))
+            start, etype = i, ttype
+    if start is not None:
+        spans.add((start, len(tags) - 1, etype))
+    return spans

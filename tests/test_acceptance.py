@@ -24,8 +24,7 @@ from xlner.tagger import TaggerConfig, Tagger, batch_gradients, build_vocab, ini
 from xlner.tnt import STOP, estimate, tnt_decode
 from xlner.transfer import ExperimentConfig, Resources, run_seed
 
-from conftest import make_corpus
-from test_conll import corpora
+from conftest import corpora, make_corpus
 
 
 def report(number: int, ok: bool, detail: str) -> None:

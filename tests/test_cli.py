@@ -345,21 +345,26 @@ def test_tag_rejects_trailing_bytes(capsys, tmp_path, sample):
 
 # name: (file content, what the error line must name; "{path}" is the file)
 BAD_CORPORA = {
-    "one_column": ("Rom B-LOC\nblev\n", "line 2"),
-    "unknown_tag": ("Rom B-LOC\nblev B-FOO\n", "line 2"),
+    "one_column": ("Rom B-LOC\nblev\n", "{path}: line 2"),
+    "unknown_tag": ("Rom B-LOC\nblev B-FOO\n", "{path}: line 2"),
     "non_utf8": (b"Rom B-LOC\n\xffblev O\n", "{path}"),
 }
 BAD_TABLES = {
-    "short_row": ("a 1 2\nb 1\n", "line 2"),
-    "non_numeric": ("a 1 2\nb 1 x\n", "line 2"),
-    "nan": ("a 1 2\nb nan 1\n", "line 2"),
-    "inf": ("a 1 2\nb 1 -inf\n", "line 2"),
+    "short_row": ("a 1 2\nb 1\n", "{path}: line 2"),
+    "non_numeric": ("a 1 2\nb 1 x\n", "{path}: line 2"),
+    "nan": ("a 1 2\nb nan 1\n", "{path}: line 2"),
+    "inf": ("a 1 2\nb 1 -inf\n", "{path}: line 2"),
     "non_utf8": (b"a 1 2\n\xff 1 2\n", "{path}"),
 }
+# A command that reads two files of one kind gets the bad one in either
+# place, so its error line must say which file is malformed.
 COMMANDS = {
     "stats": lambda bad, good, out: ["stats", bad],
     "train --train": lambda bad, good, out: ["train", "--train", bad, "--dev", good, "--out", out],
+    "eval --pred": lambda bad, good, out: ["eval", "--gold", good, "--pred", bad],
+    "kappa <b>": lambda bad, good, out: ["kappa", good, bad],
     "align --src": lambda bad, good, out: ["align", "--src", bad, "--tgt", good, "--out", out],
+    "align --tgt": lambda bad, good, out: ["align", "--src", good, "--tgt", bad, "--out", out],
     "train --embeddings": lambda bad, good, out: ["train", "--train", good, "--dev", good, "--embeddings", bad, "--out", out],
 }
 
@@ -368,12 +373,12 @@ COMMANDS = {
     "command, content, named",
     [
         pytest.param(command, *BAD_CORPORA[case], id=f"{command}-{case}")
-        for command in ("stats", "train --train")
+        for command in ("stats", "train --train", "eval --pred", "kappa <b>")
         for case in BAD_CORPORA
     ]
     + [
         pytest.param(command, *BAD_TABLES[case], id=f"{command}-{case}")
-        for command in ("align --src", "train --embeddings")
+        for command in ("align --src", "align --tgt", "train --embeddings")
         for case in BAD_TABLES
     ],
 )
@@ -384,7 +389,7 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, sample, command, co
     else:
         bad.write_text(content, encoding="utf-8")
     good = sample
-    if command == "align --src":
+    if command.startswith("align"):
         good = tmp_path / "good.vec"
         good.write_text("a 1 2\nb 3 4\n", encoding="utf-8")
     out = tmp_path / "out"
@@ -395,6 +400,26 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, sample, command, co
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert named.format(path=bad) in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["dropout = 2", "batch_size = 0", "word_lstm_dim = 0"])
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_out_of_range_tagger_option_names_its_line(capsys, tmp_path, sample, command, option):
+    config_path = tmp_path / "bad.conf"
+    out = tmp_path / "out"
+    if command == "train":
+        config_path.write_text(f"max_epochs = 1\n{option}\n")
+        argv = ["train", "--train", sample, "--dev", sample, "--out", out, "--config", config_path]
+    else:
+        config_path.write_text(f"regime = majority\ntagger.{option}\n")
+        argv = ["experiment", "--config", config_path, "--out", out]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: line 2: ")
     assert not out.exists()
 
 

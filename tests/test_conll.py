@@ -5,20 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlner.conll import (
-    ENTITY_TYPES,
     TAGS,
     Corpus,
-    EntitySpan,
     ParseError,
-    Sentence,
     TagError,
-    Token,
     cohen_kappa,
-    convert_iob1_to_bio2,
     corpus_stats,
     entity_kappa,
     extract_sentence_spans,
-    extract_spans,
     parse_conll,
     repair_bio,
     take_first_tokens,
@@ -26,58 +20,7 @@ from xlner.conll import (
     write_conll,
 )
 
-from conftest import TABLE_FIXTURE, make_corpus
-
-# ---------------------------------------------------------------- strategies
-
-words = st.text(
-    alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), max_codepoint=0x24F),
-    min_size=1,
-    max_size=6,
-)
-
-
-@st.composite
-def bio2_tags(draw, max_len=8):
-    """A BIO2-valid tag sequence built left to right."""
-    length = draw(st.integers(1, max_len))
-    tags = []
-    prev = "O"
-    for _ in range(length):
-        options = ["O"] + [f"B-{t}" for t in ENTITY_TYPES]
-        if prev != "O":
-            options.append("I-" + prev.split("-")[1])
-        tags.append(draw(st.sampled_from(options)))
-        prev = tags[-1]
-    return tags
-
-
-@st.composite
-def iob1_tags(draw, max_len=8):
-    """An IOB1-valid sequence: I-X opens entities; B-X only legal directly
-    after a same-type tag."""
-    length = draw(st.integers(1, max_len))
-    tags = []
-    prev = "O"
-    for _ in range(length):
-        options = ["O"] + [f"I-{t}" for t in ENTITY_TYPES]
-        if prev != "O":
-            options.append("B-" + prev.split("-")[1])
-        tags.append(draw(st.sampled_from(options)))
-        prev = tags[-1]
-    return tags
-
-
-@st.composite
-def corpora(draw, max_sentences=4):
-    n = draw(st.integers(0, max_sentences))
-    sentences = []
-    for _ in range(n):
-        tags = draw(bio2_tags())
-        tokens = tuple(Token(draw(words), tag) for tag in tags)
-        sentences.append(Sentence(tokens))
-    return Corpus(tuple(sentences))
-
+from conftest import TABLE_FIXTURE, _scan_spans_iob1, bio2_tags, corpora, iob1_tags, make_corpus
 
 # ------------------------------------------------------------------- parsing
 
@@ -206,38 +149,16 @@ def test_repair_is_identity_on_valid(tags):
 
 
 def test_convert_sentence_initial():
-    assert convert_iob1_to_bio2(["I-PER", "I-PER"]) == ("B-PER", "I-PER")
+    assert repair_bio(["I-PER", "I-PER"]) == (("B-PER", "I-PER"), 1)
 
 
 def test_convert_type_change():
-    assert convert_iob1_to_bio2(["I-PER", "I-LOC"]) == ("B-PER", "B-LOC")
-
-
-def _scan_spans_iob1(tags):
-    """Character-level scanner oracle for IOB1 spans."""
-    spans = set()
-    start = None
-    etype = None
-    for i, tag in enumerate(tags):
-        if tag == "O":
-            if start is not None:
-                spans.add((start, i - 1, etype))
-                start = None
-            continue
-        prefix, ttype = tag.split("-")
-        opens = start is None or ttype != etype or prefix == "B"
-        if opens:
-            if start is not None:
-                spans.add((start, i - 1, etype))
-            start, etype = i, ttype
-    if start is not None:
-        spans.add((start, len(tags) - 1, etype))
-    return spans
+    assert repair_bio(["I-PER", "I-LOC"]) == (("B-PER", "B-LOC"), 2)
 
 
 @given(iob1_tags())
 def test_conversion_preserves_spans(tags):
-    converted = convert_iob1_to_bio2(tags)
+    converted, _ = repair_bio(tags)
     assert validate_bio(converted) == []
     assert extract_sentence_spans(converted) == _scan_spans_iob1(tags)
 
@@ -257,15 +178,6 @@ def test_extract_spans_all_outside():
 def test_extract_spans_rejects_invalid():
     with pytest.raises(ValueError):
         extract_sentence_spans(["O", "I-PER"])
-
-
-def test_extract_spans_corpus(example_corpus):
-    spans = extract_spans(example_corpus)
-    assert spans == {
-        EntitySpan(0, 0, 0, "LOC"),
-        EntitySpan(1, 3, 3, "PER"),
-        EntitySpan(1, 6, 7, "MISC"),
-    }
 
 
 def _scan_spans_bio2(tags):

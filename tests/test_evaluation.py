@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xlner.conll import ENTITY_TYPES, Corpus, Sentence, Token
+from xlner.conll import ENTITY_TYPES, TAGS, Corpus, Sentence, Token
 from xlner.evaluation import (
     aggregate,
     evaluate,
@@ -12,8 +12,7 @@ from xlner.evaluation import (
     render_report,
 )
 
-from conftest import make_corpus
-from test_conll import corpora
+from conftest import _scan_spans_iob1, bio2_tags, corpora, make_corpus
 
 
 def retagged(gold, tags_per_sentence):
@@ -120,6 +119,43 @@ def test_label_renaming_permutes_rows():
     for etype in ENTITY_TYPES:
         x, y = a.per_type[etype], b.per_type[swap[etype]]
         assert (x.precision, x.recall, x.f1) == (y.precision, y.recall, y.f1)
+
+
+@st.composite
+def gold_and_predicted_tags(draw, max_sentences=3):
+    """BIO2 gold tag sequences, each paired with any tag sequence of its
+    length."""
+    pairs = []
+    for gold_tags in draw(st.lists(bio2_tags(), max_size=max_sentences)):
+        n = len(gold_tags)
+        pairs.append((gold_tags, draw(st.lists(st.sampled_from(TAGS), min_size=n, max_size=n))))
+    return pairs
+
+
+def _broken_continuations(tags):
+    """I-X tags that do not continue a B-X or I-X."""
+    count = 0
+    for i, tag in enumerate(tags):
+        if tag.startswith("I-"):
+            prev = tags[i - 1] if i else "O"
+            count += prev == "O" or prev.split("-")[1] != tag.split("-")[1]
+    return count
+
+
+@given(gold_and_predicted_tags())
+def test_evaluate_matches_conlleval_scanner(pairs):
+    gold = make_corpus(*[[(f"w{i}", tag) for i, tag in enumerate(g)] for g, _ in pairs])
+    report = evaluate(gold, retagged(gold, [p for _, p in pairs]))
+    gold_spans = {(si, *span) for si, (g, _) in enumerate(pairs) for span in _scan_spans_iob1(g)}
+    pred_spans = {(si, *span) for si, (_, p) in enumerate(pairs) for span in _scan_spans_iob1(p)}
+    correct = gold_spans & pred_spans
+    assert (report.gold, report.predicted, report.correct) == (len(gold_spans), len(pred_spans), len(correct))
+    for etype in ENTITY_TYPES:
+        scores = report.per_type[etype]
+        assert (scores.gold, scores.predicted, scores.correct) == tuple(
+            sum(label == etype for *_, label in spans) for spans in (gold_spans, pred_spans, correct)
+        )
+    assert report.repairs == sum(_broken_continuations(p) for _, p in pairs)
 
 
 # ----------------------------------------------------------------- aggregate

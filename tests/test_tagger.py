@@ -367,19 +367,28 @@ def test_constrained_decode_is_bio2_valid():
         assert validate_bio(tags) == []
 
 
+def _blocked_by_grammar(source, target):
+    """Independent BIO2 predicate for one transition: an I-X may follow
+    only B-X or I-X, never the start or stop state, O or another type."""
+    if not target.startswith("I-"):
+        return False
+    if source in ("<start>", "<stop>", "O"):
+        return True
+    return source.split("-")[1] != target.split("-")[1]
+
+
 def test_constrained_transitions_only_blocks_illegal():
-    k = len(TAGS)
-    tr = np.zeros((k + 2, k + 2))
-    out = constrained_transitions(tr)
-    i_per = TAGS.index("I-PER")
-    b_per = TAGS.index("B-PER")
-    b_loc = TAGS.index("B-LOC")
-    assert out[b_per, i_per] == 0.0
-    assert out[i_per, i_per] == 0.0
-    assert out[b_loc, i_per] == -1e4
-    assert out[TAGS.index("O"), i_per] == -1e4
-    assert out[k, i_per] == -1e4  # start state
-    assert np.array_equal(out[:, b_per], tr[:, b_per])  # B columns untouched
+    rng = np.random.default_rng(7)
+    for tags in (list(TAGS), [TAGS[i] for i in rng.permutation(len(TAGS))]):
+        k = len(tags)
+        # spread around -1e4 so the clamp both lowers and keeps entries
+        tr = rng.standard_normal((k + 2, k + 2)) * 1e4
+        out = constrained_transitions(tr, tags)
+        states = tags + ["<start>", "<stop>"]
+        for i, source in enumerate(states):
+            for j, target in enumerate(states):
+                expected = min(tr[i, j], -1e4) if _blocked_by_grammar(source, target) else tr[i, j]
+                assert out[i, j] == expected, (source, target)
 
 
 # ------------------------------------------------------------- serialization
