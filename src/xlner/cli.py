@@ -82,8 +82,14 @@ def _output(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_stats(args) -> int:
-    corpus = read_conll(_resolve(args.file))
-    _emit(corpus_stats(corpus), args.format)
+    path = _resolve(args.file)
+    corpus = read_conll(path)
+    try:
+        report = corpus_stats(corpus)
+    except ConllError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    _emit(report, args.format)
     return 0
 
 

@@ -189,11 +189,10 @@ def convert_corpus_iob1_to_bio2(corpus: Corpus) -> Corpus:
 
 
 def extract_sentence_spans(tags: Sequence[str]) -> set[tuple[int, int, str]]:
-    """Maximal B-initiated runs of a BIO2-valid tag sequence as
-    (start, end, label) triples with inclusive bounds."""
-    bad = validate_bio(tags)
-    if bad:
-        raise ValueError(f"invalid BIO2 sequence: {bad[0].kind} at {bad[0].position}")
+    """Maximal B-initiated runs of a tag sequence as (start, end, label)
+    triples with inclusive bounds. The tags must be BIO2-valid, which is
+    not checked here: callers validate (validate_bio) or repair
+    (repair_bio) them first."""
     spans = set()
     start = None
     etype = ""
@@ -221,11 +220,19 @@ class StatsReport:
 
 
 def corpus_stats(corpus: Corpus) -> StatsReport:
+    """Size and entity counts of a BIO2 corpus; the first BIO2 violation
+    is a ConllError naming its sentence and token."""
     tokens = 0
     forms = set()
     with_ne = 0
     entities = 0
-    for sentence in corpus:
+    for si, sentence in enumerate(corpus):
+        bad = validate_bio(sentence.tags)
+        if bad:
+            raise ConllError(
+                f"sentence {si} token {bad[0].position}: {bad[0].kind}"
+                " (not BIO2; convert IOB1 input with xlner convert)"
+            )
         tokens += len(sentence)
         forms.update(sentence.texts)
         spans = extract_sentence_spans(sentence.tags)

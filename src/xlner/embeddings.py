@@ -51,24 +51,21 @@ def word_form(known: Container[str], word: str) -> Optional[str]:
     return digits if digits in known else None
 
 
-def load_embeddings(
-    source: Union[str, Path, TextIO, Iterable[str]],
-    expected_dim: Optional[int] = None,
-) -> EmbeddingTable:
+def load_embeddings(source: Union[str, Path, TextIO, Iterable[str]]) -> EmbeddingTable:
     """Read `word v1 ... vd` text lines; an optional `count dim` header is
     recognized on the first line. Duplicate words keep the first row.
     Values must be finite numbers."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
             try:
-                return load_embeddings(fh, expected_dim)
+                return load_embeddings(fh)
             except UnicodeDecodeError as exc:
                 raise EmbeddingError(f"{source}: not UTF-8 text ({exc.reason})") from None
             except EmbeddingError as exc:
                 raise EmbeddingError(f"{source}: {exc}") from None
 
     vectors: dict[str, np.ndarray] = {}
-    dim: Optional[int] = expected_dim
+    dim: Optional[int] = None
     for lineno, line in enumerate(source, start=1):
         fields = line.split()
         if not fields:
@@ -79,12 +76,7 @@ def load_embeddings(
             except ValueError:
                 pass
             else:
-                header_dim = int(fields[1])
-                if expected_dim is not None and header_dim != expected_dim:
-                    raise EmbeddingError(
-                        f"line 1: header dim {header_dim} != expected {expected_dim}"
-                    )
-                dim = header_dim
+                dim = int(fields[1])
                 continue
         word, values = fields[0], fields[1:]
         if dim is None:
@@ -152,9 +144,6 @@ class OrthogonalMap:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def inverse(self) -> "OrthogonalMap":
-        return OrthogonalMap(self.matrix.T.copy())
 
 
 def procrustes_align(x: np.ndarray, y: np.ndarray) -> OrthogonalMap:

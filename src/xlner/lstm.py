@@ -1,9 +1,12 @@
 """LSTM layer kernels in numpy: forward and backward-through-time for
-both directions of a BiLSTM at once, over length-padded batches."""
+both directions of a BiLSTM at once, over batches padded at their end.
+
+Padding sits after each sequence's last real step in both directions, so
+no real step's output depends on it: the kernels run every step in full,
+and the caller reads each sequence's final state at its own last step and
+puts no loss gradient on padded steps."""
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -17,17 +20,14 @@ def _gate_slices(hd: int) -> tuple[slice, ...]:
     return tuple(slice(k * hd, (k + 1) * hd) for k in range(4))
 
 
-def lstm_forward(
-    xs: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, keep: Optional[np.ndarray] = None
-):
-    """Both directions of an LSTM layer over padded sequences at once.
+def lstm_forward(xs: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
+    """Both directions of an LSTM layer over end-padded sequences at once.
 
     xs is (dirs, steps, batch, d), each direction's inputs in the order it
-    reads them; wx, wh and b carry the direction as axis 0. keep, (steps,
-    batch, 1) booleans, marks real steps: past a sequence's end its h and c
-    carry over unchanged, so the state at the last step is each sequence's
-    final state. Returns the cache (xs, gates, hs, cs, tcs, keep), in which
-    hs[:, t + 1] is the output state of step t."""
+    reads them; wx, wh and b hold the direction as axis 0. Returns the
+    cache (xs, gates, hs, cs, tcs), in which hs[:, t + 1] is the output
+    state of step t, so hs[:, n] is the final state of a sequence of
+    length n."""
     n_dir, steps, batch, _ = xs.shape
     hd = wh.shape[1]
     gi, gf, gg, go = _gate_slices(hd)
@@ -41,22 +41,18 @@ def lstm_forward(
         a = gates[:, t]
         a[...] = _sigmoid(z)
         a[..., gg] = np.tanh(z[..., gg])
-        c = a[..., gf] * cs[:, t] + a[..., gi] * a[..., gg]
-        tcs[:, t] = np.tanh(c)
-        h = a[..., go] * tcs[:, t]
-        if keep is None:
-            cs[:, t + 1], hs[:, t + 1] = c, h
-        else:
-            cs[:, t + 1] = np.where(keep[t], c, cs[:, t])
-            hs[:, t + 1] = np.where(keep[t], h, hs[:, t])
-    return xs, gates, hs, cs, tcs, keep
+        cs[:, t + 1] = a[..., gf] * cs[:, t] + a[..., gi] * a[..., gg]
+        tcs[:, t] = np.tanh(cs[:, t + 1])
+        hs[:, t + 1] = a[..., go] * tcs[:, t]
+    return xs, gates, hs, cs, tcs
 
 
 def lstm_backward(cache, d_hs: np.ndarray, wx: np.ndarray, wh: np.ndarray):
     """Backward through time for lstm_forward. d_hs, (dirs, steps, batch,
-    hidden), is the loss gradient with respect to each output state.
-    Returns the gradients of xs, wx, wh and b."""
-    xs, gates, hs, cs, tcs, keep = cache
+    hidden), is the loss gradient with respect to each output state; with
+    none on a sequence's padded steps, their input gradient is exactly
+    zero. Returns the gradients of xs, wx, wh and b."""
+    xs, gates, hs, cs, tcs = cache
     n_dir, steps, batch, _ = xs.shape
     hd = wh.shape[1]
     gi, gf, gg, go = _gate_slices(hd)
@@ -69,11 +65,6 @@ def lstm_backward(cache, d_hs: np.ndarray, wx: np.ndarray, wh: np.ndarray):
     dc = np.zeros((n_dir, batch, hd))
     for t in range(steps - 1, -1, -1):
         dh = dh + d_hs[:, t]
-        if keep is None:
-            dh_carry = dc_carry = 0.0
-        else:
-            dh, dh_carry = np.where(keep[t], dh, 0.0), np.where(keep[t], 0.0, dh)
-            dc, dc_carry = np.where(keep[t], dc, 0.0), np.where(keep[t], 0.0, dc)
         a, d = gates[:, t], dz[:, t]
         dc = dc + dh * a[..., go] * (1.0 - tcs[:, t] ** 2)
         d[..., gi] = dc * a[..., gg]
@@ -81,8 +72,8 @@ def lstm_backward(cache, d_hs: np.ndarray, wx: np.ndarray, wh: np.ndarray):
         d[..., gg] = dc * a[..., gi]
         d[..., go] = dh * tcs[:, t]
         d *= deriv[:, t]
-        dc = dc * a[..., gf] + dc_carry
-        dh = d @ wh_t + dh_carry
+        dc = dc * a[..., gf]
+        dh = d @ wh_t
     flat_dz = dz.reshape(n_dir, steps * batch, 4 * hd)
     d_wx = xs.reshape(n_dir, steps * batch, -1).transpose(0, 2, 1) @ flat_dz
     d_wh = hs[:, :-1].reshape(n_dir, steps * batch, hd).transpose(0, 2, 1) @ flat_dz

@@ -234,17 +234,18 @@ def _forward(
 ):
     """Emissions (len(sentence), num_tags) and the cache _backward needs.
     The char-BiLSTM runs over all tokens at once as a (max_chars, tokens)
-    padded batch; dropout_mask, if given, scales the token representations."""
+    batch, each token's chars padded at their end in both directions, and
+    each token's final state is read at its own length; dropout_mask, if
+    given, scales the token representations."""
     chars = [[vocab.char_id(c) for c in token.text] for token in sentence]
     lengths = np.array([len(ids) for ids in chars])
     char_ids = np.zeros((2, lengths.max(), len(chars)), dtype=np.intp)
     for j, ids in enumerate(chars):
         char_ids[0, : len(ids), j] = ids
         char_ids[1, : len(ids), j] = ids[::-1]
-    keep = np.arange(char_ids.shape[1])[:, None] < lengths[None, :]  # (max_chars, tokens)
     char_w = _stacked(params, "char")
-    char_cache = lstm_forward(params["char_emb"][char_ids], *char_w, keep[:, :, None])
-    char_final = char_cache[2][:, -1]  # (dirs, tokens, char_lstm_dim)
+    char_cache = lstm_forward(params["char_emb"][char_ids], *char_w)
+    char_final = char_cache[2][:, lengths, np.arange(len(chars))]  # (dirs, tokens, char_lstm_dim)
 
     reps = np.concatenate([params["word_emb"][word_ids], char_final[0], char_final[1]], axis=1)
     if dropout_mask is not None:
@@ -254,7 +255,7 @@ def _forward(
     hs = word_cache[2][:, 1:, 0]
     feats = np.concatenate([hs[0], hs[1][::-1]], axis=1)
     emissions = feats @ params["proj_w"] + params["proj_b"]
-    return emissions, (char_ids, keep, char_w, char_cache, dropout_mask, word_w, word_cache, feats)
+    return emissions, (char_ids, lengths, char_w, char_cache, dropout_mask, word_w, word_cache, feats)
 
 
 def _backward(
@@ -262,7 +263,7 @@ def _backward(
 ) -> np.ndarray:
     """Accumulate one sentence's gradients into grads (every tensor but
     word_emb) and return the gradient of its word_emb rows, one per token."""
-    char_ids, keep, char_w, char_cache, dropout_mask, word_w, word_cache, feats = cache
+    char_ids, lengths, char_w, char_cache, dropout_mask, word_w, word_cache, feats = cache
     grads["proj_w"] += feats.T @ d_emissions
     grads["proj_b"] += d_emissions.sum(axis=0)
     d_feats = d_emissions @ params["proj_w"].T
@@ -276,9 +277,10 @@ def _backward(
     dw = params["word_emb"].shape[1]
     hc = char_w[1].shape[1]
     d_char_hs = np.zeros((*char_ids.shape, hc))
-    d_char_hs[:, -1] = np.stack([d_reps[:, dw : dw + hc], d_reps[:, dw + hc :]])
+    d_final = np.stack([d_reps[:, dw : dw + hc], d_reps[:, dw + hc :]])
+    d_char_hs[:, lengths - 1, np.arange(len(lengths))] = d_final
     d_chars, *d_char_w = lstm_backward(char_cache, d_char_hs, *char_w[:2])
-    real = np.broadcast_to(keep, char_ids.shape)
+    real = np.broadcast_to(np.arange(char_ids.shape[1])[:, None] < lengths, char_ids.shape)
     np.add.at(grads["char_emb"], char_ids[real], d_chars[real])
     for layer, d_w in (("char", d_char_w), ("word", d_word_w)):
         for name, d in zip(("wx", "wh", "b"), d_w):
@@ -297,26 +299,18 @@ def _dropout_mask(config: TaggerConfig, rng: np.random.Generator, n_tokens: int)
     return (rng.random((n_tokens, rep_dim)) < keep) / keep
 
 
-def encode_sentence(
-    tagger: Tagger,
-    sentence: Sentence,
-    train_mode: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Per-token unnormalized tag scores, shape (len(sentence), 9)."""
-    mask = None
-    if train_mode:
-        if rng is None:
-            rng = np.random.default_rng(tagger.config.seed)
-        mask = _dropout_mask(tagger.config, rng, len(sentence))
+def encode_sentence(tagger: Tagger, sentence: Sentence) -> np.ndarray:
+    """Per-token unnormalized tag scores, shape (len(sentence), 9), with
+    no dropout."""
     word_ids = [tagger.vocab.word_id(t.text) for t in sentence]
-    return _forward(tagger.params, tagger.vocab, sentence, word_ids, mask)[0]
+    return _forward(tagger.params, tagger.vocab, sentence, word_ids, None)[0]
 
 
-def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, train_mode: bool, word_id_fn):
-    """Mean CRF NLL over the batch, the dense gradient of every tensor but
-    word_emb, and word_emb's gradient as (row ids, rows) with one row per
-    token; a repeated id appears once per occurrence."""
+def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, word_id_fn):
+    """Mean CRF NLL over the batch under training dropout, the dense
+    gradient of every tensor but word_emb, and word_emb's gradient as
+    (row ids, rows) with one row per token; a repeated id appears once per
+    occurrence."""
     params = tagger.params
     grads = {name: np.zeros_like(arr) for name, arr in params.items() if name != "word_emb"}
     total = 0.0
@@ -327,7 +321,7 @@ def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, train_mode: bool,
             if word_id_fn is not None
             else [tagger.vocab.word_id(t.text) for t in sentence]
         )
-        mask = _dropout_mask(tagger.config, rng, len(sentence)) if train_mode else None
+        mask = _dropout_mask(tagger.config, rng, len(sentence))
         emissions, cache = _forward(params, tagger.vocab, sentence, word_ids, mask)
         tag_ids = [tagger.vocab.tag_id(t.tag) for t in sentence]
         nll, d_emissions, d_transitions = crf_nll_grad(emissions, params["transitions"], tag_ids)
@@ -345,14 +339,14 @@ def batch_gradients(
     tagger: Tagger,
     batch: Sequence[Sentence],
     rng: Optional[np.random.Generator] = None,
-    train_mode: bool = True,
     word_id_fn=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean CRF negative log-likelihood over the batch and its gradient
-    with respect to every parameter tensor."""
+    """Mean CRF negative log-likelihood over the batch, with dropout drawn
+    from rng as in training, and its gradient with respect to every
+    parameter tensor."""
     if rng is None:
         rng = np.random.default_rng(tagger.config.seed)
-    loss, grads, (row_ids, rows) = _gradients(tagger, batch, rng, train_mode, word_id_fn)
+    loss, grads, (row_ids, rows) = _gradients(tagger, batch, rng, word_id_fn)
     word_grad = np.zeros_like(tagger.params["word_emb"])
     np.add.at(word_grad, row_ids, rows)
     return loss, {name: word_grad if name == "word_emb" else grads[name] for name in tagger.params}
@@ -370,29 +364,17 @@ def constrained_transitions(transitions: np.ndarray, tags: Sequence[str] = TAGS)
     return out
 
 
-def _decode_transitions(tagger: Tagger) -> np.ndarray:
+def tag_corpus(tagger: Tagger, corpus: Corpus) -> Corpus:
+    """Viterbi-tag every sentence, under the BIO2 constraints if the config
+    asks for them; token texts are untouched."""
     transitions = tagger.params["transitions"]
     if tagger.config.constrain_decode:
         transitions = constrained_transitions(transitions, tagger.vocab.tags)
-    return transitions
-
-
-def _decode(tagger: Tagger, sentence: Sentence, transitions: np.ndarray) -> list[str]:
-    path = viterbi_decode(encode_sentence(tagger, sentence), transitions)
-    return [tagger.vocab.tags[i] for i in path]
-
-
-def decode_sentence(tagger: Tagger, sentence: Sentence) -> list[str]:
-    return _decode(tagger, sentence, _decode_transitions(tagger))
-
-
-def tag_corpus(tagger: Tagger, corpus: Corpus) -> Corpus:
-    """Viterbi-tag every sentence; token texts are untouched."""
-    transitions = _decode_transitions(tagger)
-    return Corpus(
-        tuple(s.with_tags(_decode(tagger, s, transitions)) for s in corpus),
-        corpus.language,
-    )
+    tagged = []
+    for sentence in corpus:
+        path = viterbi_decode(encode_sentence(tagger, sentence), transitions)
+        tagged.append(sentence.with_tags([tagger.vocab.tags[i] for i in path]))
+    return Corpus(tuple(tagged), corpus.language)
 
 
 @dataclass
@@ -415,7 +397,6 @@ def train(
     train_corpus: Corpus,
     dev_corpus: Corpus,
     pretrained: Optional[EmbeddingTable] = None,
-    vocab: Optional[Vocab] = None,
     initial: Optional[Tagger] = None,
     extra_vocab_corpora: Sequence[Corpus] = (),
     log=None,
@@ -433,8 +414,7 @@ def train(
     if initial is not None:
         tagger = Tagger(config, initial.vocab, {n: a.copy() for n, a in initial.params.items()})
     else:
-        if vocab is None:
-            vocab = build_vocab([train_corpus, dev_corpus, *extra_vocab_corpora], pretrained)
+        vocab = build_vocab([train_corpus, dev_corpus, *extra_vocab_corpora], pretrained)
         tagger = Tagger(config, vocab, init_params(config, vocab, pretrained))
 
     rng = np.random.default_rng(config.seed)
@@ -459,7 +439,7 @@ def train(
         order = rng.permutation(len(sentences))
         for start in range(0, len(order), config.batch_size):
             batch = [sentences[i] for i in order[start : start + config.batch_size]]
-            loss, grads, (row_ids, rows) = _gradients(tagger, batch, rng, True, word_ids_for)
+            loss, grads, (row_ids, rows) = _gradients(tagger, batch, rng, word_ids_for)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}")
             for name, grad in grads.items():

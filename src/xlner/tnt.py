@@ -61,8 +61,7 @@ class TntModel:
     bigrams: Counter
     trigrams: Counter
     lambdas: tuple[float, float, float]
-    emissions: dict[str, Counter]  # word -> tag counts
-    word_freq: Counter
+    emissions: dict[str, Counter]  # word -> tag counts, words in first-seen order
     suffix_model: SuffixModel
     total_tokens: int
 
@@ -84,10 +83,6 @@ class TntModel:
         if denom <= 0.0 or p <= 0.0:
             return NEG_INF
         return math.log(p / denom)
-
-    def transition_prob(self, t1: str, t2: str, t3: str) -> float:
-        lp = self.transition_logp(t1, t2, t3)
-        return 0.0 if lp == NEG_INF else math.exp(lp)
 
     def emission_logp(self, word: str, tag: str) -> float:
         """Known words: maximum likelihood P(w|t); unknown words: Bayes
@@ -129,7 +124,6 @@ def estimate(train: Corpus) -> TntModel:
     bigrams: Counter = Counter()
     trigrams: Counter = Counter()
     emissions: dict[str, Counter] = defaultdict(Counter)
-    word_freq: Counter = Counter()
     total = 0
 
     for sentence in train:
@@ -145,7 +139,6 @@ def estimate(train: Corpus) -> TntModel:
         unigrams[START] += 1  # context mass for bigram backoff at position 1
         for token in sentence:
             emissions[token.text][token.tag] += 1
-            word_freq[token.text] += 1
 
     tag_set = tuple(sorted(t for t in unigrams if t not in (START, STOP)))
     lambdas = _deleted_interpolation(unigrams, bigrams, trigrams, total)
@@ -153,11 +146,11 @@ def estimate(train: Corpus) -> TntModel:
     rare_totals: Counter = Counter()
     suffix_counts: dict[bool, dict[str, Counter]] = {True: {}, False: {}}
     n_rare = 0
-    for word, freq in word_freq.items():
-        if freq >= RARE_THRESHOLD:
+    for word, tag_counts in emissions.items():
+        if sum(tag_counts.values()) >= RARE_THRESHOLD:
             continue
         capitalized = word[:1].isupper()
-        for tag, count in emissions[word].items():
+        for tag, count in tag_counts.items():
             rare_totals[tag] += count
             n_rare += count
             for length in range(1, min(len(word), MAX_SUFFIX_LEN) + 1):
@@ -183,7 +176,6 @@ def estimate(train: Corpus) -> TntModel:
         trigrams=trigrams,
         lambdas=lambdas,
         emissions=dict(emissions),
-        word_freq=word_freq,
         suffix_model=SuffixModel(tag_probs, theta, suffix_counts),
         total_tokens=total,
     )
@@ -269,7 +261,6 @@ _HEADER_KEYS = (
     "trigrams",
     "lambdas",
     "emissions",
-    "word_freq",
     "suffix",
     "total_tokens",
 )
@@ -283,7 +274,6 @@ def save_model(model: TntModel, path) -> None:
         "trigrams": {f"{a}\t{b}\t{c}": n for (a, b, c), n in model.trigrams.items()},
         "lambdas": list(model.lambdas),
         "emissions": {w: dict(c) for w, c in model.emissions.items()},
-        "word_freq": dict(model.word_freq),
         "suffix": {
             "tag_probs": model.suffix_model.tag_probs,
             "theta": model.suffix_model.theta,
@@ -298,6 +288,8 @@ def save_model(model: TntModel, path) -> None:
 
 
 def load_model(path) -> TntModel:
+    """Read a TnT model file; header keys beyond the ones this version
+    writes (older files also carry a `word_freq` table) are ignored."""
     header, _ = read_container(path, TNT_MAGIC)
     require_keys(header, _HEADER_KEYS, path)
     require_keys(header["suffix"], ("tag_probs", "theta", "counts"), path, "header suffix")
@@ -308,7 +300,6 @@ def load_model(path) -> TntModel:
         trigrams=Counter({tuple(k.split("\t")): v for k, v in header["trigrams"].items()}),
         lambdas=tuple(header["lambdas"]),
         emissions={w: Counter(c) for w, c in header["emissions"].items()},
-        word_freq=Counter(header["word_freq"]),
         suffix_model=SuffixModel(
             header["suffix"]["tag_probs"],
             header["suffix"]["theta"],

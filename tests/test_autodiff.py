@@ -27,28 +27,28 @@ def numeric_grad(fn, x, eps=1e-6):
 
 
 def lstm_instance(steps, batch, lengths=None, seed=0, d=3, hd=2):
-    """Random inputs and weights for both directions of an LSTM layer,
-    random loss weights on every output state, and the step mask for
-    sequences of the given lengths (None: no padding)."""
+    """Random inputs and weights for both directions of an LSTM layer and
+    random loss weights on its output states. For sequences of the given
+    lengths (None: all `steps` long), padded at their end, the weights
+    past each sequence's length are zero."""
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((2, steps, batch, d))
     wx = rng.standard_normal((2, d, 4 * hd)) * 0.5
     wh = rng.standard_normal((2, hd, 4 * hd)) * 0.5
     b = rng.standard_normal((2, 4 * hd)) * 0.5
     weights = rng.standard_normal((2, steps, batch, hd))
-    keep = None
     if lengths is not None:
-        keep = (np.arange(steps)[:, None] < np.asarray(lengths)[None, :])[:, :, None]
-    return xs, wx, wh, b, keep, weights
+        weights *= (np.arange(steps)[:, None] < np.asarray(lengths)[None, :])[:, :, None]
+    return xs, wx, wh, b, weights
 
 
-def check_lstm(names, xs, wx, wh, b, keep, weights):
+def check_lstm(names, xs, wx, wh, b, weights):
     """The loss sum(weights * h) over every output state: lstm_backward's
     gradients of the named inputs against central finite differences."""
     def loss():
-        return float((lstm_forward(xs, wx, wh, b, keep)[2][:, 1:] * weights).sum())
+        return float((lstm_forward(xs, wx, wh, b)[2][:, 1:] * weights).sum())
 
-    cache = lstm_forward(xs, wx, wh, b, keep)
+    cache = lstm_forward(xs, wx, wh, b)
     grads = dict(zip(("xs", "wx", "wh", "b"), lstm_backward(cache, weights, wx, wh)))
     values = {"xs": xs, "wx": wx, "wh": wh, "b": b}
     for name in names:
@@ -57,7 +57,7 @@ def check_lstm(names, xs, wx, wh, b, keep, weights):
 
 
 def test_add_broadcast():
-    # The bias is added at every step of every sequence, padded ones too.
+    # The bias is added at every step of every sequence.
     check_lstm(["b"], *lstm_instance(4, 3, lengths=[4, 2, 1], seed=1))
 
 
@@ -78,9 +78,27 @@ def test_tanh_sigmoid():
 
 def test_shared_subexpression_accumulates():
     # Each h feeds both the loss and the next step; each c the next step
-    # and h. Padded steps carry h and c on, so their gradient flows back.
+    # and h.
     check_lstm(["xs", "wh"], *lstm_instance(4, 2, seed=5))
     check_lstm(["xs", "wh"], *lstm_instance(4, 3, lengths=[2, 4, 3], seed=6))
+
+
+def test_end_padding_leaves_real_steps_alone():
+    # Padding after a sequence's end: changing its inputs changes no real
+    # step's output, and with no loss on padded steps their inputs get
+    # exactly zero gradient.
+    lengths = np.array([4, 1, 3])
+    xs, wx, wh, b, weights = lstm_instance(5, 3, lengths=lengths, seed=11)
+    padded = (np.arange(5)[:, None] >= lengths[None, :])[None, :, :, None]
+    hs = lstm_forward(xs, wx, wh, b)[2][:, 1:]
+    noisy = np.where(padded, np.random.default_rng(12).standard_normal(xs.shape) * 10.0, xs)
+    noisy_hs = lstm_forward(noisy, wx, wh, b)[2][:, 1:]
+    real = np.broadcast_to(~padded, hs.shape)
+    assert np.array_equal(noisy_hs[real], hs[real])
+    assert not np.array_equal(noisy_hs, hs)
+    d_xs = lstm_backward(lstm_forward(noisy, wx, wh, b), weights, wx, wh)[0]
+    assert np.all(d_xs[np.broadcast_to(padded, d_xs.shape)] == 0.0)
+    assert np.all(d_xs[np.broadcast_to(~padded, d_xs.shape)] != 0.0)
 
 
 def test_getitem_fancy_repeated_indices():

@@ -380,6 +380,16 @@ COMMANDS = {
         pytest.param(command, *BAD_TABLES[case], id=f"{command}-{case}")
         for command in ("align --src", "align --tgt", "train --embeddings")
         for case in BAD_TABLES
+    ]
+    # IOB1 tags parse, but stats counts BIO2 spans: name the sentence and
+    # token, and the command that converts the file.
+    + [
+        pytest.param(
+            "stats",
+            "Rom B-LOC\n\nblev O\nElvis I-PER\n",
+            "{path}: sentence 1 token 1: orphan-I (not BIO2; convert IOB1 input with xlner convert)",
+            id="stats-iob1",
+        ),
     ],
 )
 def test_malformed_input_is_one_error_line(capsys, tmp_path, sample, command, content, named):

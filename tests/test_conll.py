@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from xlner.conll import (
     TAGS,
+    ConllError,
     Corpus,
     ParseError,
     TagError,
@@ -175,11 +176,6 @@ def test_extract_spans_all_outside():
     assert extract_sentence_spans(["O"] * 5) == set()
 
 
-def test_extract_spans_rejects_invalid():
-    with pytest.raises(ValueError):
-        extract_sentence_spans(["O", "I-PER"])
-
-
 def _scan_spans_bio2(tags):
     spans = set()
     start = None
@@ -214,6 +210,13 @@ def test_stats_example(example_corpus):
     assert report.sentences_with_ne == 2
     assert report.sentences_with_ne_pct == 1.0
     assert report.ttr == report.types / report.tokens
+
+
+def test_stats_rejects_invalid():
+    # IOB1 input: the error names the first bad sentence and token.
+    corpus = make_corpus([("Rom", "B-LOC"), ("by", "O")], [("og", "O"), ("Elvis", "I-PER")])
+    with pytest.raises(ConllError, match=r"^sentence 1 token 1: orphan-I .*xlner convert"):
+        corpus_stats(corpus)
 
 
 def test_stats_empty():

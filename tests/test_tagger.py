@@ -17,7 +17,6 @@ from xlner.tagger import (
     batch_gradients,
     build_vocab,
     constrained_transitions,
-    decode_sentence,
     encode_sentence,
     init_params,
     load_model,
@@ -130,11 +129,18 @@ def test_encode_deterministic_without_dropout(corpus):
 
 
 def test_encode_dropout_reproducible_with_fixed_stream(corpus):
+    # Training dropout comes from the generator batch_gradients is given:
+    # two generators with one seed give the same loss and gradients.
     config = TaggerConfig(**{**SMALL.__dict__, "dropout": 0.5})
     tagger = small_tagger(corpus, config)
-    a = encode_sentence(tagger, corpus.sentences[0], train_mode=True, rng=np.random.default_rng(3))
-    b = encode_sentence(tagger, corpus.sentences[0], train_mode=True, rng=np.random.default_rng(3))
-    assert np.array_equal(a, b)
+    batch = list(corpus.sentences)
+    loss_a, grads_a = batch_gradients(tagger, batch, rng=np.random.default_rng(3))
+    loss_b, grads_b = batch_gradients(tagger, batch, rng=np.random.default_rng(3))
+    assert loss_a == loss_b
+    for name in grads_a:
+        assert np.array_equal(grads_a[name], grads_b[name]), name
+    loss_c, _ = batch_gradients(tagger, batch, rng=np.random.default_rng(4))
+    assert loss_c != loss_a  # the mask is drawn, not fixed
 
 
 def reference_emissions(tagger, sentence):
@@ -363,8 +369,8 @@ def test_constrained_decode_is_bio2_valid():
         tagger = small_tagger(corpus, config)
         # exaggerate transitions so unconstrained decoding would go wrong
         tagger.params["transitions"] = rng.standard_normal((11, 11)) * 5
-        tags = decode_sentence(tagger, corpus.sentences[0])
-        assert validate_bio(tags) == []
+        (tagged,) = tag_corpus(tagger, corpus)
+        assert validate_bio(tagged.tags) == []
 
 
 def _blocked_by_grammar(source, target):

@@ -91,7 +91,7 @@ def test_smoothed_transitions_are_distributions(train3):
         ("I-LOC", "I-MISC"),  # fully unseen tags as context
     ]
     for t1, t2 in contexts:
-        total = sum(model.transition_prob(t1, t2, t3) for t3 in support)
+        total = sum(math.exp(model.transition_logp(t1, t2, t3)) for t3 in support)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -189,6 +189,24 @@ def test_model_round_trip(tmp_path, train3):
     assert loaded.transition_logp("O", "O", "B-PER") == pytest.approx(
         model.transition_logp("O", "O", "B-PER")
     )
+
+
+def test_load_model_ignores_word_freq_of_older_files(tmp_path, train3):
+    # A file from before word counts came from the emission table also
+    # carries a word_freq header table; it loads and decodes the same.
+    path = tmp_path / "tnt.bin"
+    model = estimate(train3)
+    save_model(model, path)
+    header, tensors = read_container(path, TNT_MAGIC)
+    word_freq = {w: sum(c.values()) for w, c in model.emissions.items()}
+    header = {**header, "word_freq": word_freq}
+    write_container(path, TNT_MAGIC, header, tensors)
+    loaded = load_model(path)
+    assert loaded == model
+    for sentence in train3:
+        assert tnt_decode(loaded, sentence) == tnt_decode(model, sentence)
+    for words in (["det", "Elvis", "ukendt"], ["Ukendtby", "xyzzy", "9999"]):
+        assert tnt_decode(loaded, words) == tnt_decode(model, words)
 
 
 @pytest.mark.parametrize("key", ["tags", "emissions", "total_tokens", "suffix.theta"])
