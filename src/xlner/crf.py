@@ -1,6 +1,6 @@
 """Linear-chain CRF: log-partition via the forward algorithm, Viterbi
-decoding, and the negative log-likelihood with its gradient by
-forward-backward posteriors.
+decoding of a batch of sequences of different lengths at once, and the
+negative log-likelihood with its gradient by forward-backward posteriors.
 
 Transition matrices are (K+2) x (K+2): K tag states plus a start state at
 index K and a stop state at index K+1.
@@ -53,25 +53,29 @@ def crf_neg_log_likelihood(
     return crf_log_partition(emissions, transitions) - crf_score(emissions, transitions, tags)
 
 
-def viterbi_decode(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
-    """Highest-scoring tag path; argmax ties resolve to the lowest tag
+def viterbi_decode(emissions: np.ndarray, transitions: np.ndarray, lengths: Sequence[int]) -> list[list[int]]:
+    """Highest-scoring tag path of each sequence of a batch. emissions is
+    (batch, steps, k); sequence b has lengths[b] >= 1 real steps, and its
+    steps after them are ignored. Argmax ties resolve to the lowest tag
     index at every step."""
-    t_len, k = emissions.shape
+    batch, steps, k = emissions.shape
     start, stop = k, k + 1
-    delta = transitions[start, :k] + emissions[0]
-    backptr = np.zeros((t_len, k), dtype=np.intp)
-    for t in range(1, t_len):
-        scores = delta[:, None] + transitions[:k, :k]
-        backptr[t] = scores.argmax(axis=0)  # first max = lowest prev index
-        delta = scores.max(axis=0) + emissions[t]
-    delta = delta + transitions[:k, stop]
-    best = int(delta.argmax())
-    path = [best]
-    for t in range(t_len - 1, 0, -1):
-        best = int(backptr[t, best])
-        path.append(best)
-    path.reverse()
-    return path
+    lengths = np.asarray(lengths)
+    delta = transitions[start, :k] + emissions[:, 0]
+    backptr = np.zeros((batch, steps, k), dtype=np.intp)
+    for t in range(1, steps):
+        scores = delta[:, :, None] + transitions[:k, :k]
+        backptr[:, t] = scores.argmax(axis=1)  # first max = lowest prev index
+        delta = np.where((t < lengths)[:, None], scores.max(axis=1) + emissions[:, t], delta)
+    best = (delta + transitions[:k, stop]).argmax(axis=1)
+    paths = np.empty((batch, steps), dtype=np.intp)
+    rows = np.arange(batch)
+    tag = best
+    for t in range(steps - 1, -1, -1):
+        tag = np.where(t == lengths - 1, best, tag)  # a sequence's last step takes its best final tag
+        paths[:, t] = tag
+        tag = backptr[rows, t, tag]
+    return [path[:n].tolist() for path, n in zip(paths, lengths)]
 
 
 def crf_nll_grad(

@@ -50,20 +50,35 @@ def write_container(
 
 
 def read_container(path: Union[str, Path], magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and tensors of a container file. A short read, a header that
-    is not a UTF-8 JSON object, a tensor name that is not UTF-8, or bytes
-    after the last tensor raise ContainerError naming the offset."""
+    """Header and tensors of a container file, each tensor read straight
+    into its array. A short read, a header that is not a UTF-8 JSON
+    object, a tensor name that is not UTF-8, a tensor shape numpy cannot
+    make, or bytes after the last tensor raise ContainerError naming the
+    offset or the tensor."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def take(n: int, what: str) -> bytes:
+        def check_left(n: int, what: str) -> None:
             offset = fh.tell()
             if n > size - offset:  # checked before reading: a corrupt length may be huge
                 raise ContainerError(
                     f"{path}: truncated {what} at offset {offset}: "
                     f"needs {n} bytes, {size - offset} left"
                 )
-            return fh.read(n)
+
+        def fill(buffer, what: str):
+            """buffer, filled with the next len(buffer) bytes of the file;
+            the count read is checked too, as the file may shrink after
+            fstat."""
+            offset = fh.tell()
+            got = fh.readinto(buffer)
+            if got != len(buffer):
+                raise ContainerError(f"{path}: truncated {what} at offset {offset}: read {got} of {len(buffer)} bytes")
+            return buffer
+
+        def take(n: int, what: str) -> bytearray:
+            check_left(n, what)
+            return fill(bytearray(n), what)
 
         def text(n: int, what: str) -> str:
             offset = fh.tell()
@@ -92,8 +107,14 @@ def read_container(path: Union[str, Path], magic: bytes) -> tuple[dict, dict[str
             name = text(name_len, "tensor name")
             (ndim,) = struct.unpack("<I", take(4, f"tensor {name!r} rank"))
             shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"tensor {name!r} shape"))
-            data = take(8 * math.prod(shape), f"tensor {name!r} data")
-            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            what = f"tensor {name!r} data"
+            check_left(8 * math.prod(shape), what)
+            try:
+                tensor = np.empty(shape, dtype="<f8")
+            except ValueError as exc:  # over 64 dimensions, or a huge one beside a zero one
+                raise ContainerError(f"{path}: tensor {name!r} shape {shape} is not an array shape: {exc}") from None
+            fill(tensor.reshape(-1).view(np.uint8), what)  # read straight into the array: one copy
+            tensors[name] = tensor
         if fh.tell() != size:
             raise ContainerError(
                 f"{path}: {size - fh.tell()} trailing bytes after the last tensor at offset {fh.tell()}"

@@ -1,9 +1,11 @@
 """BiLSTM-CRF tagger: character and word BiLSTM encoders over trainable
 embeddings with hand-written numpy forward and backward passes, CRF
-training by forward-backward, Viterbi decoding with optional BIO2
-transition constraints, SGD with sparse word-embedding updates and early
-stopping; the `key = value` tagger-option parser that `xlner train` and
-experiment configs share; checked model files."""
+training by forward-backward, batched inference (the char-BiLSTM once per
+distinct word, the word-BiLSTM and Viterbi over batches of length-sorted
+sentences) with optional BIO2 transition constraints, SGD with sparse
+word-embedding updates and early stopping; the `key = value`
+tagger-option parser that `xlner train` and experiment configs share;
+checked model files."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 from .conll import TAGS, Corpus, Sentence, bio_violation
 from .crf import crf_nll_grad, viterbi_decode
 from .embeddings import EmbeddingTable, word_form
-from .lstm import lstm_backward, lstm_forward
+from .lstm import lstm_backward, lstm_final_states, lstm_forward
 from .serialize import ContainerError, read_container, require_keys, write_container
 
 UNK = "<unk>"
@@ -225,6 +227,20 @@ def _stacked(params: dict[str, np.ndarray], layer: str) -> tuple[np.ndarray, ...
     )
 
 
+def _char_ids(vocab: Vocab, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Char ids (2, longest text, len(texts)) and lengths (len(texts),):
+    text j's k-th char sits at step k of column j, forwards in [0] and
+    backwards in [1], each column padded at its end."""
+    lengths = np.array([len(text) for text in texts], dtype=np.intp)
+    col = np.repeat(np.arange(len(texts)), lengths)
+    step = np.arange(len(col)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    chars = [vocab.char_id(c) for text in texts for c in text]
+    char_ids = np.zeros((2, lengths.max(initial=0), len(texts)), dtype=np.intp)
+    char_ids[0, step, col] = chars
+    char_ids[1, lengths[col] - 1 - step, col] = chars
+    return char_ids, lengths
+
+
 def _forward(
     params: dict[str, np.ndarray],
     vocab: Vocab,
@@ -237,15 +253,10 @@ def _forward(
     batch, each token's chars padded at their end in both directions, and
     each token's final state is read at its own length; dropout_mask, if
     given, scales the token representations."""
-    chars = [[vocab.char_id(c) for c in token.text] for token in sentence]
-    lengths = np.array([len(ids) for ids in chars])
-    char_ids = np.zeros((2, lengths.max(), len(chars)), dtype=np.intp)
-    for j, ids in enumerate(chars):
-        char_ids[0, : len(ids), j] = ids
-        char_ids[1, : len(ids), j] = ids[::-1]
+    char_ids, lengths = _char_ids(vocab, sentence.texts)
     char_w = _stacked(params, "char")
     char_cache = lstm_forward(params["char_emb"][char_ids], *char_w)
-    char_final = char_cache[2][:, lengths, np.arange(len(chars))]  # (dirs, tokens, char_lstm_dim)
+    char_final = char_cache[2][:, lengths, np.arange(len(lengths))]  # (dirs, tokens, char_lstm_dim)
 
     reps = np.concatenate([params["word_emb"][word_ids], char_final[0], char_final[1]], axis=1)
     if dropout_mask is not None:
@@ -297,13 +308,6 @@ def _dropout_mask(config: TaggerConfig, rng: np.random.Generator, n_tokens: int)
     keep = 1.0 - config.dropout
     rep_dim = config.word_emb_dim + 2 * config.char_lstm_dim
     return (rng.random((n_tokens, rep_dim)) < keep) / keep
-
-
-def encode_sentence(tagger: Tagger, sentence: Sentence) -> np.ndarray:
-    """Per-token unnormalized tag scores, shape (len(sentence), 9), with
-    no dropout."""
-    word_ids = [tagger.vocab.word_id(t.text) for t in sentence]
-    return _forward(tagger.params, tagger.vocab, sentence, word_ids, None)[0]
 
 
 def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, word_id_fn):
@@ -364,16 +368,91 @@ def constrained_transitions(transitions: np.ndarray, tags: Sequence[str] = TAGS)
     return out
 
 
+# Padded chars (words x longest word) per char-BiLSTM batch and padded
+# tokens (sentences x longest sentence) per word-BiLSTM batch at inference.
+# They bound the memory of each batch's ids and, for words, lstm_forward's
+# cache, whatever the corpus holds: one long token pads only its own batch.
+# On 8-token sentences 256 tokens ran faster than 128, 512 or 1024 and kept
+# peak RSS lowest; char budgets from 256 up to one batch for all of a
+# file's ~475 words took the same time.
+CHAR_BATCH_CHARS = 2048
+WORD_BATCH_TOKENS = 256
+
+
+def _runs(lengths: np.ndarray, budget: int):
+    """Slices of consecutive items, sorted longest first, each holding at
+    most budget // (its first item's length) items, and at least one."""
+    start = 0
+    while start < len(lengths):
+        stop = start + max(1, budget // lengths[start])
+        yield slice(start, stop)
+        start = stop
+
+
+def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence]):
+    """Inference emissions, batch by batch: (indices into sentences,
+    emissions (batch, steps, num_tags), lengths) for runs of the sentences
+    sorted longest first, each batch end-padded to its longest sentence.
+
+    The char-BiLSTM runs once per distinct word, over runs of the words
+    sorted longest first: with no dropout, a word's representation depends
+    on its spelling alone. The word-BiLSTM reads each sentence forwards
+    and, through per-sentence reversed indices, backwards, and only real
+    steps' outputs become emissions."""
+    params, vocab = tagger.params, tagger.vocab
+    distinct = dict.fromkeys(token.text for sentence in sentences for token in sentence)
+    words = sorted(distinct, key=len, reverse=True)  # longest first, ties in first-seen order
+    position = {word: i for i, word in enumerate(words)}
+    char_w = _stacked(params, "char")
+    dw, hc = params["word_emb"].shape[1], char_w[1].shape[1]
+    reps = np.empty((len(words), dw + 2 * hc))  # word row, forward and backward char final states
+    reps[:, :dw] = params["word_emb"][[vocab.word_id(word) for word in words]]
+    word_lengths = np.array([len(word) for word in words], dtype=np.intp)
+    for run in _runs(word_lengths, CHAR_BATCH_CHARS):
+        final = lstm_final_states(params["char_emb"], *_char_ids(vocab, words[run]), *char_w)
+        reps[run, dw:] = final.transpose(1, 0, 2).reshape(-1, 2 * hc)
+
+    word_w = _stacked(params, "word")
+    lengths = np.array([len(sentence) for sentence in sentences], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    for run in _runs(lengths[order], WORD_BATCH_TOKENS):
+        batch = order[run]
+        n = lengths[batch]
+        steps = np.arange(n[0])
+        real = steps < n[:, None]  # (batch, steps)
+        ids = np.zeros(real.shape, dtype=np.intp)
+        ids[real] = [position[token.text] for i in batch for token in sentences[i]]
+        # rev reverses each sentence's real steps and is its own inverse: it
+        # orders the backward reading and maps backward outputs to tokens.
+        rev = np.where(real, n[:, None] - 1 - steps, steps)
+        reading = np.stack([ids, np.take_along_axis(ids, rev, axis=1)])  # (dirs, batch, steps)
+        hs = lstm_forward(reps[reading.transpose(0, 2, 1)], *word_w)[2][:, 1:]  # (dirs, steps, batch, hw)
+        feats = np.concatenate([hs[0].transpose(1, 0, 2), hs[1][rev, np.arange(len(batch))[:, None]]], axis=2)
+        yield batch, feats @ params["proj_w"] + params["proj_b"], n
+
+
+def encode_sentences(tagger: Tagger, sentences: Sequence[Sentence]) -> list[np.ndarray]:
+    """Per-token unnormalized tag scores of each sentence, shape
+    (len(sentence), num_tags), in the order given, with no dropout."""
+    out: list = [None] * len(sentences)
+    for batch, emissions, lengths in _emission_batches(tagger, sentences):
+        for i, rows, n in zip(batch, emissions, lengths):
+            out[i] = rows[:n]
+    return out
+
+
 def tag_corpus(tagger: Tagger, corpus: Corpus) -> Corpus:
     """Viterbi-tag every sentence, under the BIO2 constraints if the config
-    asks for them; token texts are untouched."""
+    asks for them; one batched Viterbi per word-BiLSTM batch. Sentences
+    come back in corpus order, their token texts untouched."""
     transitions = tagger.params["transitions"]
     if tagger.config.constrain_decode:
         transitions = constrained_transitions(transitions, tagger.vocab.tags)
-    tagged = []
-    for sentence in corpus:
-        path = viterbi_decode(encode_sentence(tagger, sentence), transitions)
-        tagged.append(sentence.with_tags([tagger.vocab.tags[i] for i in path]))
+    tags = tagger.vocab.tags
+    tagged: list = [None] * len(corpus)
+    for batch, emissions, lengths in _emission_batches(tagger, corpus.sentences):
+        for i, path in zip(batch, viterbi_decode(emissions, transitions, lengths)):
+            tagged[i] = corpus.sentences[i].with_tags([tags[t] for t in path])
     return Corpus(tuple(tagged), corpus.language)
 
 

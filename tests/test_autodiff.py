@@ -1,11 +1,12 @@
 """Finite-difference checks of the hand-written differentiation: the LSTM
 kernels' backward-through-time, the embedding gathers' scatter-add, and
-the CRF's log-sum-exp."""
+the CRF's log-sum-exp; and the inference-only LSTM kernel against the
+forward pass."""
 
 import numpy as np
 
 from xlner.crf import _logsumexp
-from xlner.lstm import lstm_backward, lstm_forward
+from xlner.lstm import lstm_backward, lstm_final_states, lstm_forward
 from xlner.tagger import Tagger, TaggerConfig, batch_gradients, build_vocab, init_params
 
 from conftest import make_corpus
@@ -99,6 +100,21 @@ def test_end_padding_leaves_real_steps_alone():
     d_xs = lstm_backward(lstm_forward(noisy, wx, wh, b), weights, wx, wh)[0]
     assert np.all(d_xs[np.broadcast_to(padded, d_xs.shape)] == 0.0)
     assert np.all(d_xs[np.broadcast_to(~padded, d_xs.shape)] != 0.0)
+
+
+def test_final_states_match_forward():
+    # lstm_final_states against lstm_forward on the same end-padded
+    # batch, read at each sequence's own length.
+    rng = np.random.default_rng(13)
+    lengths = np.sort(rng.integers(1, 8, 10))[::-1]
+    lengths[-2:] = 1
+    emb = rng.standard_normal((6, 3))
+    ids = rng.integers(0, 6, (2, 7, 10))
+    _, wx, wh, b, _ = lstm_instance(7, 10, seed=14)
+    got = lstm_final_states(emb, ids, lengths, wx, wh, b)
+    want = lstm_forward(emb[ids], wx, wh, b)[2][:, lengths, np.arange(10)]
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_getitem_fancy_repeated_indices():

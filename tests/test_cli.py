@@ -209,6 +209,17 @@ def test_train_tag_eval_pipeline(capsys, tmp_path, sample):
     assert 0.0 <= payload["f1"] <= 100.0
 
 
+def test_tag_empty_file(capsys, tmp_path, sample):
+    model_path = tmp_path / "model.bin"
+    write_model(model_path, sample, lambda header, tensors: None)
+    empty = tmp_path / "empty.conll"
+    empty.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "tag", "--model", model_path, empty)
+    assert code == 0
+    assert out == ""
+    assert "error" not in err
+
+
 def test_eval_identical_is_perfect(capsys, sample):
     code, out, _ = run(capsys, "eval", "--gold", sample, "--pred", sample)
     assert code == 0

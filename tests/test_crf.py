@@ -112,7 +112,7 @@ def test_viterbi_single_token():
     rng = np.random.default_rng(7)
     em, tr = random_instance(rng, 1, 5)
     totals = tr[5, :5] + em[0] + tr[:5, 6]
-    assert viterbi_decode(em, tr) == [int(np.argmax(totals))]
+    assert viterbi_decode(em[None], tr, [1]) == [[int(np.argmax(totals))]]
 
 
 def test_viterbi_matches_enumeration():
@@ -123,14 +123,49 @@ def test_viterbi_matches_enumeration():
         em, tr = random_instance(rng, t_len, k)
         scores = brute_force_paths(em, tr)
         best = max(scores, key=lambda p: (scores[p], [-x for x in p]))
-        assert tuple(viterbi_decode(em, tr)) == best
+        assert tuple(viterbi_decode(em[None], tr, [t_len])[0]) == best
 
 
 def test_viterbi_tie_break_lowest_index():
     k = 3
     em = np.zeros((2, k))
     tr = np.zeros((k + 2, k + 2))
-    assert viterbi_decode(em, tr) == [0, 0]
+    assert viterbi_decode(em[None], tr, [2]) == [[0, 0]]
+
+
+def test_batched_viterbi_matches_enumeration():
+    # Each batch holds a length-1 sequence; padded steps hold large noise
+    # that a decoder reading past a sequence's length would follow.
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        batch, steps, k = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(2, 4))
+        lengths = rng.integers(1, steps + 1, batch)
+        lengths[rng.integers(batch)] = 1
+        em = rng.standard_normal((batch, steps, k)) * 2.0
+        em[np.arange(steps) >= lengths[:, None]] = 50.0 * rng.standard_normal(k)
+        tr = rng.standard_normal((k + 2, k + 2)) * 2.0
+        paths = viterbi_decode(em, tr, lengths)
+        assert len(paths) == batch
+        for b, n in enumerate(lengths):
+            scores = brute_force_paths(em[b, :n], tr)
+            assert tuple(paths[b]) == max(scores, key=scores.get)
+
+
+def test_batched_viterbi_tie_break_lowest_index():
+    # Integer scores make ties exact. Lowest-index argmax at the last step
+    # and along the back-pointers picks, among best paths, the one whose
+    # reversed tag sequence is smallest.
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        batch, steps, k = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(2, 4))
+        lengths = rng.integers(1, steps + 1, batch)
+        lengths[rng.integers(batch)] = 1
+        em = rng.integers(-1, 2, (batch, steps, k)).astype(float)
+        tr = rng.integers(-1, 2, (k + 2, k + 2)).astype(float)
+        for b, path in enumerate(viterbi_decode(em, tr, lengths)):
+            scores = brute_force_paths(em[b, : lengths[b]], tr)
+            top = max(scores.values())
+            assert tuple(path) == min((p for p, s in scores.items() if s == top), key=lambda p: p[::-1])
 
 
 def test_decoded_score_dominates_gold():
@@ -138,7 +173,7 @@ def test_decoded_score_dominates_gold():
     for _ in range(30):
         em, tr = random_instance(rng, 4, 4)
         gold = [int(g) for g in rng.integers(0, 4, 4)]
-        decoded = viterbi_decode(em, tr)
+        (decoded,) = viterbi_decode(em[None], tr, [4])
         assert crf_score(em, tr, decoded) >= crf_score(em, tr, gold) - 1e-12
 
 

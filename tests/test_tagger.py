@@ -4,20 +4,22 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xlner.conll import TAGS, validate_bio
+from xlner import tagger as tagger_module
+from xlner.conll import TAGS, Corpus, validate_bio
 from xlner.embeddings import EmbeddingTable
 from xlner.serialize import FORMAT_VERSION, ContainerError, read_container, write_container
 from xlner.tagger import (
     MODEL_MAGIC,
     Tagger,
     TaggerConfig,
+    _forward,
     batch_gradients,
     build_vocab,
     constrained_transitions,
-    encode_sentence,
+    encode_sentences,
     init_params,
     load_model,
     save_model,
@@ -117,15 +119,16 @@ def test_init_rejects_dim_mismatch(corpus):
 
 def test_emission_shape(corpus):
     tagger = small_tagger(corpus)
-    for sentence in corpus:
-        assert encode_sentence(tagger, sentence).shape == (len(sentence), 9)
+    emissions = encode_sentences(tagger, corpus.sentences)
+    assert [e.shape for e in emissions] == [(len(sentence), 9) for sentence in corpus]
 
 
 def test_encode_deterministic_without_dropout(corpus):
     tagger = small_tagger(corpus)
-    a = encode_sentence(tagger, corpus.sentences[0])
-    b = encode_sentence(tagger, corpus.sentences[0])
-    assert np.array_equal(a, b)
+    a = encode_sentences(tagger, corpus.sentences)
+    b = encode_sentences(tagger, corpus.sentences)
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x, y)
 
 
 def test_encode_dropout_reproducible_with_fixed_stream(corpus):
@@ -178,8 +181,7 @@ def test_emissions_match_reference_loop():
         [("Elvis", "B-PER")],
     )
     tagger = small_tagger(corpus)
-    for sentence in corpus:
-        got = encode_sentence(tagger, sentence)
+    for sentence, got in zip(corpus, encode_sentences(tagger, corpus.sentences), strict=True):
         assert np.allclose(got, reference_emissions(tagger, sentence), rtol=0.0, atol=1e-12)
 
 
@@ -189,10 +191,137 @@ def test_unused_vocab_rows_do_not_affect_emissions(corpus):
     vocab = build_vocab([corpus, extra], table)
     params = init_params(SMALL, vocab, table)
     tagger = Tagger(SMALL, vocab, params)
-    before = encode_sentence(tagger, corpus.sentences[0])
+    before = encode_sentences(tagger, corpus.sentences)
     params["word_emb"][vocab.words["Aarhus"]] = 99.0  # unrelated row
-    after = encode_sentence(tagger, corpus.sentences[0])
-    assert np.array_equal(before, after)
+    after = encode_sentences(tagger, corpus.sentences)
+    for x, y in zip(before, after, strict=True):
+        assert np.array_equal(x, y)
+
+
+# Training words use only these characters; the rest of the alphabet is
+# outside the char vocabulary.
+TRAIN_CHARS = "abcdefgh"
+ALPHABET = TRAIN_CHARS + "xyzÆø1-"
+
+
+def varied_corpora(seed):
+    """A training corpus and a test corpus of 80 sentences, two of each
+    length 1 to 40 in shuffled order, over words of 1 to 20 characters:
+    a 30-word lexicon of training words, repeated across and within
+    sentences, mixed with unseen words that map to UNK, some of them
+    spelled with characters outside the char vocabulary."""
+    rng = np.random.default_rng(seed)
+
+    def spell(chars, length):
+        return "".join(rng.choice(list(chars), length))
+
+    lexicon = [spell(TRAIN_CHARS, n) for n in (1, 20, *rng.integers(1, 21, 28))]
+    lengths = rng.permutation(np.repeat(np.arange(1, 41), 2))
+    sentences = []
+    for length in lengths:
+        words = [
+            spell(ALPHABET, int(rng.integers(1, 21))) if rng.random() < 0.2 else lexicon[rng.integers(len(lexicon))]
+            for _ in range(length)
+        ]
+        sentences.append([(w, "O") for w in words])
+    return make_corpus([(w, "O") for w in lexicon]), make_corpus(*sentences)
+
+
+@pytest.mark.parametrize("budget", [1, 64, None])
+def test_batched_emissions_match_per_sentence_forward(monkeypatch, budget):
+    # Budget 1 puts every word and every sentence in a batch of its own; 64
+    # makes batches of 3 to 64 words and 1 to 64 sentences; None keeps the
+    # defaults, under which the words still fill more than two batches.
+    if budget is not None:
+        monkeypatch.setattr(tagger_module, "CHAR_BATCH_CHARS", budget)
+        monkeypatch.setattr(tagger_module, "WORD_BATCH_TOKENS", budget)
+    train_corpus, corpus = varied_corpora(0)
+    tagger = small_tagger(train_corpus)
+    assert any(ch not in tagger.vocab.chars for sentence in corpus for ch in "".join(sentence.texts))
+    assert any(tagger.vocab.word_id(t.text) == 0 for sentence in corpus for t in sentence)
+    word_lengths = sorted((len(w) for w in {t.text for sentence in corpus for t in sentence}), reverse=True)
+    assert len(list(tagger_module._runs(np.array(word_lengths), tagger_module.CHAR_BATCH_CHARS))) > 2
+    for sentence, got in zip(corpus, encode_sentences(tagger, corpus.sentences), strict=True):
+        word_ids = [tagger.vocab.word_id(t.text) for t in sentence]
+        want = _forward(tagger.params, tagger.vocab, sentence, word_ids, None)[0]
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_long_token_pads_only_its_own_batch(monkeypatch):
+    # 1,499 distinct short words and one 3,000-char token: the long token
+    # runs in a char batch of its own, and every other char batch holds at
+    # most CHAR_BATCH_CHARS padded chars, so the long token pads no other
+    # word; each distinct word runs once.
+    calls = []
+    final_states = tagger_module.lstm_final_states
+
+    def spy(emb, ids, lengths, *weights):
+        calls.append(ids.shape)
+        return final_states(emb, ids, lengths, *weights)
+
+    monkeypatch.setattr(tagger_module, "lstm_final_states", spy)
+    rng = np.random.default_rng(5)
+    words = list(dict.fromkeys("".join(rng.choice(list(ALPHABET), rng.integers(3, 9))) for _ in range(1600)))[:1500]
+    sentences = [words[i : i + 30] for i in range(0, len(words), 30)]
+    sentences[7][3] = "x" * 3000
+    corpus = make_corpus(*[[(w, "O") for w in s] for s in sentences])
+    tagger = small_tagger(make_corpus([(w, "O") for w in TRAIN_WORDS]))
+    emissions = encode_sentences(tagger, corpus.sentences)
+    assert sum(n for _, _, n in calls) == len({t.text for sentence in corpus for t in sentence}) == 1500
+    assert calls[0] == (2, 3000, 1)
+    assert all(steps * n <= tagger_module.CHAR_BATCH_CHARS for _, steps, n in calls[1:])
+    for sentence, got in zip(corpus, emissions, strict=True):
+        word_ids = [tagger.vocab.word_id(t.text) for t in sentence]
+        want = _forward(tagger.params, tagger.vocab, sentence, word_ids, None)[0]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def reference_viterbi(emissions, transitions):
+    """Oracle decoder for one sentence, a loop over tags: the best path,
+    ties going to the lowest tag index."""
+    t_len, k = emissions.shape
+    delta = [transitions[k, j] + emissions[0, j] for j in range(k)]
+    back = []
+    for t in range(1, t_len):
+        prev = [max(range(k), key=lambda i: (delta[i] + transitions[i, j], -i)) for j in range(k)]
+        delta = [delta[prev[j]] + transitions[prev[j], j] + emissions[t, j] for j in range(k)]
+        back.append(prev)
+    path = [max(range(k), key=lambda j: (delta[j] + transitions[j, k + 1], -j))]
+    for prev in reversed(back):
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+TRAIN_WORDS = ("Rom", "blev", "ikke", ".", "Elvis", "sang", "Sun", "Records")
+INFERENCE_WORDS = st.sampled_from(TRAIN_WORDS) | st.text(alphabet="RomØæ.xyz", min_size=1, max_size=20)
+
+
+@given(st.lists(st.lists(INFERENCE_WORDS, min_size=1, max_size=40), max_size=12), st.integers(0, 2**32 - 1))
+@example([], 0)
+@example([["Rom"]], 0)
+@example([["Elvis", "sang", "i", "Rom"]] * 5, 0)
+@settings(max_examples=60, deadline=None)
+def test_tag_corpus_matches_per_sentence_reference(sentences, seed):
+    corpus = make_corpus(*[[(w, "O") for w in words] for words in sentences], language="da")
+    tagger = small_tagger(make_corpus([(w, "O") for w in TRAIN_WORDS]), TaggerConfig(**{**SMALL.__dict__, "seed": seed}))
+    # large transitions give the decode something to do
+    tagger.params["transitions"] = np.random.default_rng(seed).standard_normal((11, 11)) * 3
+    transitions = constrained_transitions(tagger.params["transitions"])
+    tagged = tag_corpus(tagger, corpus)
+    assert tagged.language == "da"
+    assert len(tagged) == len(corpus)
+    for sentence, out in zip(corpus, tagged):
+        assert out.texts == sentence.texts  # corpus order
+        word_ids = [tagger.vocab.word_id(t.text) for t in sentence]
+        emissions = _forward(tagger.params, tagger.vocab, sentence, word_ids, None)[0]
+        assert list(out.tags) == [TAGS[i] for i in reference_viterbi(emissions, transitions)]
+
+
+def test_empty_corpus_tags_to_empty(corpus):
+    tagger = small_tagger(corpus)
+    assert encode_sentences(tagger, []) == []
+    assert tag_corpus(tagger, Corpus((), "da")) == Corpus((), "da")
 
 
 # ----------------------------------------------------------------- gradients
@@ -426,6 +555,109 @@ def test_every_truncation_is_a_container_error(tmp_path, corpus):
     path = tmp_path / "model.bin"
     save_model(small_tagger(corpus), path)
     for end in reversed(range(path.stat().st_size)):
+        os.truncate(path, end)
+        with pytest.raises(ContainerError):
+            read_container(path, MODEL_MAGIC)
+
+
+@given(
+    st.lists(st.lists(INFERENCE_WORDS, min_size=1, max_size=6), min_size=1, max_size=5),
+    st.tuples(*[st.integers(1, 4)] * 4),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_save_load_round_trip_property(tmp_path_factory, sentences, dims, seed):
+    corpus = make_corpus(*[[(w, "O") for w in words] for words in sentences])
+    config = TaggerConfig(**dict(zip(("word_emb_dim", "word_lstm_dim", "char_emb_dim", "char_lstm_dim"), dims)), seed=seed)
+    tagger = small_tagger(corpus, config)
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    save_model(tagger, path)
+    loaded = load_model(path)
+    assert loaded.config == tagger.config
+    assert loaded.vocab == tagger.vocab
+    assert list(loaded.params) == list(tagger.params)
+    for name, arr in tagger.params.items():
+        assert loaded.params[name].dtype == arr.dtype
+        assert loaded.params[name].tobytes() == arr.tobytes(), name  # bit-equal, -0.0 included
+    assert tag_corpus(loaded, corpus) == tag_corpus(tagger, corpus)
+
+
+def structural_ranges(raw: bytes) -> list[tuple[str, int, int]]:
+    """(field, start, end) of every byte range of a container that is not
+    tensor data, found by walking the documented layout."""
+    ranges = [("magic", 0, 8), ("version", 8, 12), ("header length", 12, 16)]
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    ranges.append(("header", 16, 16 + header_len))
+    at = 16 + header_len
+    ranges.append(("tensor count", at, at + 4))
+    (count,) = struct.unpack_from("<I", raw, at)
+    at += 4
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, at)
+        ranges += [("name length", at, at + 4), ("name", at + 4, at + 4 + name_len)]
+        at += 4 + name_len
+        (ndim,) = struct.unpack_from("<I", raw, at)
+        ranges += [("rank", at, at + 4), ("shape", at + 4, at + 4 + 8 * ndim)]
+        shape = struct.unpack_from(f"<{ndim}Q", raw, at + 4)
+        at += 4 + 8 * ndim + 8 * int(np.prod(shape))
+    assert at == len(raw)
+    return [r for r in ranges if r[2] > r[1]]
+
+
+def test_structural_corruption_is_a_container_error(tmp_path, corpus):
+    path = tmp_path / "model.bin"
+    save_model(small_tagger(corpus), path)
+    raw = path.read_bytes()
+    ranges = structural_ranges(raw)
+    # Changing any of these always breaks the file; a changed header or
+    # tensor name byte may still spell a valid model.
+    always_bad = {"magic", "version", "header length", "tensor count", "name length", "rank", "shape"}
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def check(data):
+        field, start, end = data.draw(st.sampled_from(ranges))
+        at = data.draw(st.integers(start, end - 1))
+        patch = data.draw(st.binary(min_size=1, max_size=min(8, end - at)))
+        corrupt = raw[:at] + patch + raw[at + len(patch) :]
+        path.write_bytes(corrupt)
+        try:
+            load_model(path)
+        except ContainerError:
+            return
+        assert field not in always_bad or corrupt == raw, field
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "shape_bytes", [struct.pack("<2Q", 0, 2**63), struct.pack("<2Q", 2**64 - 1, 0)], ids=["zero-huge", "huge-zero"]
+)
+def test_impossible_tensor_shape_is_a_container_error(tmp_path, shape_bytes):
+    # The shapes hold no data, so the size check passes; numpy rejects them.
+    path = tmp_path / "bad.bin"
+    write_container(path, MODEL_MAGIC, {}, {"t": np.zeros((0, 1))})
+    raw = path.read_bytes()
+    path.write_bytes(raw[: -len(shape_bytes)] + shape_bytes)
+    with pytest.raises(ContainerError, match="'t'"):
+        read_container(path, MODEL_MAGIC)
+
+
+def test_file_cut_after_fstat_is_a_container_error(tmp_path, corpus, monkeypatch):
+    # fstat still reports the full size, so every size check before a read
+    # passes; the count each read returns must catch the cut.
+    path = tmp_path / "model.bin"
+    save_model(small_tagger(corpus), path)
+    full = path.stat().st_size
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        fields = list(real_fstat(fd))
+        fields[6] = full  # st_size
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(os, "fstat", stale_fstat)
+    for end in reversed(range(full)):
         os.truncate(path, end)
         with pytest.raises(ContainerError):
             read_container(path, MODEL_MAGIC)
