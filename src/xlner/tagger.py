@@ -51,8 +51,9 @@ class TaggerConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.max_epochs < 0 or self.patience < 0 or self.batch_size < 1:
-            raise ValueError("bad training schedule")
+        for name, low in (("max_epochs", 0), ("patience", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}

@@ -5,7 +5,7 @@ import pytest
 
 from xlner.cli import main
 from xlner.conll import parse_conll, write_conll
-from xlner.embeddings import EmbeddingTable, load_embeddings, save_embeddings
+from xlner.embeddings import EmbeddingTable, align_tables, load_embeddings, save_embeddings
 from xlner.serialize import read_container, write_container
 from xlner.tagger import MODEL_MAGIC, Tagger, TaggerConfig, build_vocab, init_params, save_model
 
@@ -171,6 +171,32 @@ def test_align_round_trip(capsys, tmp_path):
     for w in tgt_vecs:
         if w in src_vecs:
             assert np.allclose(mapped.vectors[w], src_vecs[w], atol=1e-4)
+
+
+@pytest.mark.parametrize("direction", ["tgt_to_src", "src_to_tgt"])
+def test_align_output_bytes_match_per_row_reference(capsys, tmp_path, direction):
+    # Several loader blocks of rows, 40 identical-word seeds in 16-d.
+    rng = np.random.default_rng(1)
+    src_vecs = {f"s{i}": rng.standard_normal(16) for i in range(300)}
+    tgt_vecs = {f"t{i}": rng.standard_normal(16) for i in range(260)}
+    rotation = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+    for i in range(40):
+        src_vecs[f"fælles{i}"] = rng.standard_normal(16)
+        tgt_vecs[f"fælles{i}"] = src_vecs[f"fælles{i}"] @ rotation
+    src, tgt = EmbeddingTable(16, src_vecs), EmbeddingTable(16, tgt_vecs)
+    src_path, tgt_path, out_path = tmp_path / "src.vec", tmp_path / "tgt.vec", tmp_path / "mapped.vec"
+    save_embeddings(src, src_path)
+    save_embeddings(tgt, tgt_path)
+    code, _, _ = run(
+        capsys, "align", "--src", src_path, "--tgt", tgt_path, "--out", out_path, "--direction", direction
+    )
+    assert code == 0
+    moved, fixed = (tgt, src) if direction == "tgt_to_src" else (src, tgt)
+    w = align_tables(fixed, moved).matrix
+    want = f"{len(moved)} 16\n" + "".join(
+        word + " " + " ".join(repr(float(x)) for x in vec @ w) + "\n" for word, vec in moved.vectors.items()
+    )
+    assert out_path.read_bytes() == want.encode("utf-8")
 
 
 # ------------------------------------------------------- train / tag / eval
@@ -424,7 +450,9 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, sample, command, co
     assert not out.exists()
 
 
-@pytest.mark.parametrize("option", ["dropout = 2", "batch_size = 0", "word_lstm_dim = 0"])
+@pytest.mark.parametrize(
+    "option", ["dropout = 2", "batch_size = 0", "word_lstm_dim = 0", "max_epochs = -1", "patience = -1"]
+)
 @pytest.mark.parametrize("command", ["train", "experiment"])
 def test_out_of_range_tagger_option_names_its_line(capsys, tmp_path, sample, command, option):
     config_path = tmp_path / "bad.conf"
@@ -440,7 +468,7 @@ def test_out_of_range_tagger_option_names_its_line(capsys, tmp_path, sample, com
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
-    assert errors[0].startswith("error: line 2: ")
+    assert errors[0].startswith(f"error: line 2: {option.split(' = ')[0]} must be ")
     assert not out.exists()
 
 

@@ -1,10 +1,14 @@
 import io
+import logging
+import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from xlner import embeddings
 from xlner.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -58,7 +62,134 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.dim == 5
     assert set(loaded.vectors) == set(table.vectors)
     for w in table.vectors:
-        assert np.allclose(loaded.vectors[w], table.vectors[w], atol=1e-6)
+        assert np.array_equal(loaded.vectors[w], table.vectors[w])
+
+
+def reference_load(text):
+    """The per-line loader: (dim, vectors, duplicate warnings), or an
+    EmbeddingError with the loader's message."""
+    vectors, warned, dim = {}, [], None
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if lineno == 1 and len(fields) == 2:
+            try:
+                int(fields[0]), int(fields[1])
+            except ValueError:
+                pass
+            else:
+                dim = int(fields[1])
+                continue
+        word, values = fields[0], fields[1:]
+        if dim is None:
+            dim = len(values)
+        if len(values) != dim:
+            raise EmbeddingError(f"line {lineno}: expected {dim} values, got {len(values)}")
+        if word in vectors:
+            warned.append(f"duplicate word {word!r} at line {lineno}; keeping first")
+            continue
+        try:
+            row = [float(v) for v in values]
+        except ValueError as exc:
+            raise EmbeddingError(f"line {lineno}: {exc}") from None
+        bad = [v for v in values if not math.isfinite(float(v))]
+        if bad:
+            raise EmbeddingError(f"line {lineno}: non-finite value {bad[0]!r}")
+        vectors[word] = np.array(row)
+    return (dim if dim is not None else 0), vectors, warned
+
+
+ORDINARY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-10, 10).map("{:.6f}".format),
+    st.integers(-999, 999).map(str),
+)
+# float() accepts the first two and loadtxt does not; the rest are
+# non-finite or rejected by both.
+ODD = st.sampled_from(["1_0", "\u0661", "nan", "inf", "-inf", "1e400", "0x10", "1e"])
+WORDS = st.text(alphabet="ab1Zæøλ中\u0661", min_size=1, max_size=3)
+
+
+@st.composite
+def table_texts(draw):
+    """Embedding-table text with an optional `count dim` header, blank
+    lines, duplicate words (well-formed and malformed rows), ragged and
+    value-less rows, non-ASCII words and odd value tokens."""
+    dim = draw(st.integers(1, 4))
+    lines, words = [], []
+    if draw(st.booleans()):
+        lines.append(f"{draw(st.integers(0, 99))} {draw(st.sampled_from([dim, dim, dim + 1]))}")
+    # A third of the tables hold well-formed rows only: no block of them
+    # needs the checked loop.
+    kinds = draw(st.sampled_from([["row"], ["row"], ["row"] * 6 + ["blank", "dup", "dup", "ragged", "odd", "bare"]]))
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+            continue
+        word = draw(st.sampled_from(words)) if kind == "dup" and words else draw(WORDS)
+        words.append(word)
+        width = dim + draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0 if kind == "bare" else dim
+        values = draw(st.lists(ORDINARY, min_size=width, max_size=width))
+        if kind == "odd" or (kind == "dup" and draw(st.booleans())):
+            values[draw(st.integers(0, dim - 1))] = draw(ODD)
+        lines.append(" ".join([word, *values]))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("block", [1, 3, embeddings.BLOCK_ROWS])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=table_texts())
+def test_load_matches_reference_loader(caplog, block, text):
+    caplog.clear()
+    try:
+        want = reference_load(text)
+    except EmbeddingError as exc:
+        want = exc
+    with pytest.MonkeyPatch.context() as mp, caplog.at_level(logging.WARNING, logger="xlner.embeddings"):
+        mp.setattr(embeddings, "BLOCK_ROWS", block)
+        try:
+            got = load_embeddings(io.StringIO(text))
+        except EmbeddingError as exc:
+            got = exc
+    if isinstance(want, EmbeddingError):
+        assert isinstance(got, EmbeddingError)
+        assert str(got) == str(want)
+        return
+    dim, vectors, warned = want
+    assert not isinstance(got, EmbeddingError), got
+    assert got.dim == dim
+    assert list(got.vectors) == list(vectors)
+    for word, row in vectors.items():
+        assert got.vectors[word].dtype == np.float64
+        assert got.vectors[word].tobytes() == row.tobytes()
+    assert [r.getMessage() for r in caplog.records] == warned
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("nan", "non-finite value 'nan'"), ("1e", "could not convert string to float: '1e'")],
+)
+def test_bad_value_in_a_later_block_names_its_line(tmp_path, bad, message):
+    n = 2 * embeddings.BLOCK_ROWS + 10
+    lines = [f"{n} 3"] + [f"w{i} {i} 0.5 -1" for i in range(n)]
+    lineno = 2 * embeddings.BLOCK_ROWS + 7  # in the third block of rows
+    lines[lineno - 1] = f"w{lineno} 1 {bad} 2"
+    path = tmp_path / "t.vec"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(EmbeddingError) as exc:
+        load_embeddings(path)
+    assert str(exc.value) == f"{path}: line {lineno}: {message}"
+
+
+@pytest.mark.parametrize("text, dim", [("", 0), ("0 64\n", 64), ("\n \n\t\n", 0)])
+def test_empty_and_header_only_tables(text, dim):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = load_embeddings(io.StringIO(text))
+    assert table.dim == dim
+    assert table.vectors == {}
 
 
 # -------------------------------------------------------------------- lookup
@@ -200,6 +331,18 @@ def test_inverse_mapping_round_trip():
     back = apply_mapping(apply_mapping(table, mapping), OrthogonalMap(mapping.matrix.T))
     for w in table.vectors:
         assert np.allclose(back.vectors[w], table.vectors[w], atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [1000, 1, 0])
+def test_mapping_bit_equal_to_per_row_product(n):
+    rng = np.random.default_rng(11)
+    table = table_of([f"w{i}" for i in range(n)], dim=64, seed=12)
+    w = random_orthogonal(rng, 64)
+    mapped = apply_mapping(table, OrthogonalMap(w))
+    assert mapped.dim == 64
+    assert list(mapped.vectors) == list(table.vectors)
+    for word, vec in table.vectors.items():
+        assert mapped.vectors[word].tobytes() == (vec @ w).tobytes()
 
 
 def test_mapping_dimension_mismatch():
