@@ -14,9 +14,8 @@ import numpy as np
 
 
 def _logsumexp(x: np.ndarray, axis: Optional[int] = None):
-    m = x.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
-    return out.squeeze(axis) if axis is not None else out.item()
+    m = x.max(axis=axis)  # axis: None, 0, or 1 of a 2-d x
+    return np.log(np.exp(x - (m[:, None] if axis == 1 else m)).sum(axis=axis)) + m
 
 
 def crf_score(emissions: np.ndarray, transitions: np.ndarray, tags: Sequence[int]) -> float:

@@ -150,7 +150,7 @@ def save_embeddings(table: EmbeddingTable, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         for word, vec in table.vectors.items():
-            fh.write(word + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+            fh.write(word + " " + " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist())) + "\n")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
+    out = np.exp(np.negative(x, out=out), out=out)  # 1 / (1 + exp(-x)), into out when given
+    return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
 
 
 def _gate_slices(hd: int) -> tuple[slice, ...]:
@@ -41,8 +42,8 @@ def lstm_forward(xs: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
     for t in range(steps):
         z = gx[:, t] + hs[:, t] @ wh
         a = gates[:, t]
-        a[...] = _sigmoid(z)
-        a[..., gg] = np.tanh(z[..., gg])
+        _sigmoid(z, out=a)
+        np.tanh(z[..., gg], out=a[..., gg])
         cs[:, t + 1] = a[..., gf] * cs[:, t] + a[..., gi] * a[..., gg]
         tcs[:, t] = np.tanh(cs[:, t + 1])
         hs[:, t + 1] = a[..., go] * tcs[:, t]
@@ -61,20 +62,21 @@ def lstm_backward(cache, d_hs: np.ndarray, wx: np.ndarray, wh: np.ndarray):
     # Activation derivatives: s(1-s) for the sigmoid gates, 1-g^2 for the cell gate.
     deriv = gates * (1.0 - gates)
     deriv[..., gg] = 1.0 - gates[..., gg] ** 2
+    d_tcs = 1.0 - tcs**2  # of tanh(c)
     dz = np.empty_like(gates)
     wh_t = wh.transpose(0, 2, 1)
     dh = np.zeros((n_dir, batch, hd))
     dc = np.zeros((n_dir, batch, hd))
     for t in range(steps - 1, -1, -1):
-        dh = dh + d_hs[:, t]
+        dh += d_hs[:, t]
         a, d = gates[:, t], dz[:, t]
-        dc = dc + dh * a[..., go] * (1.0 - tcs[:, t] ** 2)
-        d[..., gi] = dc * a[..., gg]
-        d[..., gf] = dc * cs[:, t]
-        d[..., gg] = dc * a[..., gi]
-        d[..., go] = dh * tcs[:, t]
+        dc += dh * a[..., go] * d_tcs[:, t]
+        np.multiply(dc, a[..., gg], out=d[..., gi])
+        np.multiply(dc, cs[:, t], out=d[..., gf])
+        np.multiply(dc, a[..., gi], out=d[..., gg])
+        np.multiply(dh, tcs[:, t], out=d[..., go])
         d *= deriv[:, t]
-        dc = dc * a[..., gf]
+        dc *= a[..., gf]
         dh = d @ wh_t
     flat_dz = dz.reshape(n_dir, steps * batch, 4 * hd)
     d_wx = xs.reshape(n_dir, steps * batch, -1).transpose(0, 2, 1) @ flat_dz

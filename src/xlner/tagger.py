@@ -166,7 +166,8 @@ def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
 
 
 def _param_shapes(config: TaggerConfig, vocab: Vocab) -> dict[str, tuple[int, ...]]:
-    """Every parameter tensor's shape, in the order init_params draws them."""
+    """Every model-file tensor's shape, each BiLSTM weight per direction
+    (char_fwd_wx, char_bwd_wx), in the order init_params draws them."""
     dw, dc = config.word_emb_dim, config.char_emb_dim
     hc, hw = config.char_lstm_dim, config.word_lstm_dim
     k = vocab.num_tags
@@ -210,22 +211,24 @@ def init_params(
             form = word_form(pretrained.vectors, word)
             if form is not None:
                 params["word_emb"][idx] = pretrained.vectors[form]
-    return params
+    return _stack_directions(params)
+
+
+def _stack_directions(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Model-file tensors in memory: each BiLSTM weight's fwd and bwd
+    tensors stacked under one name (char_wx), direction as axis 0."""
+    return {
+        name.replace("_fwd", ""): np.stack([arr, tensors[name.replace("_fwd", "_bwd")]]) if "_fwd_" in name else arr
+        for name, arr in tensors.items()
+        if "_bwd_" not in name
+    }
 
 
 @dataclass
 class Tagger:
     config: TaggerConfig
     vocab: Vocab
-    params: dict[str, np.ndarray]
-
-
-def _stacked(params: dict[str, np.ndarray], layer: str) -> tuple[np.ndarray, ...]:
-    """A BiLSTM layer's weights with the direction (fwd, bwd) as axis 0."""
-    return tuple(
-        np.stack([params[f"{layer}_fwd_{name}"], params[f"{layer}_bwd_{name}"]])
-        for name in ("wx", "wh", "b")
-    )
+    params: dict[str, np.ndarray]  # BiLSTM weights stacked: see _stack_directions
 
 
 def _char_ids(vocab: Vocab, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -255,50 +258,43 @@ def _forward(
     each token's final state is read at its own length; dropout_mask, if
     given, scales the token representations."""
     char_ids, lengths = _char_ids(vocab, sentence.texts)
-    char_w = _stacked(params, "char")
-    char_cache = lstm_forward(params["char_emb"][char_ids], *char_w)
+    char_cache = lstm_forward(params["char_emb"][char_ids], params["char_wx"], params["char_wh"], params["char_b"])
     char_final = char_cache[2][:, lengths, np.arange(len(lengths))]  # (dirs, tokens, char_lstm_dim)
 
     reps = np.concatenate([params["word_emb"][word_ids], char_final[0], char_final[1]], axis=1)
     if dropout_mask is not None:
         reps = reps * dropout_mask
-    word_w = _stacked(params, "word")
-    word_cache = lstm_forward(np.stack([reps, reps[::-1]])[:, :, None, :], *word_w)
+    xs = np.stack([reps, reps[::-1]])[:, :, None, :]  # forwards and backwards, a batch of one
+    word_cache = lstm_forward(xs, params["word_wx"], params["word_wh"], params["word_b"])
     hs = word_cache[2][:, 1:, 0]
     feats = np.concatenate([hs[0], hs[1][::-1]], axis=1)
     emissions = feats @ params["proj_w"] + params["proj_b"]
-    return emissions, (char_ids, lengths, char_w, char_cache, dropout_mask, word_w, word_cache, feats)
+    return emissions, (char_ids, lengths, char_cache, dropout_mask, word_cache, feats)
 
 
-def _backward(
-    params: dict[str, np.ndarray], cache, d_emissions: np.ndarray, grads: dict[str, np.ndarray]
-) -> np.ndarray:
-    """Accumulate one sentence's gradients into grads (every tensor but
-    word_emb) and return the gradient of its word_emb rows, one per token."""
-    char_ids, lengths, char_w, char_cache, dropout_mask, word_w, word_cache, feats = cache
-    grads["proj_w"] += feats.T @ d_emissions
-    grads["proj_b"] += d_emissions.sum(axis=0)
+def _backward(params: dict[str, np.ndarray], cache, d_emissions: np.ndarray, d_transitions: np.ndarray):
+    """One sentence's gradients: a dict over every tensor but word_emb,
+    and the gradient of its word_emb rows, one per token."""
+    char_ids, lengths, char_cache, dropout_mask, word_cache, feats = cache
+    grads = {"transitions": d_transitions, "proj_w": feats.T @ d_emissions, "proj_b": d_emissions.sum(axis=0)}
     d_feats = d_emissions @ params["proj_w"].T
     hw = d_feats.shape[1] // 2
     d_hs = np.stack([d_feats[:, :hw], d_feats[::-1, hw:]])[:, :, None, :]
-    d_xs, *d_word_w = lstm_backward(word_cache, d_hs, *word_w[:2])
+    d_xs, *d_word_w = lstm_backward(word_cache, d_hs, params["word_wx"], params["word_wh"])
     d_reps = d_xs[0, :, 0] + d_xs[1, ::-1, 0]
     if dropout_mask is not None:
         d_reps = d_reps * dropout_mask
 
     dw = params["word_emb"].shape[1]
-    hc = char_w[1].shape[1]
+    hc = params["char_wh"].shape[1]
     d_char_hs = np.zeros((*char_ids.shape, hc))
-    d_final = np.stack([d_reps[:, dw : dw + hc], d_reps[:, dw + hc :]])
-    d_char_hs[:, lengths - 1, np.arange(len(lengths))] = d_final
-    d_chars, *d_char_w = lstm_backward(char_cache, d_char_hs, *char_w[:2])
+    d_char_hs[:, lengths - 1, np.arange(len(lengths))] = np.stack([d_reps[:, dw : dw + hc], d_reps[:, dw + hc :]])
+    d_chars, *d_char_w = lstm_backward(char_cache, d_char_hs, params["char_wx"], params["char_wh"])
     real = np.broadcast_to(np.arange(char_ids.shape[1])[:, None] < lengths, char_ids.shape)
+    grads["char_emb"] = np.zeros_like(params["char_emb"])
     np.add.at(grads["char_emb"], char_ids[real], d_chars[real])
-    for layer, d_w in (("char", d_char_w), ("word", d_word_w)):
-        for name, d in zip(("wx", "wh", "b"), d_w):
-            grads[f"{layer}_fwd_{name}"] += d[0]
-            grads[f"{layer}_bwd_{name}"] += d[1]
-    return d_reps[:, :dw]
+    grads.update(zip(("word_wx", "word_wh", "word_b", "char_wx", "char_wh", "char_b"), (*d_word_w, *d_char_w)))
+    return grads, d_reps[:, :dw]
 
 
 def _dropout_mask(config: TaggerConfig, rng: np.random.Generator, n_tokens: int) -> Optional[np.ndarray]:
@@ -317,7 +313,7 @@ def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, word_id_fn):
     (row ids, rows) with one row per token; a repeated id appears once per
     occurrence."""
     params = tagger.params
-    grads = {name: np.zeros_like(arr) for name, arr in params.items() if name != "word_emb"}
+    grads = None
     total = 0.0
     row_ids, rows = [], []
     for sentence in batch:
@@ -331,8 +327,10 @@ def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, word_id_fn):
         tag_ids = [tagger.vocab.tag_id(t.tag) for t in sentence]
         nll, d_emissions, d_transitions = crf_nll_grad(emissions, params["transitions"], tag_ids)
         total += nll
-        grads["transitions"] += d_transitions
-        rows.append(_backward(params, cache, d_emissions, grads))
+        sentence_grads, word_rows = _backward(params, cache, d_emissions, d_transitions)
+        # the first sentence's gradients start the sum, as 0 + g == g
+        grads = sentence_grads if grads is None else {n: g + sentence_grads[n] for n, g in grads.items()}
+        rows.append(word_rows)
         row_ids.extend(word_ids)
     scale = 1.0 / len(batch)
     for grad in grads.values():
@@ -404,8 +402,8 @@ def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence]):
     distinct = dict.fromkeys(token.text for sentence in sentences for token in sentence)
     words = sorted(distinct, key=len, reverse=True)  # longest first, ties in first-seen order
     position = {word: i for i, word in enumerate(words)}
-    char_w = _stacked(params, "char")
-    dw, hc = params["word_emb"].shape[1], char_w[1].shape[1]
+    char_w = params["char_wx"], params["char_wh"], params["char_b"]
+    dw, hc = params["word_emb"].shape[1], params["char_wh"].shape[1]
     reps = np.empty((len(words), dw + 2 * hc))  # word row, forward and backward char final states
     reps[:, :dw] = params["word_emb"][[vocab.word_id(word) for word in words]]
     word_lengths = np.array([len(word) for word in words], dtype=np.intp)
@@ -413,7 +411,7 @@ def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence]):
         final = lstm_final_states(params["char_emb"], *_char_ids(vocab, words[run]), *char_w)
         reps[run, dw:] = final.transpose(1, 0, 2).reshape(-1, 2 * hc)
 
-    word_w = _stacked(params, "word")
+    word_w = params["word_wx"], params["word_wh"], params["word_b"]
     lengths = np.array([len(sentence) for sentence in sentences], dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
     for run in _runs(lengths[order], WORD_BATCH_TOKENS):
@@ -501,13 +499,8 @@ def train(
     singletons = _singleton_words(train_corpus) if config.unk_word_dropout else set()
 
     def word_ids_for(sentence: Sentence, step_rng: np.random.Generator) -> list[int]:
-        ids = []
-        for token in sentence:
-            if token.text in singletons and step_rng.random() < 0.5:
-                ids.append(tagger.vocab.words[UNK])
-            else:
-                ids.append(tagger.vocab.word_id(token.text))
-        return ids
+        unk, word_id = tagger.vocab.words[UNK], tagger.vocab.word_id
+        return [unk if t.text in singletons and step_rng.random() < 0.5 else word_id(t.text) for t in sentence]
 
     history = TrainHistory()
     best_f1 = -1.0
@@ -523,7 +516,8 @@ def train(
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}")
             for name, grad in grads.items():
-                tagger.params[name] -= config.learning_rate * grad
+                grad *= config.learning_rate
+                tagger.params[name] -= grad
             np.subtract.at(tagger.params["word_emb"], row_ids, config.learning_rate * rows)
         report = evaluate(dev_corpus, tag_corpus(tagger, dev_corpus))
         history.dev_f1.append(report.f1)
@@ -553,7 +547,11 @@ def save_model(tagger: Tagger, path) -> None:
             "tags": list(tagger.vocab.tags),
         },
     }
-    write_container(path, MODEL_MAGIC, header, tagger.params)
+    tensors = {}  # _param_shapes' names and order: each BiLSTM weight split by direction
+    for name in _param_shapes(tagger.config, tagger.vocab):
+        stacked = name.replace("_fwd", "").replace("_bwd", "")
+        tensors[name] = tagger.params[stacked][int("_bwd_" in name)] if stacked != name else tagger.params[name]
+    write_container(path, MODEL_MAGIC, header, tensors)
 
 
 def load_model(path) -> Tagger:
@@ -569,7 +567,7 @@ def load_model(path) -> Tagger:
         raise ContainerError(f"{path}: bad tagger config in header: {exc}") from None
     v = require_keys(header["vocab"], ("words", "chars", "tags"), path, "header vocab")
     for key in ("words", "chars", "tags"):
-        if not isinstance(v[key], list) or not all(isinstance(item, str) for item in v[key]):
+        if not isinstance(v[key], list) or not set(map(type, v[key])) <= {str}:
             raise ContainerError(f"{path}: header vocab {key!r} is not a list of strings")
     for key in ("words", "chars"):
         if UNK not in v[key]:
@@ -589,4 +587,4 @@ def load_model(path) -> Tagger:
     ]
     if problems:
         raise ContainerError(f"{path}: " + "; ".join(problems))
-    return Tagger(config, vocab, tensors)
+    return Tagger(config, vocab, _stack_directions({name: tensors[name] for name in expected}))

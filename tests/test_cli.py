@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from xlner.serialize import read_container, write_container
 from xlner.tagger import MODEL_MAGIC, Tagger, TaggerConfig, build_vocab, init_params, save_model
 
 from conftest import TABLE_FIXTURE, drop_key, make_corpus
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -235,6 +238,33 @@ def test_train_tag_eval_pipeline(capsys, tmp_path, sample):
     assert 0.0 <= payload["f1"] <= 100.0
 
 
+def test_committed_model_tags_as_when_written(capsys, tmp_path, sample):
+    """data/tiny_model.bin was written by an earlier version of the tagger;
+    it must load and tag the sample to the committed bytes."""
+    tagged_path = tmp_path / "tagged.conll"
+    code, _, err = run(capsys, "tag", "--model", DATA / "tiny_model.bin", sample, "--out", tagged_path)
+    assert code == 0, err
+    assert tagged_path.read_bytes() == (DATA / "tiny_model.tagged.conll").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["tiny_model", "tiny_model_batch2"])
+def test_training_rewrites_committed_model(capsys, tmp_path, sample, name):
+    """Training is bit-deterministic across versions: the same config, data
+    and seed write the committed model file byte for byte."""
+    model_path = tmp_path / "model.bin"
+    code, _, err = run(
+        capsys,
+        "train",
+        "--train", sample,
+        "--dev", sample,
+        "--seed", 7,
+        "--config", DATA / f"{name}.conf",
+        "--out", model_path,
+    )
+    assert code == 0, err
+    assert model_path.read_bytes() == (DATA / f"{name}.bin").read_bytes()
+
+
 def test_tag_empty_file(capsys, tmp_path, sample):
     model_path = tmp_path / "model.bin"
     write_model(model_path, sample, lambda header, tensors: None)
@@ -325,6 +355,13 @@ def test_tag_rejects_vocab_that_is_not_a_list(capsys, tmp_path, sample):
     path = tmp_path / "model.bin"
     write_model(path, sample, lambda header, tensors: header["vocab"].update(words=5))
     assert_tag_fails(capsys, path, sample, str(path), "'words'", "list of strings")
+
+
+@pytest.mark.parametrize(("key", "items"), [("words", ["<unk>", 3]), ("chars", ["<unk>", None]), ("tags", [["O"]])])
+def test_tag_rejects_vocab_items_that_are_not_strings(capsys, tmp_path, sample, key, items):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: header["vocab"].update({key: items}))
+    assert_tag_fails(capsys, path, sample, str(path), repr(key), "list of strings")
 
 
 @pytest.mark.parametrize("key", ["words", "chars"])

@@ -65,6 +65,28 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(loaded.vectors[w], table.vectors[w])
 
 
+def test_save_writes_each_value_as_its_float_repr(tmp_path):
+    # The per-value writer, repr(float(x)) for each numpy scalar, is the
+    # referee: float32 rows widen exactly, integers become floats, and
+    # signed zeros, large and small magnitudes keep repr's spelling.
+    table = EmbeddingTable(
+        4,
+        {
+            "f32": np.array([0.1, -2.5, 3.4028235e38, 1e-5], dtype=np.float32),
+            "int": np.array([0, -3, 2**53 + 1, 7], dtype=np.int64),
+            "zeros": np.array([-0.0, 0.0, -0.0, 1.0]),
+            "wide": np.array([1e16, 1e-5, -1e16, 123456789.125]),
+            "ø": np.random.default_rng(0).standard_normal(4),
+        },
+    )
+    save_embeddings(table, tmp_path / "t.vec")
+    expected = "5 4\n" + "".join(
+        word + " " + " ".join(repr(float(x)) for x in vec) + "\n" for word, vec in table.vectors.items()
+    )
+    assert (tmp_path / "t.vec").read_bytes() == expected.encode("utf-8")
+    assert "-0.0 0.0 -0.0 1.0" in expected and "1e+16 1e-05" in expected
+
+
 def reference_load(text):
     """The per-line loader: (dim, vectors, duplicate warnings), or an
     EmbeddingError with the loader's message."""

@@ -155,7 +155,7 @@ def reference_emissions(tagger, sentence):
         return 1.0 / (1.0 + np.exp(-x))
 
     def lstm(xs, layer, direction):
-        wx, wh, b = (p[f"{layer}_{direction}_{n}"] for n in ("wx", "wh", "b"))
+        wx, wh, b = (p[f"{layer}_{n}"][direction] for n in ("wx", "wh", "b"))
         hd = wh.shape[0]
         h, c, out = np.zeros(hd), np.zeros(hd), []
         for x in xs:
@@ -170,8 +170,8 @@ def reference_emissions(tagger, sentence):
     for token in sentence:
         chars = [p["char_emb"][tagger.vocab.char_id(ch)] for ch in token.text]
         word = p["word_emb"][tagger.vocab.word_id(token.text)]
-        reps.append(np.concatenate([word, lstm(chars, "char", "fwd")[-1], lstm(chars[::-1], "char", "bwd")[-1]]))
-    fwd, bwd = lstm(reps, "word", "fwd"), lstm(reps[::-1], "word", "bwd")[::-1]
+        reps.append(np.concatenate([word, lstm(chars, "char", 0)[-1], lstm(chars[::-1], "char", 1)[-1]]))
+    fwd, bwd = lstm(reps, "word", 0), lstm(reps[::-1], "word", 1)[::-1]
     return np.array([np.concatenate([f, b]) @ p["proj_w"] + p["proj_b"] for f, b in zip(fwd, bwd)])
 
 
