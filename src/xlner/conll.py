@@ -46,7 +46,7 @@ class Token:
     extras: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.text or any(c.isspace() for c in self.text):
+        if self.text.split() != [self.text]:  # empty, or holds whitespace
             raise ValueError(f"token text must be non-empty and whitespace-free: {self.text!r}")
         if self.tag not in TAG_SET:
             raise ValueError(f"unknown tag {self.tag!r}")

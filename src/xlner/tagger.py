@@ -505,6 +505,9 @@ def train(
     history = TrainHistory()
     best_f1 = -1.0
     best_params = {n: a.copy() for n, a in tagger.params.items()}
+    # SGD changes only the word_emb rows of the sentences it sees, so after
+    # the first full copy a snapshot copies the rows changed since the last
+    changed = np.zeros(len(best_params["word_emb"]), dtype=bool)
     bad_epochs = 0
     sentences = list(train_corpus)
 
@@ -519,13 +522,17 @@ def train(
                 grad *= config.learning_rate
                 tagger.params[name] -= grad
             np.subtract.at(tagger.params["word_emb"], row_ids, config.learning_rate * rows)
+            changed[row_ids] = True
         report = evaluate(dev_corpus, tag_corpus(tagger, dev_corpus))
         history.dev_f1.append(report.f1)
         if log is not None:
             log(f"epoch {epoch}: dev F1 {report.f1:.2f}")
         if report.f1 > best_f1:
             best_f1 = report.f1
-            best_params = {n: a.copy() for n, a in tagger.params.items()}
+            word_emb, rows_changed = best_params["word_emb"], np.flatnonzero(changed)
+            word_emb[rows_changed] = tagger.params["word_emb"][rows_changed]
+            changed[:] = False
+            best_params = {n: word_emb if n == "word_emb" else a.copy() for n, a in tagger.params.items()}
             history.best_epoch = epoch
             bad_epochs = 0
         else:

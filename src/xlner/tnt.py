@@ -1,13 +1,20 @@
-"""Trigram HMM tagger in the TnT style: deleted-interpolation transition
-smoothing, suffix-based unknown-word emissions with successive abstraction,
-and beam Viterbi decoding over tag-pair states."""
+"""Trigram HMM tagger in the TnT style (Brants 2000): deleted-interpolation
+transition smoothing, suffix-based unknown-word emissions with successive
+abstraction, and Viterbi decoding over (previous tag, current tag) states,
+exact or under a beam.
+
+Decoding is table driven. Each call looks up every smoothed transition
+once, into arrays, and one emission row per distinct word, then runs one
+second-order Viterbi per batch of equal-length sentences."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .conll import Corpus, Sentence, repair_bio
 from .serialize import read_container, require_keys, write_container
@@ -19,6 +26,12 @@ TNT_MAGIC = b"XLNTNT1\x00"
 MAX_SUFFIX_LEN = 10
 RARE_THRESHOLD = 10
 NEG_INF = float("-inf")
+# Values per decoding batch of sentences of one length n, counted as
+# sentences x K x K x (K + n) for K tags: a step's temporaries hold
+# sentences x (K+1) x K x K values and the backpointers sentences x (n-1) x
+# K x K, so this bounds a batch's memory whatever the corpus and model.
+TNT_BATCH_VALUES = 2**16
+_LAST = np.iinfo(np.intp).max  # an order key above any state's
 
 
 @dataclass
@@ -84,19 +97,24 @@ class TntModel:
             return NEG_INF
         return math.log(p / denom)
 
-    def emission_logp(self, word: str, tag: str) -> float:
-        """Known words: maximum likelihood P(w|t); unknown words: Bayes
-        inversion of the suffix model's P(t|w)."""
-        if word in self.emissions:
-            count = self.emissions[word].get(tag, 0)
-            if count == 0:
-                return NEG_INF
-            return math.log(count / self.unigrams[tag])
+    def emission_logps(self, word: str) -> list[float]:
+        """log P(word | t) for each of `tags`. Known words: maximum
+        likelihood; unknown words: Bayes inversion of the suffix model's
+        P(t | word), which is computed once for the whole row."""
+        counts = self.emissions.get(word)
+        if counts is not None:
+            return [math.log(c / self.unigrams[t]) if (c := counts.get(t, 0)) else NEG_INF for t in self.tags]
         tag_dist = self.suffix_model.tag_given_word(word, self.tags)
-        p_tag = self.unigrams[tag] / self.total_tokens
-        if p_tag <= 0.0 or tag_dist.get(tag, 0.0) <= 0.0:
-            return NEG_INF
-        return math.log(tag_dist[tag] / p_tag)
+        row = []
+        for tag in self.tags:
+            p_tag = self.unigrams[tag] / self.total_tokens
+            p = tag_dist.get(tag, 0.0)
+            row.append(math.log(p / p_tag) if p_tag > 0.0 and p > 0.0 else NEG_INF)
+        return row
+
+    def emission_logp(self, word: str, tag: str) -> float:
+        """log P(word | tag), one entry of emission_logps(word)."""
+        return self.emission_logps(word)[self.tags.index(tag)]
 
 
 def _deleted_interpolation(
@@ -181,76 +199,156 @@ def estimate(train: Corpus) -> TntModel:
     )
 
 
+def _require_beam(beam: Optional[int]) -> None:
+    if beam is not None and beam < 1:
+        raise ValueError("beam must be >= 1")
+
+
+def _first_max(values: np.ndarray, present: np.ndarray, order: np.ndarray):
+    """Along axis 0: the lowest `order` among the present entries that
+    hold the maximum, and that maximum. A maximum of -inf still picks a
+    present entry; a slice with none present gives -inf. Callers fold the
+    index they want into `order` (order * n + index, recovered by % n)."""
+    top = np.where(present, values, NEG_INF).max(axis=0)
+    return np.where(present & (values == top), order, _LAST).min(axis=0), top
+
+
+def _prune(score: np.ndarray, exists: np.ndarray, rank: np.ndarray, beam: int):
+    """Each sentence with more than `beam` states keeps its `beam` best,
+    which are then ranked by score, ties in their previous order; the
+    others keep every state and rank."""
+    shape, n = score.shape, score.shape[0] * score.shape[1]
+    flat_score, flat_exists, flat_rank = score.reshape(n, -1), exists.reshape(n, -1), rank.reshape(n, -1)
+    over = flat_exists.sum(axis=0) > beam
+    if not over.any():
+        return exists, rank
+    by_score = np.lexsort((flat_rank, -flat_score, ~flat_exists), axis=0)
+    position = np.empty_like(by_score)
+    np.put_along_axis(position, by_score, np.arange(n)[:, None], axis=0)
+    exists = np.where(over, flat_exists & (position < beam), flat_exists)
+    rank = np.where(over, position, flat_rank)
+    return exists.reshape(shape), rank.reshape(shape)
+
+
+def _viterbi(em: np.ndarray, tables, beam: Optional[int]) -> np.ndarray:
+    """Best tag paths (batch, length) of a batch of equal-length sentences
+    from their emission rows em (length, K, batch).
+
+    States are (previous tag, current tag) pairs held as (P, K, batch)
+    arrays, where P is 1 (START) at the first word and K after it; the
+    batch axis is last so that every elementwise step runs over it. A
+    state can exist with a score of -inf, so existence is a mask of its
+    own. `rank` is each state's position in the order the states were
+    found in: by current tag, then by the first predecessor that reaches
+    them, or by score after a beam prune. Ties between equal scores go to
+    the lowest rank."""
+    first, step, step_ok, stop, sorted_position = tables
+    n, k, b = em.shape
+    ok = (em[0] > NEG_INF) & (first[:, None] > NEG_INF)
+    stuck = ~ok.any(axis=0)  # every tag pruned: uniform emissions
+    score = np.where(ok, em[0] + first[:, None], NEG_INF)
+    score[:, stuck] = first[:, None]
+    score, exists = score[None], (ok | stuck)[None]
+    rank = np.broadcast_to(np.arange(k)[:, None], score.shape)
+    prev = slice(k, k + 1)  # the rows of the tables that the states' previous tags index
+
+    cols = np.arange(b)
+    back = []
+    for i in range(1, n):
+        if beam is not None:
+            exists, rank = _prune(score, exists, rank, beam)
+        p = len(score)
+        # (previous, current, next, batch): state (p, c) moving on to (c, t)
+        valid = exists[:, :, None] & step_ok[prev][..., None] & (em[i] > NEG_INF)
+        cand = score[:, :, None] + step[prev][..., None] + em[i]
+        key, best = _first_max(cand, valid, (rank * p + np.arange(p)[:, None, None])[:, :, None])
+        pointer = key % p
+        first_found = np.where(valid, rank[:, :, None], _LAST).min(axis=0)  # (current, next, batch)
+        new_rank = (first_found[:, None] < first_found).sum(axis=0) + k * np.arange(k)[:, None]
+        new_exists = valid.any(axis=0)
+        stuck = ~new_exists.any(axis=(0, 1))
+        if stuck.any():  # all paths pruned: keep the best state, any tag next
+            at, states = cols[stuck], p * k
+            key, top = _first_max(score[:, :, at].reshape(states, -1), exists[:, :, at].reshape(states, -1),
+                                  rank[:, :, at].reshape(states, -1) * states + np.arange(states)[:, None])
+            q, c = divmod(key % states, k)
+            new_exists[c, :, at] = True
+            best[c, :, at] = top[:, None]
+            pointer[c, :, at] = q[:, None]
+            new_rank[c, :, at] = np.arange(k)
+        score, exists, rank, prev = best, new_exists, new_rank, slice(0, k)
+        back.append(pointer)
+
+    # close with the STOP transition; the first best in sorted(states) order
+    states = len(score) * k
+    key, _ = _first_max((score + stop[prev][..., None]).reshape(states, b), exists.reshape(states, b),
+                        (sorted_position[prev].reshape(states) * states + np.arange(states))[:, None])
+    q, cur = divmod(key % states, k)
+    path = np.empty((b, n), dtype=np.intp)
+    path[:, n - 1] = cur
+    for i in range(n - 2, -1, -1):
+        q, cur = back[i][q, cur, cols], q
+        path[:, i] = cur
+    return path
+
+
+def _viterbi_batches(
+    model: TntModel, sentences: Sequence[Sequence[str]], beam: Optional[int]
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(indices into sentences, tag-index paths) per batch of non-empty
+    equal-length sentences. Transitions are looked up once per call, and
+    emissions once per distinct word."""
+    tags = model.tags
+    k = len(tags)
+    labels = (*tags, START)
+    first = np.array([model.transition_logp(START, START, t) for t in tags])
+    step = np.array([[[model.transition_logp(a, c, t) for t in tags] for c in tags] for a in labels])
+    stop = np.array([[model.transition_logp(a, c, STOP) for c in tags] for a in labels])
+    stop[stop == NEG_INF] = -1e9  # a STOP that cannot follow still closes the path
+    sorted_position = np.empty((k + 1) * k, dtype=np.intp)
+    sorted_position[sorted(range((k + 1) * k), key=lambda s: (labels[s // k], tags[s % k]))] = np.arange((k + 1) * k)
+    tables = first, step, step > NEG_INF, stop, sorted_position.reshape(k + 1, k)
+
+    index = {word: i for i, word in enumerate(dict.fromkeys(w for words in sentences for w in words))}
+    emissions = np.array([model.emission_logps(word) for word in index]).reshape(len(index), k)
+    by_length = defaultdict(list)
+    for i, words in enumerate(sentences):
+        by_length[len(words)].append(i)
+    for n, members in by_length.items():
+        size = max(1, TNT_BATCH_VALUES // (k * k * (k + n)))
+        for start in range(0, len(members), size):
+            batch = members[start : start + size]
+            ids = [[index[w] for w in sentences[i]] for i in batch]
+            yield batch, _viterbi(np.ascontiguousarray(emissions[ids].transpose(1, 2, 0)), tables, beam)
+
+
 def tnt_decode(
     model: TntModel,
     sentence: Union[Sentence, Sequence[str]],
     beam: Optional[int] = None,
 ) -> list[str]:
-    """Viterbi over (previous tag, current tag) states; `beam` keeps only
-    the best states per position (None = exact search)."""
-    if beam is not None and beam < 1:
-        raise ValueError("beam must be >= 1")
+    """The best tags of one sentence by Viterbi over (previous tag, current
+    tag) states; `beam` keeps only the best states per position (None =
+    exact search)."""
+    _require_beam(beam)
     words = sentence.texts if isinstance(sentence, Sentence) else list(sentence)
     if not words:
         return []
-
-    # state: (t_prev, t_cur) -> (score, backpointer state)
-    states: dict[tuple[str, str], tuple[float, Optional[tuple[str, str]]]] = {}
-    for tag in model.tags:
-        em = model.emission_logp(words[0], tag)
-        tr = model.transition_logp(START, START, tag)
-        if em > NEG_INF and tr > NEG_INF:
-            states[(START, tag)] = (em + tr, None)
-    if not states:  # every tag pruned; fall back to uniform emissions
-        states = {
-            (START, tag): (model.transition_logp(START, START, tag), None)
-            for tag in model.tags
-        }
-    back: list[dict[tuple[str, str], tuple[str, str]]] = []
-
-    for word in words[1:]:
-        if beam is not None and len(states) > beam:
-            keep = sorted(states, key=lambda s: -states[s][0])[:beam]
-            states = {s: states[s] for s in keep}
-        nxt: dict[tuple[str, str], tuple[float, tuple[str, str]]] = {}
-        for tag in model.tags:
-            em = model.emission_logp(word, tag)
-            if em == NEG_INF:
-                continue
-            for (t1, t2), (score, _) in states.items():
-                tr = model.transition_logp(t1, t2, tag)
-                if tr == NEG_INF:
-                    continue
-                cand = score + tr + em
-                key = (t2, tag)
-                if key not in nxt or cand > nxt[key][0]:
-                    nxt[key] = (cand, (t1, t2))
-        if not nxt:  # all paths pruned; keep best state and force O-ish continue
-            best_state = max(states, key=lambda s: states[s][0])
-            for tag in model.tags:
-                nxt[(best_state[1], tag)] = (states[best_state][0], best_state)
-        back.append({k: v[1] for k, v in nxt.items()})
-        states = {k: (v[0], v[1]) for k, v in nxt.items()}
-
-    # close with the stop transition
-    def final_score(state):
-        t1, t2 = state
-        tr = model.transition_logp(t1, t2, STOP)
-        return states[state][0] + (tr if tr > NEG_INF else -1e9)
-
-    best = max(sorted(states), key=final_score)
-    path = [best]
-    for pointers in reversed(back):
-        path.append(pointers[path[-1]])
-    path.reverse()
-    return [cur for _, cur in path]
+    ((_, paths),) = _viterbi_batches(model, [words], beam)
+    return [model.tags[t] for t in paths[0]]
 
 
 def tag_corpus(model: TntModel, corpus: Corpus, beam: Optional[int] = None) -> Corpus:
-    tagged = []
-    for sentence in corpus:
-        tags, _ = repair_bio(tnt_decode(model, sentence, beam))
-        tagged.append(sentence.with_tags(tags))
+    """tnt_decode every sentence, a batch of equal-length sentences at a
+    time, and repair the tags to BIO2. Sentences come back in corpus
+    order, their token texts untouched."""
+    _require_beam(beam)
+    sentences = corpus.sentences
+    tagged: list = [None] * len(sentences)
+    for batch, paths in _viterbi_batches(model, [sentence.texts for sentence in sentences], beam):
+        for i, path in zip(batch, paths.tolist()):
+            tags, _ = repair_bio([model.tags[t] for t in path])
+            tagged[i] = sentences[i].with_tags(tags)
     return Corpus(tuple(tagged), corpus.language)
 
 

@@ -538,6 +538,23 @@ def test_baseline_tnt_with_model(capsys, tmp_path, sample):
     assert len(parse_conll(out_path.read_text())) == 2
 
 
+def test_baseline_tnt_rejects_beam_zero_on_empty_input(capsys, tmp_path, sample):
+    # nothing is decoded, yet the beam is still checked
+    empty = tmp_path / "empty.conll"
+    empty.write_text("", encoding="utf-8")
+    out_path = tmp_path / "pred.conll"
+    code, out, err = run(
+        capsys,
+        "baseline", "--method", "tnt",
+        "--train", sample, "--input", empty, "--beam", 0, "--out", out_path,
+    )
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: beam must be >= 1"]
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------- experiment
 
 

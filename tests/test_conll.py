@@ -10,6 +10,7 @@ from xlner.conll import (
     Corpus,
     ParseError,
     TagError,
+    Token,
     cohen_kappa,
     corpus_stats,
     entity_kappa,
@@ -37,6 +38,19 @@ def test_parse_example_sentence():
     assert len(first) == 8
     assert first.tokens[0].text == "Rom"
     assert first.tokens[0].tag == "B-LOC"
+
+
+def test_token_rejects_empty_and_whitespace_text():
+    spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+    for text in ["", *(t for c in spaces for t in (c, c + "ab", "a" + c + "b", "ab" + c))]:
+        with pytest.raises(ValueError, match="^token text must be non-empty and whitespace-free: "):
+            Token(text, "O")
+
+
+def test_token_accepts_text_without_whitespace():
+    # zero-width and joiner characters are not whitespace to str.isspace
+    for text in ("a", "\u200b", "a\u200db", "\ufeffa", "x" * 300):
+        assert Token(text, "O").text == text
 
 
 def test_parse_skips_docstart():

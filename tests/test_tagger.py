@@ -476,6 +476,35 @@ def test_best_epoch_within_run(corpus):
         assert history.best_epoch <= len(history.dev_f1)
 
 
+def test_best_epoch_parameters_equal_a_full_copy(corpus, monkeypatch):
+    # Dev F1 runs 0, 40, 0, 50, 80, 80, 66.7, 66.7: the best epoch (5) is
+    # neither the first improvement nor the last epoch, and a non-improving
+    # epoch falls between two snapshots. The restored parameters must equal
+    # a full copy of every tensor taken at the end of that epoch.
+    import xlner.tagger
+
+    dev = make_corpus([("Rom", "B-LOC"), ("blev", "O")], [("Elvis", "B-PER"), ("sang", "O"), ("Sun", "B-MISC")])
+    config = TaggerConfig(
+        **{**SMALL.__dict__, "max_epochs": 8, "patience": 8, "learning_rate": 0.3, "seed": 1,
+           "dropout": 0.25, "unk_word_dropout": True}
+    )
+    full_copies = []
+    tag_dev = xlner.tagger.tag_corpus
+
+    def copy_then_tag(tagger, sentences):  # train() tags dev once per epoch
+        full_copies.append({n: a.copy() for n, a in tagger.params.items()})
+        return tag_dev(tagger, sentences)
+
+    monkeypatch.setattr(xlner.tagger, "tag_corpus", copy_then_tag)
+    tagger, history = train(config, corpus, dev)
+    assert [round(f, 1) for f in history.dev_f1] == [0.0, 40.0, 0.0, 50.0, 80.0, 80.0, 66.7, 66.7]
+    assert history.best_epoch == 5
+    assert len(full_copies) == 8
+    for name, want in full_copies[history.best_epoch - 1].items():
+        assert np.array_equal(tagger.params[name], want), name
+    assert not np.array_equal(tagger.params["word_emb"], full_copies[-1]["word_emb"])
+
+
 # ------------------------------------------------------------------ decoding
 
 

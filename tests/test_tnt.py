@@ -1,9 +1,13 @@
 import itertools
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from xlner.conll import Corpus, Sentence, repair_bio, write_conll
 from xlner.serialize import ContainerError, read_container, write_container
 from xlner.tnt import (
     START,
@@ -18,6 +22,8 @@ from xlner.tnt import (
 )
 
 from conftest import drop_key, make_corpus
+
+NEG_INF = float("-inf")
 
 
 def sequence_logp(model, words, tags):
@@ -44,6 +50,69 @@ def brute_force_decode(model, words):
         if score > best_score:
             best, best_score = tags, score
     return best, best_score
+
+
+def reference_decode(model, sentence, beam=None):
+    """The decoder's referee: Viterbi over a dict of (previous tag, current
+    tag) states, one transition and emission lookup per candidate. Ties go
+    to the first candidate in dict order; under `beam` that order is by
+    score."""
+    if beam is not None and beam < 1:
+        raise ValueError("beam must be >= 1")
+    words = sentence.texts if isinstance(sentence, Sentence) else list(sentence)
+    if not words:
+        return []
+
+    # state: (t_prev, t_cur) -> (score, backpointer state)
+    states: dict[tuple[str, str], tuple[float, Optional[tuple[str, str]]]] = {}
+    for tag in model.tags:
+        em = model.emission_logp(words[0], tag)
+        tr = model.transition_logp(START, START, tag)
+        if em > NEG_INF and tr > NEG_INF:
+            states[(START, tag)] = (em + tr, None)
+    if not states:  # every tag pruned; fall back to uniform emissions
+        states = {
+            (START, tag): (model.transition_logp(START, START, tag), None)
+            for tag in model.tags
+        }
+    back: list[dict[tuple[str, str], tuple[str, str]]] = []
+
+    for word in words[1:]:
+        if beam is not None and len(states) > beam:
+            keep = sorted(states, key=lambda s: -states[s][0])[:beam]
+            states = {s: states[s] for s in keep}
+        nxt: dict[tuple[str, str], tuple[float, tuple[str, str]]] = {}
+        for tag in model.tags:
+            em = model.emission_logp(word, tag)
+            if em == NEG_INF:
+                continue
+            for (t1, t2), (score, _) in states.items():
+                tr = model.transition_logp(t1, t2, tag)
+                if tr == NEG_INF:
+                    continue
+                cand = score + tr + em
+                key = (t2, tag)
+                if key not in nxt or cand > nxt[key][0]:
+                    nxt[key] = (cand, (t1, t2))
+        if not nxt:  # all paths pruned; keep best state and force O-ish continue
+            best_state = max(states, key=lambda s: states[s][0])
+            for tag in model.tags:
+                nxt[(best_state[1], tag)] = (states[best_state][0], best_state)
+        back.append({k: v[1] for k, v in nxt.items()})
+        states = {k: (v[0], v[1]) for k, v in nxt.items()}
+
+    # close with the stop transition
+    def final_score(state):
+        t1, t2 = state
+        tr = model.transition_logp(t1, t2, STOP)
+        return states[state][0] + (tr if tr > NEG_INF else -1e9)
+
+    best = max(sorted(states), key=final_score)
+    path = [best]
+    for pointers in reversed(back):
+        path.append(pointers[path[-1]])
+    path.reverse()
+    return [cur for _, cur in path]
 
 
 @pytest.fixture
@@ -155,6 +224,48 @@ def test_beam_never_beats_exact(train3):
     for beam in (1, 2, 3):
         beamed = sequence_logp(model, words, tnt_decode(model, words, beam=beam))
         assert beamed <= exact + 1e-12
+
+
+TNT_TAGS = ("B-LOC", "B-PER", "I-PER", "O")
+KNOWN = ("a", "ab", "Bb", "c")
+UNKNOWN = ("xb", "Qb", "zz")  # "b" and "Bb" suffixes are known; "zz" shares none
+
+
+@st.composite
+def tnt_cases(draw):
+    """A training corpus of a few sentences over few words and tags,
+    repeated up to three times, and sentences of mixed lengths to tag.
+
+    Small integer counts make exact score ties; repeats push deleted
+    interpolation to lambda1 = 0, so unseen transitions are -inf and a
+    word can have no admissible tag at the first or a later position."""
+    tags = draw(st.lists(st.sampled_from(TNT_TAGS), min_size=1, max_size=4, unique=True))
+    token = st.tuples(st.sampled_from(KNOWN), st.sampled_from(tags))
+    rows = draw(st.lists(st.lists(token, min_size=1, max_size=4), min_size=1, max_size=4))
+    train = make_corpus(*(rows * draw(st.integers(1, 3))))
+    texts = draw(st.lists(st.lists(st.sampled_from(KNOWN + UNKNOWN), min_size=1, max_size=5), min_size=1, max_size=6))
+    return train, make_corpus(*[[(w, "O") for w in words] for words in texts])
+
+
+def _case(train_rows, texts):
+    return make_corpus(*train_rows), make_corpus(*[[(w, "O") for w in words] for words in texts])
+
+
+@settings(max_examples=400, deadline=None)
+@given(tnt_cases(), st.sampled_from([None, 1, 2, 3, 4]))
+# lambda1 = 0; "c" (only ever I-PER, never first) has no admissible tag at
+# the first position, and after "a" none at the second
+@example(_case([[("a", "O"), ("c", "I-PER")]] * 2, [["c", "a"], ["a", "a", "c"], ["c"]]), None)
+@example(_case([[("a", "O"), ("c", "I-PER")]] * 2, [["c", "a"], ["a", "a", "c"], ["c"]]), 1)
+# one tag: a beam of 4 holds more than every state
+@example(_case([[("a", "O"), ("ab", "O")]], [["a", "zz", "ab"], ["Bb"]]), 4)
+def test_tag_corpus_matches_reference_decoder(case, beam):
+    train, corpus = case
+    model = estimate(train)
+    want = [reference_decode(model, sentence, beam) for sentence in corpus]
+    assert [tnt_decode(model, sentence, beam) for sentence in corpus] == want
+    repaired = Corpus(tuple(s.with_tags(repair_bio(tags)[0]) for s, tags in zip(corpus, want)), corpus.language)
+    assert write_conll(tag_corpus(model, corpus, beam)) == write_conll(repaired)
 
 
 def test_beam_validation():
