@@ -166,7 +166,7 @@ def _cmd_baseline(args) -> int:
         model = tnt.estimate(train_corpus)
         if args.model_out:
             tnt.save_model(model, args.model_out)
-        tagged = tnt.tag_corpus(model, input_corpus, beam=args.beam)
+        tagged = tnt.tag_corpus(model, input_corpus)
     else:
         from .evaluation import majority_baseline
 
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out")
     p.add_argument("--model-out")
-    p.add_argument("--beam", type=int, default=None)
     p.set_defaults(fn=_cmd_baseline)
 
     p = sub.add_parser("experiment", help="run a regime grid from a config file")

@@ -561,13 +561,24 @@ def save_model(tagger: Tagger, path) -> None:
     write_container(path, MODEL_MAGIC, header, tensors)
 
 
+# the JSON type a header config value must have, by its field's type
+_JSON_TYPES = {bool: ("boolean", bool), int: ("integer", int), float: ("number", (int, float))}
+
+
 def load_model(path) -> Tagger:
-    """Read a model file; the header config must be a valid TaggerConfig,
-    the vocab words, chars and tags lists of strings (words and chars
-    holding UNK), and the tensors exactly those the config and vocab sizes
-    call for, in their shapes."""
+    """Read a model file; the header config must be a valid TaggerConfig
+    whose values have their fields' JSON types (true and false are neither
+    integers nor numbers), the vocab words, chars and tags lists of strings
+    (words and chars holding UNK), and the tensors exactly those the config
+    and vocab sizes call for, in their shapes."""
     header, tensors = read_container(path, MODEL_MAGIC)
     require_keys(header, ("config", "vocab"), path)
+    if isinstance(header["config"], dict):
+        for f in fields(TaggerConfig):
+            wanted, accepted = _JSON_TYPES[type(f.default)]
+            value = header["config"].get(f.name, f.default)
+            if not isinstance(value, accepted) or (isinstance(value, bool) and accepted is not bool):
+                raise ContainerError(f"{path}: bad tagger config in header: {f.name} is not a JSON {wanted}")
     try:
         config = TaggerConfig(**header["config"])
     except (TypeError, ValueError) as exc:

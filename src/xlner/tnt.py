@@ -1,7 +1,7 @@
 """Trigram HMM tagger in the TnT style (Brants 2000): deleted-interpolation
 transition smoothing, suffix-based unknown-word emissions with successive
-abstraction, and Viterbi decoding over (previous tag, current tag) states,
-exact or under a beam.
+abstraction, and exact Viterbi decoding over (previous tag, current tag)
+states.
 
 Decoding is table driven. Each call looks up every smoothed transition
 once, into arrays, and one emission row per distinct word, then runs one
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -31,7 +31,6 @@ NEG_INF = float("-inf")
 # sentences x (K+1) x K x K values and the backpointers sentences x (n-1) x
 # K x K, so this bounds a batch's memory whatever the corpus and model.
 TNT_BATCH_VALUES = 2**16
-_LAST = np.iinfo(np.intp).max  # an order key above any state's
 
 
 @dataclass
@@ -199,38 +198,15 @@ def estimate(train: Corpus) -> TntModel:
     )
 
 
-def _require_beam(beam: Optional[int]) -> None:
-    if beam is not None and beam < 1:
-        raise ValueError("beam must be >= 1")
-
-
-def _first_max(values: np.ndarray, present: np.ndarray, order: np.ndarray):
-    """Along axis 0: the lowest `order` among the present entries that
-    hold the maximum, and that maximum. A maximum of -inf still picks a
-    present entry; a slice with none present gives -inf. Callers fold the
-    index they want into `order` (order * n + index, recovered by % n)."""
+def _first_max(values: np.ndarray, present: np.ndarray):
+    """Along axis 0: the index of the first present entry that holds the
+    maximum, and that maximum. A maximum of -inf still picks a present
+    entry; a slice with none present gives -inf."""
     top = np.where(present, values, NEG_INF).max(axis=0)
-    return np.where(present & (values == top), order, _LAST).min(axis=0), top
+    return (present & (values == top)).argmax(axis=0), top
 
 
-def _prune(score: np.ndarray, exists: np.ndarray, rank: np.ndarray, beam: int):
-    """Each sentence with more than `beam` states keeps its `beam` best,
-    which are then ranked by score, ties in their previous order; the
-    others keep every state and rank."""
-    shape, n = score.shape, score.shape[0] * score.shape[1]
-    flat_score, flat_exists, flat_rank = score.reshape(n, -1), exists.reshape(n, -1), rank.reshape(n, -1)
-    over = flat_exists.sum(axis=0) > beam
-    if not over.any():
-        return exists, rank
-    by_score = np.lexsort((flat_rank, -flat_score, ~flat_exists), axis=0)
-    position = np.empty_like(by_score)
-    np.put_along_axis(position, by_score, np.arange(n)[:, None], axis=0)
-    exists = np.where(over, flat_exists & (position < beam), flat_exists)
-    rank = np.where(over, position, flat_rank)
-    return exists.reshape(shape), rank.reshape(shape)
-
-
-def _viterbi(em: np.ndarray, tables, beam: Optional[int]) -> np.ndarray:
+def _viterbi(em: np.ndarray, tables) -> np.ndarray:
     """Best tag paths (batch, length) of a batch of equal-length sentences
     from their emission rows em (length, K, batch).
 
@@ -238,10 +214,9 @@ def _viterbi(em: np.ndarray, tables, beam: Optional[int]) -> np.ndarray:
     arrays, where P is 1 (START) at the first word and K after it; the
     batch axis is last so that every elementwise step runs over it. A
     state can exist with a score of -inf, so existence is a mask of its
-    own. `rank` is each state's position in the order the states were
-    found in: by current tag, then by the first predecessor that reaches
-    them, or by score after a beam prune. Ties between equal scores go to
-    the lowest rank."""
+    own. Ties between equal scores go to the first state in (current tag,
+    previous tag) index order, except at STOP, where they go to the first
+    in sorted(states) order."""
     first, step, step_ok, stop, sorted_position = tables
     n, k, b = em.shape
     ok = (em[0] > NEG_INF) & (first[:, None] > NEG_INF)
@@ -249,41 +224,33 @@ def _viterbi(em: np.ndarray, tables, beam: Optional[int]) -> np.ndarray:
     score = np.where(ok, em[0] + first[:, None], NEG_INF)
     score[:, stuck] = first[:, None]
     score, exists = score[None], (ok | stuck)[None]
-    rank = np.broadcast_to(np.arange(k)[:, None], score.shape)
     prev = slice(k, k + 1)  # the rows of the tables that the states' previous tags index
 
     cols = np.arange(b)
     back = []
     for i in range(1, n):
-        if beam is not None:
-            exists, rank = _prune(score, exists, rank, beam)
-        p = len(score)
         # (previous, current, next, batch): state (p, c) moving on to (c, t)
         valid = exists[:, :, None] & step_ok[prev][..., None] & (em[i] > NEG_INF)
         cand = score[:, :, None] + step[prev][..., None] + em[i]
-        key, best = _first_max(cand, valid, (rank * p + np.arange(p)[:, None, None])[:, :, None])
-        pointer = key % p
-        first_found = np.where(valid, rank[:, :, None], _LAST).min(axis=0)  # (current, next, batch)
-        new_rank = (first_found[:, None] < first_found).sum(axis=0) + k * np.arange(k)[:, None]
+        pointer, best = _first_max(cand, valid)
         new_exists = valid.any(axis=0)
         stuck = ~new_exists.any(axis=(0, 1))
         if stuck.any():  # all paths pruned: keep the best state, any tag next
-            at, states = cols[stuck], p * k
-            key, top = _first_max(score[:, :, at].reshape(states, -1), exists[:, :, at].reshape(states, -1),
-                                  rank[:, :, at].reshape(states, -1) * states + np.arange(states)[:, None])
-            q, c = divmod(key % states, k)
+            at, p = cols[stuck], len(score)
+            key, top = _first_max(score[:, :, at].swapaxes(0, 1).reshape(k * p, -1),
+                                  exists[:, :, at].swapaxes(0, 1).reshape(k * p, -1))
+            c, q = divmod(key, p)
             new_exists[c, :, at] = True
             best[c, :, at] = top[:, None]
             pointer[c, :, at] = q[:, None]
-            new_rank[c, :, at] = np.arange(k)
-        score, exists, rank, prev = best, new_exists, new_rank, slice(0, k)
+        score, exists, prev = best, new_exists, slice(0, k)
         back.append(pointer)
 
     # close with the STOP transition; the first best in sorted(states) order
     states = len(score) * k
-    key, _ = _first_max((score + stop[prev][..., None]).reshape(states, b), exists.reshape(states, b),
-                        (sorted_position[prev].reshape(states) * states + np.arange(states))[:, None])
-    q, cur = divmod(key % states, k)
+    order = np.argsort(sorted_position[prev], axis=None)
+    at, _ = _first_max((score + stop[prev][..., None]).reshape(states, b)[order], exists.reshape(states, b)[order])
+    q, cur = divmod(order[at], k)
     path = np.empty((b, n), dtype=np.intp)
     path[:, n - 1] = cur
     for i in range(n - 2, -1, -1):
@@ -292,9 +259,7 @@ def _viterbi(em: np.ndarray, tables, beam: Optional[int]) -> np.ndarray:
     return path
 
 
-def _viterbi_batches(
-    model: TntModel, sentences: Sequence[Sequence[str]], beam: Optional[int]
-) -> Iterator[tuple[list[int], np.ndarray]]:
+def _viterbi_batches(model: TntModel, sentences: Sequence[Sequence[str]]) -> Iterator[tuple[list[int], np.ndarray]]:
     """(indices into sentences, tag-index paths) per batch of non-empty
     equal-length sentences. Transitions are looked up once per call, and
     emissions once per distinct word."""
@@ -319,33 +284,28 @@ def _viterbi_batches(
         for start in range(0, len(members), size):
             batch = members[start : start + size]
             ids = [[index[w] for w in sentences[i]] for i in batch]
-            yield batch, _viterbi(np.ascontiguousarray(emissions[ids].transpose(1, 2, 0)), tables, beam)
+            yield batch, _viterbi(np.ascontiguousarray(emissions[ids].transpose(1, 2, 0)), tables)
 
 
-def tnt_decode(
-    model: TntModel,
-    sentence: Union[Sentence, Sequence[str]],
-    beam: Optional[int] = None,
-) -> list[str]:
-    """The best tags of one sentence by Viterbi over (previous tag, current
-    tag) states; `beam` keeps only the best states per position (None =
-    exact search)."""
-    _require_beam(beam)
+def tnt_decode(model: TntModel, sentence: Union[Sentence, Sequence[str]]) -> list[str]:
+    """The best tags of one sentence by exact Viterbi over (previous tag,
+    current tag) states. Ties go to the first state in (current tag,
+    previous tag) index order, and at STOP to the first in sorted(states)
+    order."""
     words = sentence.texts if isinstance(sentence, Sentence) else list(sentence)
     if not words:
         return []
-    ((_, paths),) = _viterbi_batches(model, [words], beam)
+    ((_, paths),) = _viterbi_batches(model, [words])
     return [model.tags[t] for t in paths[0]]
 
 
-def tag_corpus(model: TntModel, corpus: Corpus, beam: Optional[int] = None) -> Corpus:
+def tag_corpus(model: TntModel, corpus: Corpus) -> Corpus:
     """tnt_decode every sentence, a batch of equal-length sentences at a
     time, and repair the tags to BIO2. Sentences come back in corpus
     order, their token texts untouched."""
-    _require_beam(beam)
     sentences = corpus.sentences
     tagged: list = [None] * len(sentences)
-    for batch, paths in _viterbi_batches(model, [sentence.texts for sentence in sentences], beam):
+    for batch, paths in _viterbi_batches(model, [sentence.texts for sentence in sentences]):
         for i, path in zip(batch, paths.tolist()):
             tags, _ = repair_bio([model.tags[t] for t in path])
             tagged[i] = sentences[i].with_tags(tags)

@@ -351,6 +351,20 @@ def test_tag_rejects_out_of_range_config_value(capsys, tmp_path, sample):
     assert_tag_fails(capsys, path, sample, str(path), "dropout")
 
 
+@pytest.mark.parametrize(
+    "key, value, wanted",
+    [("constrain_decode", "false", "boolean"), ("batch_size", True, "integer"), ("dropout", False, "number")],
+)
+def test_tag_rejects_mistyped_config_value(capsys, tmp_path, sample, key, value, wanted):
+    # each rewrite would pass TaggerConfig's range checks: a truthy string
+    # would decode under the constraints, true would be a batch size of 1
+    path = tmp_path / "model.bin"
+    header, tensors = read_container(DATA / "tiny_model.bin", MODEL_MAGIC)
+    header["config"][key] = value
+    write_container(path, MODEL_MAGIC, header, tensors)
+    assert_tag_fails(capsys, path, sample, str(path), key, wanted)
+
+
 def test_tag_rejects_vocab_that_is_not_a_list(capsys, tmp_path, sample):
     path = tmp_path / "model.bin"
     write_model(path, sample, lambda header, tensors: header["vocab"].update(words=5))
@@ -538,20 +552,14 @@ def test_baseline_tnt_with_model(capsys, tmp_path, sample):
     assert len(parse_conll(out_path.read_text())) == 2
 
 
-def test_baseline_tnt_rejects_beam_zero_on_empty_input(capsys, tmp_path, sample):
-    # nothing is decoded, yet the beam is still checked
-    empty = tmp_path / "empty.conll"
-    empty.write_text("", encoding="utf-8")
+def test_baseline_tnt_has_no_beam_option(capsys, tmp_path, sample):
+    # TnT decodes exactly; --beam is a usage error
     out_path = tmp_path / "pred.conll"
-    code, out, err = run(
-        capsys,
-        "baseline", "--method", "tnt",
-        "--train", sample, "--input", empty, "--beam", 0, "--out", out_path,
-    )
-    assert code == 1
-    assert out == ""
-    assert "Traceback" not in err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: beam must be >= 1"]
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "--method", "tnt", "--train", str(sample), "--input", str(sample), "--beam", "2",
+              "--out", str(out_path)])
+    assert exc.value.code == 2
+    assert "--beam" in capsys.readouterr().err
     assert not out_path.exists()
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xlner import tnt
 from xlner.conll import Corpus, Sentence, repair_bio, write_conll
 from xlner.serialize import ContainerError, read_container, write_container
 from xlner.tnt import (
@@ -52,13 +54,10 @@ def brute_force_decode(model, words):
     return best, best_score
 
 
-def reference_decode(model, sentence, beam=None):
+def reference_decode(model, sentence):
     """The decoder's referee: Viterbi over a dict of (previous tag, current
     tag) states, one transition and emission lookup per candidate. Ties go
-    to the first candidate in dict order; under `beam` that order is by
-    score."""
-    if beam is not None and beam < 1:
-        raise ValueError("beam must be >= 1")
+    to the first candidate in dict order."""
     words = sentence.texts if isinstance(sentence, Sentence) else list(sentence)
     if not words:
         return []
@@ -78,9 +77,6 @@ def reference_decode(model, sentence, beam=None):
     back: list[dict[tuple[str, str], tuple[str, str]]] = []
 
     for word in words[1:]:
-        if beam is not None and len(states) > beam:
-            keep = sorted(states, key=lambda s: -states[s][0])[:beam]
-            states = {s: states[s] for s in keep}
         nxt: dict[tuple[str, str], tuple[float, tuple[str, str]]] = {}
         for tag in model.tags:
             em = model.emission_logp(word, tag)
@@ -217,15 +213,6 @@ def test_all_words_frequent_uniform_fallback():
     assert tnt_decode(model, ["ukendt", "ja"])  # still decodes
 
 
-def test_beam_never_beats_exact(train3):
-    model = estimate(train3)
-    words = ["det", "Elvis", "by", "sang"]
-    exact = sequence_logp(model, words, tnt_decode(model, words))
-    for beam in (1, 2, 3):
-        beamed = sequence_logp(model, words, tnt_decode(model, words, beam=beam))
-        assert beamed <= exact + 1e-12
-
-
 TNT_TAGS = ("B-LOC", "B-PER", "I-PER", "O")
 KNOWN = ("a", "ab", "Bb", "c")
 UNKNOWN = ("xb", "Qb", "zz")  # "b" and "Bb" suffixes are known; "zz" shares none
@@ -252,26 +239,44 @@ def _case(train_rows, texts):
 
 
 @settings(max_examples=400, deadline=None)
-@given(tnt_cases(), st.sampled_from([None, 1, 2, 3, 4]))
+@given(tnt_cases())
 # lambda1 = 0; "c" (only ever I-PER, never first) has no admissible tag at
 # the first position, and after "a" none at the second
-@example(_case([[("a", "O"), ("c", "I-PER")]] * 2, [["c", "a"], ["a", "a", "c"], ["c"]]), None)
-@example(_case([[("a", "O"), ("c", "I-PER")]] * 2, [["c", "a"], ["a", "a", "c"], ["c"]]), 1)
-# one tag: a beam of 4 holds more than every state
-@example(_case([[("a", "O"), ("ab", "O")]], [["a", "zz", "ab"], ["Bb"]]), 4)
-def test_tag_corpus_matches_reference_decoder(case, beam):
+@example(_case([[("a", "O"), ("c", "I-PER")]] * 2, [["c", "a"], ["a", "a", "c"], ["c"]]))
+# one tag
+@example(_case([[("a", "O"), ("ab", "O")]], [["a", "zz", "ab"], ["Bb"]]))
+def test_tag_corpus_matches_reference_decoder(case):
     train, corpus = case
     model = estimate(train)
-    want = [reference_decode(model, sentence, beam) for sentence in corpus]
-    assert [tnt_decode(model, sentence, beam) for sentence in corpus] == want
+    want = [reference_decode(model, sentence) for sentence in corpus]
+    assert [tnt_decode(model, sentence) for sentence in corpus] == want
     repaired = Corpus(tuple(s.with_tags(repair_bio(tags)[0]) for s, tags in zip(corpus, want)), corpus.language)
-    assert write_conll(tag_corpus(model, corpus, beam)) == write_conll(repaired)
+    assert write_conll(tag_corpus(model, corpus)) == write_conll(repaired)
 
 
-def test_beam_validation():
-    model = estimate(make_corpus([("a", "O")]))
-    with pytest.raises(ValueError):
-        tnt_decode(model, ["a"], beam=0)
+@pytest.mark.parametrize("budget", [1, 250])
+def test_tag_corpus_splits_length_groups_across_batches(monkeypatch, train3, budget):
+    # 21 sentences each of lengths 5, 7 and 9; with two tags a budget of 250
+    # decodes them 8, 6 and 5 at a time, so each group ends in a part batch
+    model = estimate(train3)
+    words = ("en", "by", "Rom", "og", "Elvis", "sang", "det", "var", "alt", "Ukendt", "xyzzy")
+    rows = [[(words[(7 * i + 3 * j) % len(words)], "O") for j in range((5, 7, 9)[i % 3])] for i in range(63)]
+    corpus = make_corpus(*rows)
+    default = write_conll(tag_corpus(model, corpus))
+    single = [s.with_tags(repair_bio(tnt_decode(model, s))[0]) for s in corpus]
+    assert default == write_conll(Corpus(tuple(single), corpus.language))
+
+    lengths = []  # the sentence length of each decoded batch
+    viterbi = tnt._viterbi
+
+    def recording_viterbi(em, tables):
+        lengths.append(len(em))
+        return viterbi(em, tables)
+
+    monkeypatch.setattr(tnt, "TNT_BATCH_VALUES", budget)
+    monkeypatch.setattr(tnt, "_viterbi", recording_viterbi)
+    assert write_conll(tag_corpus(model, corpus)) == default
+    assert Counter(lengths) == ({5: 21, 7: 21, 9: 21} if budget == 1 else {5: 3, 7: 4, 9: 5})
 
 
 def test_degenerate_single_tag():
