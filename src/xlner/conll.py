@@ -75,9 +75,30 @@ class Sentence:
         return iter(self.tokens)
 
     def with_tags(self, tags: Sequence[str]) -> "Sentence":
+        """This sentence with each token's tag replaced. The tags are
+        checked; the texts are not checked again, as each comes from a
+        token that was."""
         if len(tags) != len(self.tokens):
             raise ValueError("tag sequence length mismatch")
-        return Sentence(tuple(Token(t.text, tag, t.extras) for t, tag in zip(self.tokens, tags)))
+        if not TAG_SET.issuperset(tags):
+            raise ValueError(f"unknown tag {next(tag for tag in tags if tag not in TAG_SET)!r}")
+        return Sentence(tuple(map(_retagged, self.tokens, tags)))
+
+
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _retagged(token: Token, tag: str) -> Token:
+    """Token(token.text, tag, token.extras) without __post_init__'s text
+    check; equal, and hash-equal, to the checked token. Fields are set as
+    the dataclass __init__ sets them: writing to __dict__ instead would
+    make every later attribute read slower."""
+    new = _new(Token)
+    _setattr(new, "text", token.text)
+    _setattr(new, "tag", tag)
+    _setattr(new, "extras", token.extras)
+    return new
 
 
 @dataclass(frozen=True)

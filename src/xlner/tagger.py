@@ -9,6 +9,7 @@ checked model files."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Optional, Sequence
 
@@ -49,8 +50,8 @@ class TaggerConfig:
                 raise ValueError(f"{name} must be > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError("learning_rate must be finite and > 0")
         for name, low in (("max_epochs", 0), ("patience", 0), ("batch_size", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")

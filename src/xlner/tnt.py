@@ -4,8 +4,9 @@ abstraction, and exact Viterbi decoding over (previous tag, current tag)
 states.
 
 Decoding is table driven. Each call looks up every smoothed transition
-once, into arrays, and one emission row per distinct word, then runs one
-second-order Viterbi per batch of equal-length sentences."""
+once, into arrays, and one emission row per distinct known word and per
+suffix key of the unknown ones, then runs one second-order Viterbi per
+batch of equal-length sentences."""
 
 from __future__ import annotations
 
@@ -65,6 +66,20 @@ class SuffixModel:
             return {t: 1.0 / len(tags) for t in tags}
         return {t: p / norm for t, p in dist.items()}
 
+    def suffix_key(self, word: str) -> tuple[bool, str]:
+        """(capitalized, longest matched suffix): the chain of suffixes
+        tag_given_word abstracts over, so words with one key get one
+        distribution."""
+        capitalized = word[:1].isupper()
+        table = self.suffix_counts.get(capitalized) or {}
+        matched = ""
+        for length in range(1, min(len(word), MAX_SUFFIX_LEN) + 1):
+            suffix = word[-length:]
+            if suffix not in table:
+                break
+            matched = suffix
+        return capitalized, matched
+
 
 @dataclass
 class TntModel:
@@ -110,10 +125,6 @@ class TntModel:
             p = tag_dist.get(tag, 0.0)
             row.append(math.log(p / p_tag) if p_tag > 0.0 and p > 0.0 else NEG_INF)
         return row
-
-    def emission_logp(self, word: str, tag: str) -> float:
-        """log P(word | tag), one entry of emission_logps(word)."""
-        return self.emission_logps(word)[self.tags.index(tag)]
 
 
 def _deleted_interpolation(
@@ -166,13 +177,16 @@ def estimate(train: Corpus) -> TntModel:
     for word, tag_counts in emissions.items():
         if sum(tag_counts.values()) >= RARE_THRESHOLD:
             continue
-        capitalized = word[:1].isupper()
+        table = suffix_counts[word[:1].isupper()]
         for tag, count in tag_counts.items():
             rare_totals[tag] += count
             n_rare += count
             for length in range(1, min(len(word), MAX_SUFFIX_LEN) + 1):
                 suffix = word[-length:]
-                suffix_counts[capitalized].setdefault(suffix, Counter())[tag] += count
+                counts = table.get(suffix)
+                if counts is None:
+                    counts = table[suffix] = Counter()
+                counts[tag] += count
 
     if n_rare:
         tag_probs = {t: c / n_rare for t, c in rare_totals.items()}
@@ -262,7 +276,8 @@ def _viterbi(em: np.ndarray, tables) -> np.ndarray:
 def _viterbi_batches(model: TntModel, sentences: Sequence[Sequence[str]]) -> Iterator[tuple[list[int], np.ndarray]]:
     """(indices into sentences, tag-index paths) per batch of non-empty
     equal-length sentences. Transitions are looked up once per call, and
-    emissions once per distinct word."""
+    emissions once per distinct known word and once per suffix key of the
+    unknown ones."""
     tags = model.tags
     k = len(tags)
     labels = (*tags, START)
@@ -275,7 +290,13 @@ def _viterbi_batches(model: TntModel, sentences: Sequence[Sequence[str]]) -> Ite
     tables = first, step, step > NEG_INF, stop, sorted_position.reshape(k + 1, k)
 
     index = {word: i for i, word in enumerate(dict.fromkeys(w for words in sentences for w in words))}
-    emissions = np.array([model.emission_logps(word) for word in index]).reshape(len(index), k)
+    # a known word keys its own row; unknown words share one per suffix key
+    keys = [word if word in model.emissions else model.suffix_model.suffix_key(word) for word in index]
+    rows = {}
+    for key, word in zip(keys, index):
+        if key not in rows:
+            rows[key] = model.emission_logps(word)
+    emissions = np.array([rows[key] for key in keys]).reshape(len(index), k)
     by_length = defaultdict(list)
     for i, words in enumerate(sentences):
         by_length[len(words)].append(i)
@@ -301,14 +322,16 @@ def tnt_decode(model: TntModel, sentence: Union[Sentence, Sequence[str]]) -> lis
 
 def tag_corpus(model: TntModel, corpus: Corpus) -> Corpus:
     """tnt_decode every sentence, a batch of equal-length sentences at a
-    time, and repair the tags to BIO2. Sentences come back in corpus
-    order, their token texts untouched."""
+    time, and repair the tags to BIO2. Only a path that holds an I- tag
+    can break the BIO2 rule, so only those go through repair_bio.
+    Sentences come back in corpus order, their token texts untouched."""
     sentences = corpus.sentences
     tagged: list = [None] * len(sentences)
+    inside = np.array([tag.startswith("I-") for tag in model.tags], dtype=bool)
     for batch, paths in _viterbi_batches(model, [sentence.texts for sentence in sentences]):
-        for i, path in zip(batch, paths.tolist()):
-            tags, _ = repair_bio([model.tags[t] for t in path])
-            tagged[i] = sentences[i].with_tags(tags)
+        for i, path, repair in zip(batch, paths.tolist(), inside[paths].any(axis=1).tolist()):
+            tags = [model.tags[t] for t in path]
+            tagged[i] = sentences[i].with_tags(repair_bio(tags)[0] if repair else tags)
     return Corpus(tuple(tagged), corpus.language)
 
 

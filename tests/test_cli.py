@@ -365,6 +365,16 @@ def test_tag_rejects_mistyped_config_value(capsys, tmp_path, sample, key, value,
     assert_tag_fails(capsys, path, sample, str(path), key, wanted)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_tag_rejects_non_finite_learning_rate(capsys, tmp_path, sample, value):
+    # Python's json writes and reads these as NaN and Infinity
+    path = tmp_path / "model.bin"
+    header, tensors = read_container(DATA / "tiny_model.bin", MODEL_MAGIC)
+    header["config"]["learning_rate"] = value
+    write_container(path, MODEL_MAGIC, header, tensors)
+    assert_tag_fails(capsys, path, sample, str(path), "learning_rate must be finite")
+
+
 def test_tag_rejects_vocab_that_is_not_a_list(capsys, tmp_path, sample):
     path = tmp_path / "model.bin"
     write_model(path, sample, lambda header, tensors: header["vocab"].update(words=5))
@@ -502,7 +512,16 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, sample, command, co
 
 
 @pytest.mark.parametrize(
-    "option", ["dropout = 2", "batch_size = 0", "word_lstm_dim = 0", "max_epochs = -1", "patience = -1"]
+    "option",
+    [
+        "dropout = 2",
+        "batch_size = 0",
+        "word_lstm_dim = 0",
+        "max_epochs = -1",
+        "patience = -1",
+        "learning_rate = nan",
+        "learning_rate = inf",
+    ],
 )
 @pytest.mark.parametrize("command", ["train", "experiment"])
 def test_out_of_range_tagger_option_names_its_line(capsys, tmp_path, sample, command, option):

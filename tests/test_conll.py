@@ -53,6 +53,41 @@ def test_token_accepts_text_without_whitespace():
         assert Token(text, "O").text == text
 
 
+def test_with_tags_retags_every_token():
+    sentence = parse_conll("Rom NNP I-NP B-LOC\nblev VB I-VP O\n").sentences[0]
+    retagged = sentence.with_tags(["B-PER", "I-PER"])
+    want = (Token("Rom", "B-PER", ("NNP", "I-NP")), Token("blev", "I-PER", ("VB", "I-VP")))
+    assert retagged.tokens == want
+    assert [hash(t) for t in retagged.tokens] == [hash(t) for t in want]
+    assert sentence.tags == ("B-LOC", "O")
+    assert retagged.with_tags(("B-LOC", "O")) == sentence
+
+
+@given(corpora(), st.data())
+def test_with_tags_equals_checked_tokens(corpus, data):
+    for sentence in corpus:
+        tags = data.draw(st.lists(st.sampled_from(TAGS), min_size=len(sentence), max_size=len(sentence)))
+        want = tuple(Token(t.text, tag, t.extras) for t, tag in zip(sentence, tags))
+        got = sentence.with_tags(tags).tokens
+        assert got == want
+        assert list(map(hash, got)) == list(map(hash, want))
+
+
+@pytest.mark.parametrize(
+    "tags, message",
+    [
+        (["O"], "tag sequence length mismatch"),
+        (["O", "O", "O"], "tag sequence length mismatch"),
+        (["O", "B-XYZ"], "unknown tag 'B-XYZ'"),
+        (["I-FOO", "bar"], "unknown tag 'I-FOO'"),
+    ],
+)
+def test_with_tags_rejects(tags, message):
+    sentence = make_corpus([("Rom", "B-LOC"), ("blev", "O")]).sentences[0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sentence.with_tags(tags)
+
+
 def test_parse_skips_docstart():
     corpus = parse_conll("-DOCSTART- -X- O O\n\nRom B-LOC\n")
     assert len(corpus) == 1

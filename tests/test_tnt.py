@@ -28,6 +28,13 @@ from conftest import drop_key, make_corpus
 NEG_INF = float("-inf")
 
 
+def emission_logp(model, word, tag):
+    """log P(word | tag), one entry of the word's own emission row: the
+    referees below score every word on its own, never through the rows
+    tag_corpus shares between unknown words."""
+    return model.emission_logps(word)[model.tags.index(tag)]
+
+
 def sequence_logp(model, words, tags):
     """Independent scorer: log P(tags, words) under the smoothed HMM."""
     padded = [START, START, *tags, STOP]
@@ -38,7 +45,7 @@ def sequence_logp(model, words, tags):
             return float("-inf")
         total += lp
     for word, tag in zip(words, tags):
-        lp = model.emission_logp(word, tag)
+        lp = emission_logp(model, word, tag)
         if lp == float("-inf"):
             return float("-inf")
         total += lp
@@ -65,7 +72,7 @@ def reference_decode(model, sentence):
     # state: (t_prev, t_cur) -> (score, backpointer state)
     states: dict[tuple[str, str], tuple[float, Optional[tuple[str, str]]]] = {}
     for tag in model.tags:
-        em = model.emission_logp(words[0], tag)
+        em = emission_logp(model, words[0], tag)
         tr = model.transition_logp(START, START, tag)
         if em > NEG_INF and tr > NEG_INF:
             states[(START, tag)] = (em + tr, None)
@@ -79,7 +86,7 @@ def reference_decode(model, sentence):
     for word in words[1:]:
         nxt: dict[tuple[str, str], tuple[float, tuple[str, str]]] = {}
         for tag in model.tags:
-            em = model.emission_logp(word, tag)
+            em = emission_logp(model, word, tag)
             if em == NEG_INF:
                 continue
             for (t1, t2), (score, _) in states.items():
@@ -215,7 +222,10 @@ def test_all_words_frequent_uniform_fallback():
 
 TNT_TAGS = ("B-LOC", "B-PER", "I-PER", "O")
 KNOWN = ("a", "ab", "Bb", "c")
-UNKNOWN = ("xb", "Qb", "zz")  # "b" and "Bb" suffixes are known; "zz" shares none
+# "b" and "Bb" suffixes are known; "zz" shares none; "xb" and "yb" share a
+# matched suffix, so tag_corpus gives them one emission row; the last is
+# longer than MAX_SUFFIX_LEN
+UNKNOWN = ("xb", "yb", "Qb", "zz", "q" * tnt.MAX_SUFFIX_LEN + "ab")
 
 
 @st.composite
@@ -277,6 +287,78 @@ def test_tag_corpus_splits_length_groups_across_batches(monkeypatch, train3, bud
     monkeypatch.setattr(tnt, "_viterbi", recording_viterbi)
     assert write_conll(tag_corpus(model, corpus)) == default
     assert Counter(lengths) == ({5: 21, 7: 21, 9: 21} if budget == 1 else {5: 3, 7: 4, 9: 5})
+
+
+def _built_rows(monkeypatch, model, sentences):
+    """(words, emission rows) of every sentence as _viterbi_batches hands
+    them to the decoder."""
+    out = []
+
+    def recording_viterbi(em, tables):
+        out.append(em)
+        return np.zeros((em.shape[2], em.shape[0]), dtype=np.intp)
+
+    monkeypatch.setattr(tnt, "_viterbi", recording_viterbi)
+    for batch, _ in tnt._viterbi_batches(model, sentences):
+        for j, i in enumerate(batch):
+            yield sentences[i], out[-1][:, :, j]
+
+
+SUFFIX_TRAIN = make_corpus(
+    [("Hansen", "B-PER"), ("gik", "O"), ("hjem", "O")],
+    [("Olsen", "B-LOC"), ("manden", "O"), ("huset", "O")],
+)
+
+
+@pytest.mark.parametrize(
+    "train", [SUFFIX_TRAIN, make_corpus(*([[("ja", "O"), ("tak", "B-PER")]] * 12))], ids=["rare", "uniform"]
+)
+def test_shared_rows_equal_each_words_own_row(monkeypatch, train):
+    # suffix keys: Jensen's and Karlsen's differ only in the first letter
+    # of the matched suffix, Jen's and jen's only in capitalization, and
+    # the other words share keys with these or with each other
+    model = estimate(train)
+    unknown = ["Jensen", "Karlsen", "Jen", "jen", "Tensen", "Ensen", "xen", "q" * 12 + "sen", "zz", "Z", "7"]
+    sentences = [unknown[i : i + 3] for i in range(len(unknown))] + [["Hansen", "gik", "jen"], ["ja", "Jen"]]
+    seen = 0
+    for words, rows in _built_rows(monkeypatch, model, sentences):
+        assert np.array_equal(rows, [model.emission_logps(w) for w in words])
+        seen += 1
+    assert seen == len(sentences)
+    if train is SUFFIX_TRAIN:
+        keys = [model.suffix_model.suffix_key(w) for w in unknown]
+        assert keys[:4] == [(True, "nsen"), (True, "lsen"), (True, "en"), (False, "en")]
+        assert len(set(keys)) == 6
+        assert model.emission_logps("Jen") != model.emission_logps("jen")
+        assert model.emission_logps("Jensen") != model.emission_logps("Karlsen")
+
+
+def test_tag_corpus_repairs_only_paths_with_inside_tags(monkeypatch):
+    # the model knows I-PER, and of the decoded paths some hold a valid
+    # I-PER, some need a repair and some hold no I- tag at all
+    train = make_corpus(
+        [("Rom", "B-PER"), ("Hansen", "I-PER"), ("by", "O")],
+        [("by", "O"), ("Rom", "B-PER")],
+        [("Hansen", "I-PER"), ("by", "O")],
+    )
+    model = estimate(train)
+    texts = (["Rom", "Hansen", "by"], ["by", "by"], ["Rom"], ["Hansen"], ["by", "Hansen"], ["by", "Rom", "by"])
+    corpus = make_corpus(*[[(w, "O") for w in words] for words in texts])
+    decoded = [reference_decode(model, sentence) for sentence in corpus]
+    inside = [any(tag.startswith("I-") for tag in tags) for tags in decoded]
+    fixes = [repair_bio(tags)[1] for tags in decoded]
+    assert not all(inside)
+    assert any(i and not n for i, n in zip(inside, fixes)) and any(fixes)
+    repaired = []
+
+    def recording_repair(tags):
+        repaired.append(list(tags))
+        return repair_bio(tags)
+
+    monkeypatch.setattr(tnt, "repair_bio", recording_repair)
+    want = Corpus(tuple(s.with_tags(repair_bio(tags)[0]) for s, tags in zip(corpus, decoded)))
+    assert tag_corpus(model, corpus) == want
+    assert sorted(repaired) == sorted(tags for tags, i in zip(decoded, inside) if i)
 
 
 def test_degenerate_single_tag():
