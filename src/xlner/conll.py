@@ -206,7 +206,13 @@ def repair_bio(tags: Sequence[str]) -> tuple[tuple[str, ...], int]:
 
 
 def convert_corpus_iob1_to_bio2(corpus: Corpus) -> Corpus:
-    return Corpus(tuple(s.with_tags(repair_bio(s.tags)[0]) for s in corpus), corpus.language)
+    """repair_bio on every sentence; a sentence it does not repair comes
+    back as the same object."""
+    converted = []
+    for sentence in corpus:
+        tags, repairs = repair_bio(sentence.tags)
+        converted.append(sentence.with_tags(tags) if repairs else sentence)
+    return Corpus(tuple(converted), corpus.language)
 
 
 def extract_sentence_spans(tags: Sequence[str]) -> set[tuple[int, int, str]]:

@@ -1,12 +1,12 @@
 """LSTM layer kernels in numpy, both directions of a BiLSTM at once:
-forward and backward-through-time over batches padded at their end, and
-an inference-only kernel for the final states of length-sorted sequences.
+training's forward and backward-through-time over batches padded at their
+end, and inference's cache-free forward over length-sorted sequences.
 
 In lstm_forward and lstm_backward, padding sits after each sequence's last
 real step in both directions, so no real step's output depends on it: the
 kernels run every step in full, and the caller reads each sequence's final
 state at its own last step and puts no loss gradient on padded steps.
-lstm_final_states runs no padded step at all."""
+lstm_states runs no padded step at all."""
 
 from __future__ import annotations
 
@@ -85,17 +85,18 @@ def lstm_backward(cache, d_hs: np.ndarray, wx: np.ndarray, wh: np.ndarray):
     return d_xs, d_wx, d_wh, flat_dz.sum(axis=1)
 
 
-def lstm_final_states(emb: np.ndarray, ids: np.ndarray, lengths: np.ndarray, wx, wh, b) -> np.ndarray:
-    """Each sequence's final output state, (dirs, batch, hidden), for
-    inference: no cache, no dropout.
+def lstm_states(emb: np.ndarray, ids: np.ndarray, lengths: np.ndarray, wx, wh, b) -> np.ndarray:
+    """Every step's output state for inference, no cache, no dropout, in
+    lstm_forward's hs layout (dirs, steps + 1, batch, hidden): hs[:, n] is
+    the final state of a sequence of length n.
 
     ids is (dirs, steps, batch), rows of emb that each direction reads in
     its own order; sequences come longest first, with lengths (batch,), so
     the sequences that still have a step t are a prefix of the batch, and
     step t runs on that prefix alone. Each step gathers its gate inputs
     from the projected table emb @ wx + b, one row per symbol and
-    direction; no (steps, batch, 4 * hidden) tensor is built. A sequence's
-    state stops changing after its last step."""
+    direction; no (steps, batch, 4 * hidden) tensor is built. States after
+    a sequence's last step stay zero."""
     n_dir, steps, batch = ids.shape
     n_sym = emb.shape[0]
     hd = wh.shape[1]
@@ -103,11 +104,11 @@ def lstm_final_states(emb: np.ndarray, ids: np.ndarray, lengths: np.ndarray, wx,
     table = (emb @ wx + b[:, None, :]).reshape(n_dir * n_sym, 4 * hd)
     rows = ids + (n_sym * np.arange(n_dir))[:, None, None]  # direction d reads table rows d * n_sym + id
     live = (lengths > np.arange(steps)[:, None]).sum(axis=1)  # live[t]: sequences longer than t
-    h = np.zeros((n_dir, batch, hd))
+    hs = np.zeros((n_dir, steps + 1, batch, hd))
     c = np.zeros((n_dir, batch, hd))
     for t, n in enumerate(live):
-        z = table[rows[:, t, :n]] + h[:, :n] @ wh
+        z = table[rows[:, t, :n]] + hs[:, t, :n] @ wh
         a = _sigmoid(z)
         c[:, :n] = a[..., gf] * c[:, :n] + a[..., gi] * np.tanh(z[..., gg])
-        h[:, :n] = a[..., go] * np.tanh(c[:, :n])
-    return h
+        hs[:, t + 1, :n] = a[..., go] * np.tanh(c[:, :n])
+    return hs

@@ -18,7 +18,7 @@ import numpy as np
 from .conll import TAGS, Corpus, Sentence, bio_violation
 from .crf import crf_nll_grad, viterbi_decode
 from .embeddings import EmbeddingTable, word_form
-from .lstm import lstm_backward, lstm_final_states, lstm_forward
+from .lstm import lstm_backward, lstm_forward, lstm_states
 from .serialize import ContainerError, read_container, require_keys, write_container
 
 UNK = "<unk>"
@@ -232,18 +232,17 @@ class Tagger:
     params: dict[str, np.ndarray]  # BiLSTM weights stacked: see _stack_directions
 
 
-def _char_ids(vocab: Vocab, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Char ids (2, longest text, len(texts)) and lengths (len(texts),):
-    text j's k-th char sits at step k of column j, forwards in [0] and
-    backwards in [1], each column padded at its end."""
-    lengths = np.array([len(text) for text in texts], dtype=np.intp)
-    col = np.repeat(np.arange(len(texts)), lengths)
+def _readings(seqs: Sequence[Sequence], id_of) -> tuple[np.ndarray, ...]:
+    """Ids (2, longest, len(seqs)) of both readings: item k of sequence j
+    at step k of column j forwards in [0] and at step len - 1 - k
+    backwards in [1], each column padded at its end with id 0; lengths
+    (len(seqs),); and each item's forward step and col, in seqs' order."""
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    col = np.repeat(np.arange(len(seqs)), lengths)
     step = np.arange(len(col)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    chars = [vocab.char_id(c) for text in texts for c in text]
-    char_ids = np.zeros((2, lengths.max(initial=0), len(texts)), dtype=np.intp)
-    char_ids[0, step, col] = chars
-    char_ids[1, lengths[col] - 1 - step, col] = chars
-    return char_ids, lengths
+    ids = np.zeros((2, lengths.max(initial=0), len(seqs)), dtype=np.intp)
+    ids[0, step, col] = ids[1, lengths[col] - 1 - step, col] = [id_of(item) for seq in seqs for item in seq]
+    return ids, lengths, step, col
 
 
 def _forward(
@@ -258,7 +257,7 @@ def _forward(
     batch, each token's chars padded at their end in both directions, and
     each token's final state is read at its own length; dropout_mask, if
     given, scales the token representations."""
-    char_ids, lengths = _char_ids(vocab, sentence.texts)
+    char_ids, lengths, _, _ = _readings(sentence.texts, vocab.char_id)
     char_cache = lstm_forward(params["char_emb"][char_ids], params["char_wx"], params["char_wh"], params["char_b"])
     char_final = char_cache[2][:, lengths, np.arange(len(lengths))]  # (dirs, tokens, char_lstm_dim)
 
@@ -370,13 +369,14 @@ def constrained_transitions(transitions: np.ndarray, tags: Sequence[str] = TAGS)
 
 # Padded chars (words x longest word) per char-BiLSTM batch and padded
 # tokens (sentences x longest sentence) per word-BiLSTM batch at inference.
-# They bound the memory of each batch's ids and, for words, lstm_forward's
-# cache, whatever the corpus holds: one long token pads only its own batch.
-# On 8-token sentences 256 tokens ran faster than 128, 512 or 1024 and kept
-# peak RSS lowest; char budgets from 256 up to one batch for all of a
-# file's ~475 words took the same time.
-CHAR_BATCH_CHARS = 2048
-WORD_BATCH_TOKENS = 256
+# They bound the memory of each batch's ids, gate table and lstm_states'
+# states, whatever the corpus holds: one long token pads only its own
+# batch. On 3,000 CoNLL-shaped sentences (1-40 tokens, mean 13.6; one
+# core) tag_corpus traced a 20.0, 22.2 and 25.7 MB peak at 256, 512 and
+# 1024 tokens, and 512 ran fastest in 3 of 4 interleaved rounds. A char
+# budget of 2048 ran no faster than 512 and keeps four times the states.
+CHAR_BATCH_CHARS = 512
+WORD_BATCH_TOKENS = 512
 
 
 def _runs(lengths: np.ndarray, budget: int):
@@ -396,9 +396,8 @@ def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence]):
 
     The char-BiLSTM runs once per distinct word, over runs of the words
     sorted longest first: with no dropout, a word's representation depends
-    on its spelling alone. The word-BiLSTM reads each sentence forwards
-    and, through per-sentence reversed indices, backwards, and only real
-    steps' outputs become emissions."""
+    on its spelling alone. The word-BiLSTM projects only its batch's own
+    words, and only real steps' outputs become emissions."""
     params, vocab = tagger.params, tagger.vocab
     distinct = dict.fromkeys(token.text for sentence in sentences for token in sentence)
     words = sorted(distinct, key=len, reverse=True)  # longest first, ties in first-seen order
@@ -409,7 +408,8 @@ def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence]):
     reps[:, :dw] = params["word_emb"][[vocab.word_id(word) for word in words]]
     word_lengths = np.array([len(word) for word in words], dtype=np.intp)
     for run in _runs(word_lengths, CHAR_BATCH_CHARS):
-        final = lstm_final_states(params["char_emb"], *_char_ids(vocab, words[run]), *char_w)
+        ids, n, _, _ = _readings(words[run], vocab.char_id)
+        final = lstm_states(params["char_emb"], ids, n, *char_w)[:, n, np.arange(len(n))]
         reps[run, dw:] = final.transpose(1, 0, 2).reshape(-1, 2 * hc)
 
     word_w = params["word_wx"], params["word_wh"], params["word_b"]
@@ -417,17 +417,11 @@ def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence]):
     order = np.argsort(-lengths, kind="stable")
     for run in _runs(lengths[order], WORD_BATCH_TOKENS):
         batch = order[run]
-        n = lengths[batch]
-        steps = np.arange(n[0])
-        real = steps < n[:, None]  # (batch, steps)
-        ids = np.zeros(real.shape, dtype=np.intp)
-        ids[real] = [position[token.text] for i in batch for token in sentences[i]]
-        # rev reverses each sentence's real steps and is its own inverse: it
-        # orders the backward reading and maps backward outputs to tokens.
-        rev = np.where(real, n[:, None] - 1 - steps, steps)
-        reading = np.stack([ids, np.take_along_axis(ids, rev, axis=1)])  # (dirs, batch, steps)
-        hs = lstm_forward(reps[reading.transpose(0, 2, 1)], *word_w)[2][:, 1:]  # (dirs, steps, batch, hw)
-        feats = np.concatenate([hs[0].transpose(1, 0, 2), hs[1][rev, np.arange(len(batch))[:, None]]], axis=2)
+        ids, n, step, col = _readings([sentences[i].texts for i in batch], position.__getitem__)
+        rows, local = np.unique(ids, return_inverse=True)
+        hs = lstm_states(reps[rows], local.reshape(ids.shape), n, *word_w)
+        feats = np.zeros((len(batch), n[0], 2 * hs.shape[3]))  # token k: forward step k, backward step n - 1 - k
+        feats[col, step] = np.concatenate([hs[0, step + 1, col], hs[1, n[col] - step, col]], axis=1)
         yield batch, feats @ params["proj_w"] + params["proj_b"], n
 
 

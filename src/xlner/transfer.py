@@ -73,6 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ExperimentError("seeds must name at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ExperimentError(f"seeds must not repeat a seed, got {self.seeds}")
         if self.regime not in REGIMES:
             raise ExperimentError(f"unknown regime {self.regime!r}")
         if self.source_size not in SOURCE_SIZES or self.target_size not in TARGET_SIZES:
@@ -473,6 +475,8 @@ def parse_experiment_config(text: str) -> list[ExperimentConfig]:
                 seeds = ()
             if not seeds:
                 raise ExperimentError(f"line {lineno}: seeds wants comma-separated integers, got {value!r}")
+            if len(set(seeds)) < len(seeds):
+                raise ExperimentError(f"line {lineno}: seeds must not repeat a seed, got {value!r}")
             config_kwargs["seeds"] = seeds
         elif key in options:
             config_kwargs[key] = value

@@ -6,7 +6,7 @@ forward pass."""
 import numpy as np
 
 from xlner.crf import _logsumexp
-from xlner.lstm import lstm_backward, lstm_final_states, lstm_forward
+from xlner.lstm import lstm_backward, lstm_forward, lstm_states
 from xlner.tagger import Tagger, TaggerConfig, batch_gradients, build_vocab, init_params
 
 from conftest import make_corpus
@@ -103,18 +103,23 @@ def test_end_padding_leaves_real_steps_alone():
 
 
 def test_final_states_match_forward():
-    # lstm_final_states against lstm_forward on the same end-padded
-    # batch, read at each sequence's own length.
+    # lstm_states against lstm_forward on the same end-padded batch, each
+    # direction reading its own ids, sequences of 7 steps down to 1: every
+    # real step's state matches, each final state hs[:, length] among
+    # them, and states past a sequence's end stay zero.
     rng = np.random.default_rng(13)
     lengths = np.sort(rng.integers(1, 8, 10))[::-1]
+    lengths[0] = 7
     lengths[-2:] = 1
     emb = rng.standard_normal((6, 3))
     ids = rng.integers(0, 6, (2, 7, 10))
     _, wx, wh, b, _ = lstm_instance(7, 10, seed=14)
-    got = lstm_final_states(emb, ids, lengths, wx, wh, b)
-    want = lstm_forward(emb[ids], wx, wh, b)[2][:, lengths, np.arange(10)]
-    assert got.shape == want.shape
-    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    got = lstm_states(emb, ids, lengths, wx, wh, b)
+    want = lstm_forward(emb[ids], wx, wh, b)[2]
+    assert got.shape == want.shape == (2, 8, 10, 2)
+    real = np.arange(8)[:, None] <= lengths  # (steps + 1, batch): the zero initial state, then real steps
+    assert np.allclose(got[:, real], want[:, real], rtol=0.0, atol=1e-12)
+    assert np.all(got[:, ~real] == 0.0)
 
 
 def test_getitem_fancy_repeated_indices():

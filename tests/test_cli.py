@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xlner.cli import main
-from xlner.conll import parse_conll, write_conll
+from xlner.conll import Corpus, parse_conll, repair_bio, write_conll
 from xlner.embeddings import EmbeddingTable, align_tables, load_embeddings, save_embeddings
 from xlner.serialize import read_container, write_container
 from xlner.tagger import MODEL_MAGIC, Tagger, TaggerConfig, build_vocab, init_params, save_model
@@ -92,6 +92,18 @@ def test_convert_writes_bio2(capsys, tmp_path):
     corpus = parse_conll(out_path.read_text())
     assert corpus.sentences[0].tags == ("B-PER", "I-PER")
     assert corpus.sentences[1].tags == ("B-ORG",)
+
+
+def test_convert_output_matches_rebuilding_every_sentence(capsys, tmp_path):
+    # Sentences that need no repair are written as read: the output is the
+    # bytes of rebuilding every sentence with its repaired tags.
+    text = "Hans I-PER\nJensen I-PER\n\nEU B-ORG\nog O\n\nRom O\n\nEU I-ORG\nRom I-LOC\n"
+    src = tmp_path / "iob1.conll"
+    src.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "convert", src)
+    assert code == 0
+    rebuilt = [s.with_tags(repair_bio(s.tags)[0]) for s in parse_conll(text)]
+    assert out.encode("utf-8") == write_conll(Corpus(tuple(rebuilt))).encode("utf-8")
 
 
 def test_convert_stdout(capsys, tmp_path):
@@ -635,6 +647,19 @@ def test_experiment_seed_override(capsys, tmp_path):
     assert code == 0
     assert (results / "majority" / "none" / "tiny" / "9").exists()
     assert not (results / "majority" / "none" / "tiny" / "1").exists()
+
+
+def test_experiment_rejects_repeated_seeds(capsys, tmp_path):
+    config_path = tmp_path / "twice.conf"
+    config_path.write_text("regime = majority\ntarget_size = tiny\nseeds = 1,1\n")
+    results = tmp_path / "results"
+    code, stdout, err = run(capsys, "experiment", "--config", config_path, "--out", results)
+    assert code == 1
+    assert stdout == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: line 3: seeds must not repeat a seed, got '1,1'"]
+    assert not results.exists()
 
 
 # ----------------------------------------------------------------- exit codes

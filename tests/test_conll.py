@@ -12,6 +12,7 @@ from xlner.conll import (
     TagError,
     Token,
     cohen_kappa,
+    convert_corpus_iob1_to_bio2,
     corpus_stats,
     entity_kappa,
     extract_sentence_spans,
@@ -204,6 +205,19 @@ def test_convert_sentence_initial():
 
 def test_convert_type_change():
     assert repair_bio(["I-PER", "I-LOC"]) == (("B-PER", "B-LOC"), 2)
+
+
+def test_convert_keeps_unrepaired_sentences():
+    corpus = make_corpus(
+        [("Hans", "I-PER"), ("Jensen", "I-PER")],
+        [("EU", "B-ORG"), ("og", "O")],
+        [("Rom", "O")],
+        [("EU", "I-ORG"), ("Rom", "I-LOC")],
+    )
+    converted = convert_corpus_iob1_to_bio2(corpus)
+    assert converted.language == corpus.language
+    assert [s is c for s, c in zip(converted, corpus, strict=True)] == [False, True, True, False]
+    assert [s.tags for s in converted] == [repair_bio(s.tags)[0] for s in corpus]
 
 
 @given(iob1_tags())

@@ -252,15 +252,17 @@ def test_long_token_pads_only_its_own_batch(monkeypatch):
     # 1,499 distinct short words and one 3,000-char token: the long token
     # runs in a char batch of its own, and every other char batch holds at
     # most CHAR_BATCH_CHARS padded chars, so the long token pads no other
-    # word; each distinct word runs once.
+    # word; each distinct word runs once. The word layer calls the same
+    # kernel, so only char-layer calls (those reading char_emb) count.
     calls = []
-    final_states = tagger_module.lstm_final_states
+    states = tagger_module.lstm_states
 
     def spy(emb, ids, lengths, *weights):
-        calls.append(ids.shape)
-        return final_states(emb, ids, lengths, *weights)
+        if emb is tagger.params["char_emb"]:
+            calls.append(ids.shape)
+        return states(emb, ids, lengths, *weights)
 
-    monkeypatch.setattr(tagger_module, "lstm_final_states", spy)
+    monkeypatch.setattr(tagger_module, "lstm_states", spy)
     rng = np.random.default_rng(5)
     words = list(dict.fromkeys("".join(rng.choice(list(ALPHABET), rng.integers(3, 9))) for _ in range(1600)))[:1500]
     sentences = [words[i : i + 30] for i in range(0, len(words), 30)]
@@ -275,6 +277,19 @@ def test_long_token_pads_only_its_own_batch(monkeypatch):
         word_ids = [tagger.vocab.word_id(t.text) for t in sentence]
         want = _forward(tagger.params, tagger.vocab, sentence, word_ids, None)[0]
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_inference_never_runs_the_training_kernel(monkeypatch):
+    # Both inference layers run lstm_states; lstm_forward, which builds the
+    # backward pass's cache, serves training alone.
+    def refuse(*args):
+        raise AssertionError("inference called lstm_forward")
+
+    train_corpus, corpus = varied_corpora(0)
+    tagger = small_tagger(train_corpus)
+    monkeypatch.setattr(tagger_module, "lstm_forward", refuse)
+    assert len(encode_sentences(tagger, corpus.sentences)) == len(corpus)
+    assert len(tag_corpus(tagger, corpus)) == len(corpus)
 
 
 def reference_viterbi(emissions, transitions):

@@ -465,6 +465,17 @@ def test_parse_errors():
         ExperimentConfig(regime="majority", seeds=())
 
 
+def test_repeated_seeds_are_rejected():
+    # A repeated seed would train the same run twice into one <cell>/<seed>
+    # directory and count it twice in the cell's mean and std.
+    with pytest.raises(ExperimentError, match=r"^line 2: seeds must not repeat a seed, got '1,1'$"):
+        parse_experiment_config("regime = majority\nseeds = 1,1\ntarget_size = tiny")
+    with pytest.raises(ExperimentError, match="^line 1: seeds must not repeat a seed"):
+        parse_experiment_config("seeds = 3, 1, 3\ncell = majority:none:tiny")
+    with pytest.raises(ExperimentError, match="seeds must not repeat a seed"):
+        ExperimentConfig(regime="majority", target_size="tiny", seeds=(1, 1))
+
+
 def test_every_string_field_is_a_config_key():
     values = {
         "regime": "joint",
