@@ -18,7 +18,7 @@ import numpy as np
 from .conll import TAGS, Corpus, Sentence, bio_violation
 from .crf import crf_nll_grad, viterbi_decode
 from .embeddings import EmbeddingTable, word_form
-from .lstm import lstm_backward, lstm_forward, lstm_states
+from .lstm import lstm_backward, lstm_forward
 from .serialize import ContainerError, read_container, require_keys, write_container
 
 UNK = "<unk>"
@@ -245,6 +245,16 @@ def _readings(seqs: Sequence[Sequence], id_of) -> tuple[np.ndarray, ...]:
     return ids, lengths, step, col
 
 
+def _char_layer(params: dict[str, np.ndarray], vocab: Vocab, words: Sequence[str]):
+    """Final forward and backward char-BiLSTM states (len(words), 2 *
+    char_lstm_dim) of words sorted longest first, their lengths, and the
+    cache lstm_backward reads."""
+    ids, lengths, _, _ = _readings(words, vocab.char_id)
+    cache = lstm_forward(params["char_emb"], ids, lengths, params["char_wx"], params["char_wh"], params["char_b"])
+    final = cache[0][:, lengths, np.arange(len(words))]  # (dirs, words, char_lstm_dim)
+    return final.transpose(1, 0, 2).reshape(len(words), -1), lengths, cache
+
+
 def _forward(
     params: dict[str, np.ndarray],
     vocab: Vocab,
@@ -253,46 +263,42 @@ def _forward(
     dropout_mask: Optional[np.ndarray],
 ):
     """Emissions (len(sentence), num_tags) and the cache _backward needs.
-    The char-BiLSTM runs over all tokens at once as a (max_chars, tokens)
-    batch, each token's chars padded at their end in both directions, and
-    each token's final state is read at its own length; dropout_mask, if
-    given, scales the token representations."""
-    char_ids, lengths, _, _ = _readings(sentence.texts, vocab.char_id)
-    char_cache = lstm_forward(params["char_emb"][char_ids], params["char_wx"], params["char_wh"], params["char_b"])
-    char_final = char_cache[2][:, lengths, np.arange(len(lengths))]  # (dirs, tokens, char_lstm_dim)
-
-    reps = np.concatenate([params["word_emb"][word_ids], char_final[0], char_final[1]], axis=1)
+    The char-BiLSTM runs over the sentence's tokens sorted longest first,
+    and the word-BiLSTM over the sentence as a batch of one; dropout_mask,
+    if given, scales the token representations."""
+    texts = sentence.texts
+    order = sorted(range(len(texts)), key=lambda i: -len(texts[i]))  # longest first, ties in sentence order
+    dw = params["word_emb"].shape[1]
+    reps = np.empty((len(texts), dw + 2 * params["char_wh"].shape[1]))
+    reps[:, :dw] = params["word_emb"][word_ids]
+    reps[order, dw:], char_lengths, char_cache = _char_layer(params, vocab, [texts[i] for i in order])
     if dropout_mask is not None:
         reps = reps * dropout_mask
-    xs = np.stack([reps, reps[::-1]])[:, :, None, :]  # forwards and backwards, a batch of one
-    word_cache = lstm_forward(xs, params["word_wx"], params["word_wh"], params["word_b"])
-    hs = word_cache[2][:, 1:, 0]
+    ids, lengths, _, _ = _readings([range(len(texts))], int)
+    word_cache = lstm_forward(reps, ids, lengths, params["word_wx"], params["word_wh"], params["word_b"])
+    hs = word_cache[0][:, 1:, 0]
     feats = np.concatenate([hs[0], hs[1][::-1]], axis=1)
     emissions = feats @ params["proj_w"] + params["proj_b"]
-    return emissions, (char_ids, lengths, char_cache, dropout_mask, word_cache, feats)
+    return emissions, (order, char_lengths, char_cache, dropout_mask, word_cache, feats)
 
 
 def _backward(params: dict[str, np.ndarray], cache, d_emissions: np.ndarray, d_transitions: np.ndarray):
     """One sentence's gradients: a dict over every tensor but word_emb,
     and the gradient of its word_emb rows, one per token."""
-    char_ids, lengths, char_cache, dropout_mask, word_cache, feats = cache
+    order, char_lengths, char_cache, dropout_mask, word_cache, feats = cache
     grads = {"transitions": d_transitions, "proj_w": feats.T @ d_emissions, "proj_b": d_emissions.sum(axis=0)}
     d_feats = d_emissions @ params["proj_w"].T
     hw = d_feats.shape[1] // 2
     d_hs = np.stack([d_feats[:, :hw], d_feats[::-1, hw:]])[:, :, None, :]
-    d_xs, *d_word_w = lstm_backward(word_cache, d_hs, params["word_wx"], params["word_wh"])
-    d_reps = d_xs[0, :, 0] + d_xs[1, ::-1, 0]
+    d_reps, *d_word_w = lstm_backward(word_cache, d_hs, params["word_wx"], params["word_wh"])
     if dropout_mask is not None:
         d_reps = d_reps * dropout_mask
 
     dw = params["word_emb"].shape[1]
     hc = params["char_wh"].shape[1]
-    d_char_hs = np.zeros((*char_ids.shape, hc))
-    d_char_hs[:, lengths - 1, np.arange(len(lengths))] = np.stack([d_reps[:, dw : dw + hc], d_reps[:, dw + hc :]])
-    d_chars, *d_char_w = lstm_backward(char_cache, d_char_hs, params["char_wx"], params["char_wh"])
-    real = np.broadcast_to(np.arange(char_ids.shape[1])[:, None] < lengths, char_ids.shape)
-    grads["char_emb"] = np.zeros_like(params["char_emb"])
-    np.add.at(grads["char_emb"], char_ids[real], d_chars[real])
+    d_char_hs = np.zeros((2, char_lengths[0], len(order), hc))
+    d_char_hs[:, char_lengths - 1, np.arange(len(order))] = d_reps[order, dw:].reshape(-1, 2, hc).transpose(1, 0, 2)
+    grads["char_emb"], *d_char_w = lstm_backward(char_cache, d_char_hs, params["char_wx"], params["char_wh"])
     grads.update(zip(("word_wx", "word_wh", "word_b", "char_wx", "char_wh", "char_b"), (*d_word_w, *d_char_w)))
     return grads, d_reps[:, :dw]
 
@@ -369,12 +375,11 @@ def constrained_transitions(transitions: np.ndarray, tags: Sequence[str] = TAGS)
 
 # Padded chars (words x longest word) per char-BiLSTM batch and padded
 # tokens (sentences x longest sentence) per word-BiLSTM batch at inference.
-# They bound the memory of each batch's ids, gate table and lstm_states'
-# states, whatever the corpus holds: one long token pads only its own
-# batch. On 3,000 CoNLL-shaped sentences (1-40 tokens, mean 13.6; one
-# core) tag_corpus traced a 20.0, 22.2 and 25.7 MB peak at 256, 512 and
-# 1024 tokens, and 512 ran fastest in 3 of 4 interleaved rounds. A char
-# budget of 2048 ran no faster than 512 and keeps four times the states.
+# They bound the memory of each batch's ids, gate table and the states
+# lstm_forward keeps, whatever the corpus holds: one long token pads only
+# its own batch. On 3,000 CoNLL-shaped sentences (1-40 tokens, mean 13.4;
+# one core) tag_corpus traced a 18.3, 19.8 and 22.7 MB peak at 256, 512
+# and 1024 for both, and 512 ran fastest in 3 of 4 interleaved rounds.
 CHAR_BATCH_CHARS = 512
 WORD_BATCH_TOKENS = 512
 
@@ -402,15 +407,12 @@ def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence]):
     distinct = dict.fromkeys(token.text for sentence in sentences for token in sentence)
     words = sorted(distinct, key=len, reverse=True)  # longest first, ties in first-seen order
     position = {word: i for i, word in enumerate(words)}
-    char_w = params["char_wx"], params["char_wh"], params["char_b"]
     dw, hc = params["word_emb"].shape[1], params["char_wh"].shape[1]
     reps = np.empty((len(words), dw + 2 * hc))  # word row, forward and backward char final states
     reps[:, :dw] = params["word_emb"][[vocab.word_id(word) for word in words]]
     word_lengths = np.array([len(word) for word in words], dtype=np.intp)
     for run in _runs(word_lengths, CHAR_BATCH_CHARS):
-        ids, n, _, _ = _readings(words[run], vocab.char_id)
-        final = lstm_states(params["char_emb"], ids, n, *char_w)[:, n, np.arange(len(n))]
-        reps[run, dw:] = final.transpose(1, 0, 2).reshape(-1, 2 * hc)
+        reps[run, dw:] = _char_layer(params, vocab, words[run])[0]
 
     word_w = params["word_wx"], params["word_wh"], params["word_b"]
     lengths = np.array([len(sentence) for sentence in sentences], dtype=np.intp)
@@ -419,20 +421,10 @@ def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence]):
         batch = order[run]
         ids, n, step, col = _readings([sentences[i].texts for i in batch], position.__getitem__)
         rows, local = np.unique(ids, return_inverse=True)
-        hs = lstm_states(reps[rows], local.reshape(ids.shape), n, *word_w)
+        hs = lstm_forward(reps[rows], local.reshape(ids.shape), n, *word_w)[0]
         feats = np.zeros((len(batch), n[0], 2 * hs.shape[3]))  # token k: forward step k, backward step n - 1 - k
         feats[col, step] = np.concatenate([hs[0, step + 1, col], hs[1, n[col] - step, col]], axis=1)
         yield batch, feats @ params["proj_w"] + params["proj_b"], n
-
-
-def encode_sentences(tagger: Tagger, sentences: Sequence[Sentence]) -> list[np.ndarray]:
-    """Per-token unnormalized tag scores of each sentence, shape
-    (len(sentence), num_tags), in the order given, with no dropout."""
-    out: list = [None] * len(sentences)
-    for batch, emissions, lengths in _emission_batches(tagger, sentences):
-        for i, rows, n in zip(batch, emissions, lengths):
-            out[i] = rows[:n]
-    return out
 
 
 def tag_corpus(tagger: Tagger, corpus: Corpus) -> Corpus:

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .conll import Corpus, Sentence, repair_bio
+from .conll import Corpus, repair_bio
 from .serialize import read_container, require_keys, write_container
 
 START = "<s>"
@@ -308,23 +308,14 @@ def _viterbi_batches(model: TntModel, sentences: Sequence[Sequence[str]]) -> Ite
             yield batch, _viterbi(np.ascontiguousarray(emissions[ids].transpose(1, 2, 0)), tables)
 
 
-def tnt_decode(model: TntModel, sentence: Union[Sentence, Sequence[str]]) -> list[str]:
-    """The best tags of one sentence by exact Viterbi over (previous tag,
-    current tag) states. Ties go to the first state in (current tag,
-    previous tag) index order, and at STOP to the first in sorted(states)
-    order."""
-    words = sentence.texts if isinstance(sentence, Sentence) else list(sentence)
-    if not words:
-        return []
-    ((_, paths),) = _viterbi_batches(model, [words])
-    return [model.tags[t] for t in paths[0]]
-
-
 def tag_corpus(model: TntModel, corpus: Corpus) -> Corpus:
-    """tnt_decode every sentence, a batch of equal-length sentences at a
-    time, and repair the tags to BIO2. Only a path that holds an I- tag
-    can break the BIO2 rule, so only those go through repair_bio.
-    Sentences come back in corpus order, their token texts untouched."""
+    """The best tags of every sentence by exact Viterbi over (previous
+    tag, current tag) states, a batch of equal-length sentences at a time,
+    repaired to BIO2. Ties go to the first state in (current tag, previous
+    tag) index order, and at STOP to the first in sorted(states) order.
+    Only a path that holds an I- tag can break the BIO2 rule, so only
+    those go through repair_bio. Sentences come back in corpus order,
+    their token texts untouched."""
     sentences = corpus.sentences
     tagged: list = [None] * len(sentences)
     inside = np.array([tag.startswith("I-") for tag in model.tags], dtype=bool)

@@ -21,10 +21,11 @@ from xlner.embeddings import EmbeddingTable, align_tables, procrustes_align
 from xlner.evaluation import evaluate
 from xlner.synthetic import make_twin_languages, random_orthogonal
 from xlner.tagger import TaggerConfig, Tagger, batch_gradients, build_vocab, init_params, train
-from xlner.tnt import STOP, estimate, tnt_decode
+from xlner.tnt import STOP, estimate
 from xlner.transfer import ExperimentConfig, Resources, run_seed
 
 from conftest import corpora, make_corpus
+from test_tnt import tnt_decode
 
 
 def report(number: int, ok: bool, detail: str) -> None:

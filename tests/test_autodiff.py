@@ -1,12 +1,12 @@
 """Finite-difference checks of the hand-written differentiation: the LSTM
 kernels' backward-through-time, the embedding gathers' scatter-add, and
-the CRF's log-sum-exp; and the inference-only LSTM kernel against the
-forward pass."""
+the CRF's log-sum-exp; and the LSTM forward kernel against a plain
+per-sequence, per-step loop."""
 
 import numpy as np
 
 from xlner.crf import _logsumexp
-from xlner.lstm import lstm_backward, lstm_forward, lstm_states
+from xlner.lstm import lstm_backward, lstm_forward
 from xlner.tagger import Tagger, TaggerConfig, batch_gradients, build_vocab, init_params
 
 from conftest import make_corpus
@@ -27,31 +27,33 @@ def numeric_grad(fn, x, eps=1e-6):
     return g
 
 
-def lstm_instance(steps, batch, lengths=None, seed=0, d=3, hd=2):
-    """Random inputs and weights for both directions of an LSTM layer and
-    random loss weights on its output states. For sequences of the given
-    lengths (None: all `steps` long), padded at their end, the weights
-    past each sequence's length are zero."""
+def lstm_instance(lengths, seed=0, n_sym=4, d=3, hd=2):
+    """Random embeddings, ids and weights for both directions of an LSTM
+    layer over sequences of the given lengths, longest first, and random
+    loss weights on every output state, past each sequence's end too. Each
+    of the n_sym embedding rows is read by many steps."""
     rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((2, steps, batch, d))
+    lengths = np.asarray(lengths)
+    assert np.all(np.diff(lengths) <= 0)
+    emb = rng.standard_normal((n_sym, d))
+    ids = rng.integers(0, n_sym, (2, lengths[0], len(lengths)))
     wx = rng.standard_normal((2, d, 4 * hd)) * 0.5
     wh = rng.standard_normal((2, hd, 4 * hd)) * 0.5
     b = rng.standard_normal((2, 4 * hd)) * 0.5
-    weights = rng.standard_normal((2, steps, batch, hd))
-    if lengths is not None:
-        weights *= (np.arange(steps)[:, None] < np.asarray(lengths)[None, :])[:, :, None]
-    return xs, wx, wh, b, weights
+    weights = rng.standard_normal((2, lengths[0], len(lengths), hd))
+    return emb, ids, lengths, wx, wh, b, weights
 
 
-def check_lstm(names, xs, wx, wh, b, weights):
+def check_lstm(names, emb, ids, lengths, wx, wh, b, weights):
     """The loss sum(weights * h) over every output state: lstm_backward's
-    gradients of the named inputs against central finite differences."""
+    gradients of the named inputs against central finite differences.
+    States past a sequence's end are zero, so their weights add nothing."""
     def loss():
-        return float((lstm_forward(xs, wx, wh, b)[2][:, 1:] * weights).sum())
+        return float((lstm_forward(emb, ids, lengths, wx, wh, b)[0][:, 1:] * weights).sum())
 
-    cache = lstm_forward(xs, wx, wh, b)
-    grads = dict(zip(("xs", "wx", "wh", "b"), lstm_backward(cache, weights, wx, wh)))
-    values = {"xs": xs, "wx": wx, "wh": wh, "b": b}
+    cache = lstm_forward(emb, ids, lengths, wx, wh, b)
+    grads = dict(zip(("emb", "wx", "wh", "b"), lstm_backward(cache, weights, wx, wh)))
+    values = {"emb": emb, "wx": wx, "wh": wh, "b": b}
     for name in names:
         num = numeric_grad(loss, values[name])
         assert np.allclose(grads[name], num, atol=1e-7), name
@@ -59,63 +61,81 @@ def check_lstm(names, xs, wx, wh, b, weights):
 
 def test_add_broadcast():
     # The bias is added at every step of every sequence.
-    check_lstm(["b"], *lstm_instance(4, 3, lengths=[4, 2, 1], seed=1))
+    check_lstm(["b"], *lstm_instance([4, 2, 1], seed=1))
 
 
 def test_matmul():
-    # Gate inputs are one matmul xs @ wx per direction over all steps.
-    check_lstm(["xs", "wx"], *lstm_instance(4, 3, lengths=[3, 4, 1], seed=2))
+    # Gate inputs are rows of one table emb @ wx per direction, and each
+    # emb row's gradient sums every step that reads it.
+    check_lstm(["emb", "wx"], *lstm_instance([4, 3, 1], seed=2))
 
 
 def test_vector_matmul():
-    # The word-BiLSTM's shape: one sequence, a batch of one.
-    check_lstm(["xs", "wx", "wh", "b"], *lstm_instance(5, 1, seed=3))
+    # The training word-BiLSTM's shape: one sequence, a batch of one.
+    check_lstm(["emb", "wx", "wh", "b"], *lstm_instance([5], seed=3))
 
 
 def test_tanh_sigmoid():
     # A single step: only the gate nonlinearities lie between inputs and h.
-    check_lstm(["xs", "wx", "b"], *lstm_instance(1, 2, seed=4))
+    check_lstm(["emb", "wx", "b"], *lstm_instance([1, 1], seed=4))
 
 
 def test_shared_subexpression_accumulates():
     # Each h feeds both the loss and the next step; each c the next step
     # and h.
-    check_lstm(["xs", "wh"], *lstm_instance(4, 2, seed=5))
-    check_lstm(["xs", "wh"], *lstm_instance(4, 3, lengths=[2, 4, 3], seed=6))
+    check_lstm(["emb", "wh"], *lstm_instance([4, 4], seed=5))
+    check_lstm(["emb", "wh", "b"], *lstm_instance([4, 3, 2], seed=6))
 
 
 def test_end_padding_leaves_real_steps_alone():
-    # Padding after a sequence's end: changing its inputs changes no real
-    # step's output, and with no loss on padded steps their inputs get
-    # exactly zero gradient.
-    lengths = np.array([4, 1, 3])
-    xs, wx, wh, b, weights = lstm_instance(5, 3, lengths=lengths, seed=11)
-    padded = (np.arange(5)[:, None] >= lengths[None, :])[None, :, :, None]
-    hs = lstm_forward(xs, wx, wh, b)[2][:, 1:]
-    noisy = np.where(padded, np.random.default_rng(12).standard_normal(xs.shape) * 10.0, xs)
-    noisy_hs = lstm_forward(noisy, wx, wh, b)[2][:, 1:]
-    real = np.broadcast_to(~padded, hs.shape)
-    assert np.array_equal(noisy_hs[real], hs[real])
-    assert not np.array_equal(noisy_hs, hs)
-    d_xs = lstm_backward(lstm_forward(noisy, wx, wh, b), weights, wx, wh)[0]
-    assert np.all(d_xs[np.broadcast_to(padded, d_xs.shape)] == 0.0)
-    assert np.all(d_xs[np.broadcast_to(~padded, d_xs.shape)] != 0.0)
+    # Padding after a sequence's end: whatever ids it holds, every state
+    # is the same, and the emb row that only padding reads gets exactly
+    # zero gradient, while every row a real step reads gets some.
+    emb, ids, lengths, wx, wh, b, weights = lstm_instance([4, 3, 1], seed=11, n_sym=5)
+    padded = np.arange(4)[:, None] >= lengths  # (steps, batch)
+    ids = np.where(padded, 4, ids % 4)
+    hs = lstm_forward(emb, ids, lengths, wx, wh, b)[0]
+    noisy = np.where(padded, np.random.default_rng(12).integers(0, 4, ids.shape), ids)
+    assert not np.array_equal(noisy, ids)
+    assert np.array_equal(lstm_forward(emb, noisy, lengths, wx, wh, b)[0], hs)
+    d_emb = lstm_backward(lstm_forward(emb, ids, lengths, wx, wh, b), weights, wx, wh)[0]
+    assert np.all(d_emb[4] == 0.0)
+    assert np.all(d_emb[:4] != 0.0)
+
+
+def reference_states(emb, ids, lengths, wx, wh, b):
+    """Oracle: every output state by a plain loop, each direction and
+    sequence on its own, one step at a time, in lstm_forward's hs layout;
+    states past a sequence's end stay zero."""
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    hd = wh.shape[1]
+    hs = np.zeros((2, ids.shape[1] + 1, ids.shape[2], hd))
+    for d in range(2):
+        for j, n in enumerate(lengths):
+            h, c = np.zeros(hd), np.zeros(hd)
+            for t in range(n):
+                z = emb[ids[d, t, j]] @ wx[d] + h @ wh[d] + b[d]
+                i, f, g, o = sigmoid(z[:hd]), sigmoid(z[hd : 2 * hd]), np.tanh(z[2 * hd : 3 * hd]), sigmoid(z[3 * hd :])
+                c = f * c + i * g
+                h = o * np.tanh(c)
+                hs[d, t + 1, j] = h
+    return hs
 
 
 def test_final_states_match_forward():
-    # lstm_states against lstm_forward on the same end-padded batch, each
-    # direction reading its own ids, sequences of 7 steps down to 1: every
-    # real step's state matches, each final state hs[:, length] among
-    # them, and states past a sequence's end stay zero.
+    # lstm_forward against the per-step loop on sequences of 7 steps down
+    # to 1, each direction reading its own ids: every real step's state
+    # matches, each final state hs[:, length] among them, and states past
+    # a sequence's end are zero.
     rng = np.random.default_rng(13)
     lengths = np.sort(rng.integers(1, 8, 10))[::-1]
     lengths[0] = 7
     lengths[-2:] = 1
-    emb = rng.standard_normal((6, 3))
-    ids = rng.integers(0, 6, (2, 7, 10))
-    _, wx, wh, b, _ = lstm_instance(7, 10, seed=14)
-    got = lstm_states(emb, ids, lengths, wx, wh, b)
-    want = lstm_forward(emb[ids], wx, wh, b)[2]
+    emb, ids, _, wx, wh, b, _ = lstm_instance(lengths, seed=14, n_sym=6)
+    got = lstm_forward(emb, ids, lengths, wx, wh, b)[0]
+    want = reference_states(emb, ids, lengths, wx, wh, b)
     assert got.shape == want.shape == (2, 8, 10, 2)
     real = np.arange(8)[:, None] <= lengths  # (steps + 1, batch): the zero initial state, then real steps
     assert np.allclose(got[:, real], want[:, real], rtol=0.0, atol=1e-12)

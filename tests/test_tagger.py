@@ -19,7 +19,6 @@ from xlner.tagger import (
     batch_gradients,
     build_vocab,
     constrained_transitions,
-    encode_sentences,
     init_params,
     load_model,
     save_model,
@@ -146,6 +145,17 @@ def test_encode_dropout_reproducible_with_fixed_stream(corpus):
     assert loss_c != loss_a  # the mask is drawn, not fixed
 
 
+def encode_sentences(tagger, sentences):
+    """Per-token unnormalized tag scores of each sentence, shape
+    (len(sentence), num_tags), in the order given, with no dropout: the
+    emissions tag_corpus decodes, batch by batch."""
+    out: list = [None] * len(sentences)
+    for batch, emissions, lengths in tagger_module._emission_batches(tagger, sentences):
+        for i, rows, n in zip(batch, emissions, lengths):
+            out[i] = rows[:n]
+    return out
+
+
 def reference_emissions(tagger, sentence):
     """Oracle: the BiLSTM-CRF emissions by a plain loop, one token and one
     time step at a time, with no padding or batching."""
@@ -255,14 +265,14 @@ def test_long_token_pads_only_its_own_batch(monkeypatch):
     # word; each distinct word runs once. The word layer calls the same
     # kernel, so only char-layer calls (those reading char_emb) count.
     calls = []
-    states = tagger_module.lstm_states
+    forward = tagger_module.lstm_forward
 
     def spy(emb, ids, lengths, *weights):
         if emb is tagger.params["char_emb"]:
             calls.append(ids.shape)
-        return states(emb, ids, lengths, *weights)
+        return forward(emb, ids, lengths, *weights)
 
-    monkeypatch.setattr(tagger_module, "lstm_states", spy)
+    monkeypatch.setattr(tagger_module, "lstm_forward", spy)
     rng = np.random.default_rng(5)
     words = list(dict.fromkeys("".join(rng.choice(list(ALPHABET), rng.integers(3, 9))) for _ in range(1600)))[:1500]
     sentences = [words[i : i + 30] for i in range(0, len(words), 30)]
@@ -279,17 +289,29 @@ def test_long_token_pads_only_its_own_batch(monkeypatch):
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
-def test_inference_never_runs_the_training_kernel(monkeypatch):
-    # Both inference layers run lstm_states; lstm_forward, which builds the
-    # backward pass's cache, serves training alone.
-    def refuse(*args):
-        raise AssertionError("inference called lstm_forward")
+def test_every_kernel_call_reads_lengths_longest_first(monkeypatch):
+    # lstm_forward runs step t on a prefix of the batch, which holds only
+    # for sequences sorted longest first: every call from training and
+    # from inference, char and word layer, gets non-increasing lengths.
+    seen = []
+    forward = tagger_module.lstm_forward
 
+    def spy(emb, ids, lengths, *weights):
+        seen.append(lengths.copy())
+        return forward(emb, ids, lengths, *weights)
+
+    monkeypatch.setattr(tagger_module, "lstm_forward", spy)
     train_corpus, corpus = varied_corpora(0)
     tagger = small_tagger(train_corpus)
-    monkeypatch.setattr(tagger_module, "lstm_forward", refuse)
-    assert len(encode_sentences(tagger, corpus.sentences)) == len(corpus)
-    assert len(tag_corpus(tagger, corpus)) == len(corpus)
+    for run in (
+        lambda: tagger_module._gradients(tagger, corpus.sentences[:4], np.random.default_rng(0), None),
+        lambda: encode_sentences(tagger, corpus.sentences),
+        lambda: tag_corpus(tagger, corpus),
+    ):
+        seen.clear()
+        run()
+        assert len(seen) > 2
+        assert all(np.all(np.diff(lengths) <= 0) for lengths in seen)
 
 
 def reference_viterbi(emissions, transitions):

@@ -20,12 +20,21 @@ from xlner.tnt import (
     load_model,
     save_model,
     tag_corpus,
-    tnt_decode,
 )
 
 from conftest import drop_key, make_corpus
 
 NEG_INF = float("-inf")
+
+
+def tnt_decode(model, sentence):
+    """The best tags of one sentence, a Sentence or a list of words, by
+    tag_corpus's exact Viterbi, before any BIO2 repair."""
+    words = sentence.texts if isinstance(sentence, Sentence) else list(sentence)
+    if not words:
+        return []
+    ((_, paths),) = tnt._viterbi_batches(model, [words])
+    return [model.tags[t] for t in paths[0]]
 
 
 def emission_logp(model, word, tag):
