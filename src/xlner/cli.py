@@ -60,6 +60,14 @@ def _resolve(path: str) -> Path:
     return p
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a whole number of at least 1, else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=None, help="override the seed list")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=_cmd_experiment)
 
     return parser

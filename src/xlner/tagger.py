@@ -10,12 +10,13 @@ checked model files."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .conll import TAGS, Corpus, Sentence, bio_violation
+from .conll import TAG_SET, TAGS, Corpus, Sentence, bio_violation
 from .crf import crf_nll_grad, viterbi_decode
 from .embeddings import EmbeddingTable, word_form
 from .lstm import lstm_backward, lstm_forward
@@ -152,13 +153,7 @@ def build_vocab(corpora: Sequence[Corpus], embeddings: Optional[EmbeddingTable] 
                 for token in sentence:
                     if word_form(embeddings.vectors, token.text) is not None:
                         words.add(token.text)
-    word_map = {UNK: 0}
-    for w in sorted(words):
-        word_map.setdefault(w, len(word_map))
-    char_map = {UNK: 0}
-    for c in sorted(chars):
-        char_map.setdefault(c, len(char_map))
-    return Vocab(word_map, char_map)
+    return Vocab(*({item: i for i, item in enumerate([UNK, *sorted(items - {UNK})])} for items in (words, chars)))
 
 
 def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
@@ -449,14 +444,6 @@ class TrainHistory:
     stopped_early: bool = False
 
 
-def _singleton_words(corpus: Corpus) -> set[str]:
-    counts: dict[str, int] = {}
-    for sentence in corpus:
-        for token in sentence:
-            counts[token.text] = counts.get(token.text, 0) + 1
-    return {w for w, c in counts.items() if c == 1}
-
-
 def train(
     config: TaggerConfig,
     train_corpus: Corpus,
@@ -483,7 +470,8 @@ def train(
         tagger = Tagger(config, vocab, init_params(config, vocab, pretrained))
 
     rng = np.random.default_rng(config.seed)
-    singletons = _singleton_words(train_corpus) if config.unk_word_dropout else set()
+    counts = Counter(t.text for sentence in train_corpus for t in sentence) if config.unk_word_dropout else {}
+    singletons = {w for w, c in counts.items() if c == 1}
 
     def word_ids_for(sentence: Sentence, step_rng: np.random.Generator) -> list[int]:
         unk, word_id = tagger.vocab.words[UNK], tagger.vocab.word_id
@@ -491,10 +479,12 @@ def train(
 
     history = TrainHistory()
     best_f1 = -1.0
-    best_params = {n: a.copy() for n, a in tagger.params.items()}
-    # SGD changes only the word_emb rows of the sentences it sees, so after
-    # the first full copy a snapshot copies the rows changed since the last
-    changed = np.zeros(len(best_params["word_emb"]), dtype=bool)
+    best = {n: a.copy() for n, a in tagger.params.items() if n != "word_emb"}
+    # SGD changes only the word_emb rows of the sentences it sees, so the best
+    # epoch's word_emb is an undo log: blocks of (row ids, their values at the
+    # best epoch), each row saved before the first step after it that changes it
+    word_emb = tagger.params["word_emb"]
+    saved, undo = np.zeros(len(word_emb), dtype=bool), []
     bad_epochs = 0
     sentences = list(train_corpus)
 
@@ -508,18 +498,20 @@ def train(
             for name, grad in grads.items():
                 grad *= config.learning_rate
                 tagger.params[name] -= grad
-            np.subtract.at(tagger.params["word_emb"], row_ids, config.learning_rate * rows)
-            changed[row_ids] = True
+            # row_ids repeats ids; np.unique would import numpy.ma (~1.5 MB RSS)
+            new = np.fromiter(dict.fromkeys(row_ids[~saved[row_ids]].tolist()), np.intp)
+            if len(new):
+                saved[new] = True
+                undo.append((new, word_emb[new]))
+            np.subtract.at(word_emb, row_ids, config.learning_rate * rows)
         report = evaluate(dev_corpus, tag_corpus(tagger, dev_corpus))
         history.dev_f1.append(report.f1)
         if log is not None:
             log(f"epoch {epoch}: dev F1 {report.f1:.2f}")
         if report.f1 > best_f1:
             best_f1 = report.f1
-            word_emb, rows_changed = best_params["word_emb"], np.flatnonzero(changed)
-            word_emb[rows_changed] = tagger.params["word_emb"][rows_changed]
-            changed[:] = False
-            best_params = {n: word_emb if n == "word_emb" else a.copy() for n, a in tagger.params.items()}
+            best = {n: a.copy() for n, a in tagger.params.items() if n != "word_emb"}
+            saved[:], undo = False, []
             history.best_epoch = epoch
             bad_epochs = 0
         else:
@@ -528,7 +520,9 @@ def train(
                 history.stopped_early = True
                 break
 
-    tagger.params = best_params
+    for ids, values in undo:
+        word_emb[ids] = values
+    tagger.params.update(best)
     return tagger, history
 
 
@@ -555,9 +549,10 @@ _JSON_TYPES = {bool: ("boolean", bool), int: ("integer", int), float: ("number",
 def load_model(path) -> Tagger:
     """Read a model file; the header config must be a valid TaggerConfig
     whose values have their fields' JSON types (true and false are neither
-    integers nor numbers), the vocab words, chars and tags lists of strings
-    (words and chars holding UNK), and the tensors exactly those the config
-    and vocab sizes call for, in their shapes."""
+    integers nor numbers), the vocab words, chars and tags lists of distinct
+    strings (words and chars holding UNK, tags from the BIO2 set), and the
+    tensors exactly those the config and vocab sizes call for, in their
+    shapes."""
     header, tensors = read_container(path, MODEL_MAGIC)
     require_keys(header, ("config", "vocab"), path)
     if isinstance(header["config"], dict):
@@ -571,17 +566,20 @@ def load_model(path) -> Tagger:
     except (TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: bad tagger config in header: {exc}") from None
     v = require_keys(header["vocab"], ("words", "chars", "tags"), path, "header vocab")
+    index = {}
     for key in ("words", "chars", "tags"):
         if not isinstance(v[key], list) or not set(map(type, v[key])) <= {str}:
             raise ContainerError(f"{path}: header vocab {key!r} is not a list of strings")
-    for key in ("words", "chars"):
-        if UNK not in v[key]:
+        index[key] = {item: i for i, item in enumerate(v[key])}
+        if len(index[key]) < len(v[key]):  # a dict keeps an item's last index
+            repeat = next(item for i, item in enumerate(v[key]) if index[key][item] != i)
+            raise ContainerError(f"{path}: header vocab {key!r} repeats {repeat!r}")
+        if key != "tags" and UNK not in index[key]:
             raise ContainerError(f"{path}: header vocab {key!r} lacks {UNK!r}")
-    vocab = Vocab(
-        {w: i for i, w in enumerate(v["words"])},
-        {c: i for i, c in enumerate(v["chars"])},
-        tuple(v["tags"]),
-    )
+    if not TAG_SET.issuperset(v["tags"]):
+        stray = next(tag for tag in v["tags"] if tag not in TAG_SET)
+        raise ContainerError(f"{path}: header vocab 'tags' holds {stray!r}, not a BIO2 tag")
+    vocab = Vocab(index["words"], index["chars"], tuple(v["tags"]))
     expected = _param_shapes(config, vocab)
     problems = [f"missing tensor {name!r}" for name in expected if name not in tensors]
     problems += [f"unexpected tensor {name!r}" for name in tensors if name not in expected]

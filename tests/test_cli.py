@@ -407,6 +407,30 @@ def test_tag_rejects_vocab_without_unk(capsys, tmp_path, sample, key):
     assert_tag_fails(capsys, path, sample, str(path), repr(key), "'<unk>'")
 
 
+@pytest.mark.parametrize(("key", "source"), [("words", 1), ("chars", 1), ("tags", 0)])
+def test_tag_rejects_repeated_vocab_entry(capsys, tmp_path, sample, key, source):
+    # the last entry becomes a copy of an earlier one, so the list keeps its
+    # length: a repeated word would otherwise surface as a word_emb shape
+    # mismatch, and a repeated tag would load
+    path = tmp_path / "model.bin"
+    repeated = []
+
+    def edit(header, tensors):
+        items = header["vocab"][key]
+        items[-1] = items[source]
+        repeated.append(items[source])
+
+    write_model(path, sample, edit)
+    assert_tag_fails(capsys, path, sample, str(path), repr(key), f"repeats {repeated[0]!r}")
+
+
+def test_tag_rejects_tag_outside_bio2(capsys, tmp_path, sample):
+    # it would otherwise fail only once the decoder picked it
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: header["vocab"]["tags"].__setitem__(-1, "X-BAD"))
+    assert_tag_fails(capsys, path, sample, str(path), "'tags'", "'X-BAD'", "BIO2")
+
+
 @pytest.mark.parametrize(
     "edit, words",
     [
@@ -659,6 +683,19 @@ def test_experiment_rejects_repeated_seeds(capsys, tmp_path):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == ["error: line 3: seeds must not repeat a seed, got '1,1'"]
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_experiment_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    # a usage error, not a silent serial run
+    config_path = tmp_path / "grid.conf"
+    config_path.write_text("regime = majority\ntarget_size = tiny\nseeds = 1\n")
+    results = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--config", str(config_path), "--out", str(results), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
     assert not results.exists()
 
 

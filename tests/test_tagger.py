@@ -1,6 +1,7 @@
 import copy
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,33 +514,119 @@ def test_best_epoch_within_run(corpus):
         assert history.best_epoch <= len(history.dev_f1)
 
 
-def test_best_epoch_parameters_equal_a_full_copy(corpus, monkeypatch):
-    # Dev F1 runs 0, 40, 0, 50, 80, 80, 66.7, 66.7: the best epoch (5) is
-    # neither the first improvement nor the last epoch, and a non-improving
-    # epoch falls between two snapshots. The restored parameters must equal
-    # a full copy of every tensor taken at the end of that epoch.
-    import xlner.tagger
-
-    dev = make_corpus([("Rom", "B-LOC"), ("blev", "O")], [("Elvis", "B-PER"), ("sang", "O"), ("Sun", "B-MISC")])
-    config = TaggerConfig(
-        **{**SMALL.__dict__, "max_epochs": 8, "patience": 8, "learning_rate": 0.3, "seed": 1,
-           "dropout": 0.25, "unk_word_dropout": True}
-    )
+def train_with_full_copies(monkeypatch, config, train_corpus, dev, **kwargs):
+    """train(), and a full copy of every tensor taken at the end of each
+    epoch, as train() tags the dev set."""
     full_copies = []
-    tag_dev = xlner.tagger.tag_corpus
+    tag_dev = tagger_module.tag_corpus
 
     def copy_then_tag(tagger, sentences):  # train() tags dev once per epoch
         full_copies.append({n: a.copy() for n, a in tagger.params.items()})
         return tag_dev(tagger, sentences)
 
-    monkeypatch.setattr(xlner.tagger, "tag_corpus", copy_then_tag)
-    tagger, history = train(config, corpus, dev)
-    assert [round(f, 1) for f in history.dev_f1] == [0.0, 40.0, 0.0, 50.0, 80.0, 80.0, 66.7, 66.7]
-    assert history.best_epoch == 5
-    assert len(full_copies) == 8
+    monkeypatch.setattr(tagger_module, "tag_corpus", copy_then_tag)
+    tagger, history = train(config, train_corpus, dev, **kwargs)
+    assert len(full_copies) == len(history.dev_f1)
+    return tagger, history, full_copies
+
+
+def assert_best_epoch_restored(tagger, history, full_copies):
+    """The returned parameters equal the best epoch's full copy, and
+    word_emb changed after it, so the restore had rows to write back."""
     for name, want in full_copies[history.best_epoch - 1].items():
         assert np.array_equal(tagger.params[name], want), name
     assert not np.array_equal(tagger.params["word_emb"], full_copies[-1]["word_emb"])
+
+
+BEST_EPOCH_DEV = make_corpus([("Rom", "B-LOC"), ("blev", "O")], [("Elvis", "B-PER"), ("sang", "O"), ("Sun", "B-MISC")])
+
+
+def test_best_epoch_parameters_equal_a_full_copy(corpus, monkeypatch):
+    # Dev F1 runs 0, 40, 0, 50, 80, 80, 66.7, 66.7: the best epoch (5) is
+    # neither the first improvement nor the last epoch, and a non-improving
+    # epoch falls between two snapshots. The restored parameters must equal
+    # a full copy of every tensor taken at the end of that epoch.
+    config = TaggerConfig(
+        **{**SMALL.__dict__, "max_epochs": 8, "patience": 8, "learning_rate": 0.3, "seed": 1,
+           "dropout": 0.25, "unk_word_dropout": True}
+    )
+    tagger, history, full_copies = train_with_full_copies(monkeypatch, config, corpus, BEST_EPOCH_DEV)
+    assert [round(f, 1) for f in history.dev_f1] == [0.0, 40.0, 0.0, 50.0, 80.0, 80.0, 66.7, 66.7]
+    assert history.best_epoch == 5
+    assert_best_epoch_restored(tagger, history, full_copies)
+
+
+def test_early_stop_restores_the_best_epoch(corpus, monkeypatch):
+    # Dev F1 runs 0, 0, 40, 0, 50, 80, 40, 80: patience 2 runs out at epoch
+    # 8, two epochs after the best (6).
+    config = TaggerConfig(
+        **{**SMALL.__dict__, "max_epochs": 12, "patience": 2, "learning_rate": 0.3, "seed": 3, "dropout": 0.25}
+    )
+    tagger, history, full_copies = train_with_full_copies(monkeypatch, config, corpus, BEST_EPOCH_DEV)
+    assert [round(f, 1) for f in history.dev_f1] == [0.0, 0.0, 40.0, 0.0, 50.0, 80.0, 40.0, 80.0]
+    assert history.stopped_early and history.best_epoch == 6
+    assert_best_epoch_restored(tagger, history, full_copies)
+
+
+def test_batched_steps_with_repeated_words_restore_the_best_epoch(monkeypatch):
+    # Two sentences per step, and every step's sentences repeat words (Rom,
+    # sang, Elvis), so a step's row ids repeat; the log must save each row
+    # once, with its value from before the step. Dev F1 runs 0, 33.3, 33.3,
+    # 66.7, 80, 66.7: the best epoch is 5 of 6.
+    train_corpus = make_corpus(
+        [("Elvis", "B-PER"), ("sang", "O"), ("i", "O"), ("Rom", "B-LOC")],
+        [("Rom", "B-LOC"), ("sang", "O"), ("Elvis", "B-PER"), (".", "O")],
+        [("Sun", "B-MISC"), ("Records", "I-MISC"), ("blev", "O"), ("Rom", "B-LOC")],
+    )
+    config = TaggerConfig(
+        **{**SMALL.__dict__, "max_epochs": 6, "patience": 6, "batch_size": 2, "learning_rate": 0.5, "seed": 1,
+           "dropout": 0.25}
+    )
+    tagger, history, full_copies = train_with_full_copies(monkeypatch, config, train_corpus, BEST_EPOCH_DEV)
+    assert [round(f, 1) for f in history.dev_f1] == [0.0, 33.3, 33.3, 66.7, 80.0, 66.7]
+    assert history.best_epoch == 5
+    assert_best_epoch_restored(tagger, history, full_copies)
+
+
+def test_continued_training_restores_the_best_epoch_and_leaves_initial_alone(corpus, monkeypatch):
+    # train(initial=stage1) trains a copy: stage1's tensors keep their bits
+    # while the continuation restores its own best epoch.
+    stage1, _ = train(TaggerConfig(**{**SMALL.__dict__, "max_epochs": 2, "patience": 2, "dropout": 0.25}),
+                      corpus, BEST_EPOCH_DEV)
+    stage1_copy = {n: a.copy() for n, a in stage1.params.items()}
+    config = TaggerConfig(
+        **{**SMALL.__dict__, "max_epochs": 8, "patience": 8, "learning_rate": 0.3, "seed": 3, "dropout": 0.25}
+    )
+    tagger, history, full_copies = train_with_full_copies(
+        monkeypatch, config, corpus, BEST_EPOCH_DEV, initial=stage1
+    )
+    assert 1 < history.best_epoch < len(history.dev_f1), history.dev_f1
+    assert_best_epoch_restored(tagger, history, full_copies)
+    for name, want in stage1_copy.items():
+        assert np.array_equal(stage1.params[name], want), name
+        assert stage1.params[name] is not tagger.params[name]
+
+
+def test_training_holds_one_word_emb(corpus):
+    # A 20,000-word vocabulary comes in through extra_vocab_corpora and a
+    # pretrained table, as zero_shot pulls in the target dev set; SGD
+    # touches the rows of a few training words. train()'s traced peak may
+    # exceed what the returned tagger holds by less than one word_emb: a
+    # full best-epoch copy of the table would be one on its own.
+    words = [f"w{i:05d}" for i in range(20_000)]
+    rng = np.random.default_rng(0)
+    pretrained = EmbeddingTable(64, {w: rng.uniform(-0.1, 0.1, 64) for w in words})
+    extra = make_corpus(*([(w, "O") for w in words[i : i + 20]] for i in range(0, len(words), 20)))
+    config = TaggerConfig(**{**SMALL.__dict__, "word_emb_dim": 64, "max_epochs": 3, "patience": 3, "dropout": 0.25})
+    tracemalloc.start()
+    try:
+        tagger, _ = train(config, corpus, BEST_EPOCH_DEV, pretrained=pretrained, extra_vocab_corpora=[extra])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    word_emb = tagger.params["word_emb"]
+    assert tagger.vocab.num_words > 20_000
+    assert peak - held < word_emb.nbytes, (peak - held, word_emb.nbytes)
 
 
 # ------------------------------------------------------------------ decoding
