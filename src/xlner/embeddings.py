@@ -16,6 +16,8 @@ from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
+from .serialize import replacing
+
 log = logging.getLogger(__name__)
 
 _DIGITS = re.compile(r"\d")
@@ -147,7 +149,9 @@ def _checked_lines(lines: Iterable[str], start: int, vectors: dict[str, np.ndarr
 
 
 def save_embeddings(table: EmbeddingTable, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write table as text in place of path, whole or not at all (see
+    serialize.replacing)."""
+    with replacing(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         for word, vec in table.vectors.items():
             fh.write(word + " " + " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist())) + "\n")

@@ -1,5 +1,7 @@
 """Versioned binary model container shared by the neural tagger and the
 HMM baseline: magic, format version, JSON header, named float64 tensors.
+Containers, and embedding tables, are written through `replacing`, so a
+file is replaced whole or not at all.
 
 Layout (all integers little-endian):
   8-byte magic | uint32 version | uint32 header length | header (UTF-8 JSON)
@@ -14,8 +16,9 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Union
+from typing import IO, Iterator, Union
 
 import numpy as np
 
@@ -26,16 +29,38 @@ class ContainerError(Exception):
     pass
 
 
+@contextmanager
+def replacing(path: Union[str, Path], mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """A file open for writing whose content replaces path when the block
+    ends without an exception. It is written as .<name>.<pid>.tmp in
+    path's directory, so the os.replace that ends the block is one rename
+    within one file system: a kill or an exception partway leaves path's
+    old bytes. On an exception the temporary file is removed and the
+    exception goes on; a kill leaves it behind. Nothing is fsynced, so
+    this guards against a failing process, not a failing machine."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_container(
     path: Union[str, Path],
     magic: bytes,
     header: dict,
     tensors: dict[str, np.ndarray],
 ) -> None:
+    """Write a container file in place of path, whole or not at all (see
+    replacing)."""
     if len(magic) != 8:
         raise ContainerError("magic must be 8 bytes")
     raw_header = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(raw_header)))
         fh.write(raw_header)

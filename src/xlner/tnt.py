@@ -3,17 +3,20 @@ transition smoothing, suffix-based unknown-word emissions with successive
 abstraction, and exact Viterbi decoding over (previous tag, current tag)
 states.
 
-Decoding is table driven. Each call looks up every smoothed transition
-once, into arrays, and one emission row per distinct known word and per
-suffix key of the unknown ones, then runs one second-order Viterbi per
-batch of equal-length sentences."""
+Estimation counts each n-gram order in bulk. Decoding is table driven.
+Each call looks up every smoothed transition once, into arrays, and one
+emission row per distinct known word and per suffix key of the unknown
+ones, abstracting each (capitalization, suffix) on those keys' chains
+once, then runs one second-order Viterbi per batch of equal-length
+sentences."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -42,25 +45,35 @@ class SuffixModel:
 
     tag_probs: dict[str, float]  # unconditioned P(t) over rare words
     theta: float  # successive-abstraction weight (variance of tag_probs)
-    suffix_counts: dict[bool, dict[str, Counter]]  # capitalized -> suffix -> tag counts
+    suffix_counts: dict[bool, dict[str, dict[str, int]]]  # capitalized -> suffix -> tag counts
 
-    def tag_given_word(self, word: str, tags: Sequence[str]) -> dict[str, float]:
+    def abstraction_step(self, counts: dict[str, int], dist: dict[str, float]) -> dict[str, float]:
+        """One successive-abstraction step: the unnormalized distribution
+        given a suffix, from the suffix's tag counts and the distribution
+        given the suffix one letter shorter."""
+        total = sum(counts.values())
+        return {t: (counts.get(t, 0) / total + self.theta * p) / (1.0 + self.theta) for t, p in dist.items()}
+
+    def tag_given_word(self, word: str, tags: Sequence[str], memo: dict | None = None) -> dict[str, float]:
         """P(t | word) by successive abstraction over ever-longer suffixes,
-        stopping at the longest observed one."""
+        stopping at the longest observed one. A memo maps capitalization,
+        then suffix, to the distribution after that suffix's step, so words
+        that share a suffix, passing one memo and the same tags, abstract it
+        once."""
         if not self.tag_probs:
             return {t: 1.0 / len(tags) for t in tags}
         capitalized = word[:1].isupper()
         table = self.suffix_counts.get(capitalized) or {}
+        after = ({} if memo is None else memo).setdefault(capitalized, {})
         dist = {t: self.tag_probs.get(t, 0.0) for t in tags}
         for length in range(1, min(len(word), MAX_SUFFIX_LEN) + 1):
-            counts = table.get(word[-length:])
+            suffix = word[-length:]
+            counts = table.get(suffix)
             if counts is None:
                 break
-            total = sum(counts.values())
-            dist = {
-                t: (counts.get(t, 0) / total + self.theta * dist[t]) / (1.0 + self.theta)
-                for t in tags
-            }
+            if suffix not in after:
+                after[suffix] = self.abstraction_step(counts, dist)
+            dist = after[suffix]
         norm = sum(dist.values())
         if norm <= 0.0:
             return {t: 1.0 / len(tags) for t in tags}
@@ -88,7 +101,7 @@ class TntModel:
     bigrams: Counter
     trigrams: Counter
     lambdas: tuple[float, float, float]
-    emissions: dict[str, Counter]  # word -> tag counts, words in first-seen order
+    emissions: dict[str, dict[str, int]]  # word -> tag counts, words in first-seen order
     suffix_model: SuffixModel
     total_tokens: int
 
@@ -111,14 +124,15 @@ class TntModel:
             return NEG_INF
         return math.log(p / denom)
 
-    def emission_logps(self, word: str) -> list[float]:
+    def emission_logps(self, word: str, memo: dict | None = None) -> list[float]:
         """log P(word | t) for each of `tags`. Known words: maximum
         likelihood; unknown words: Bayes inversion of the suffix model's
-        P(t | word), which is computed once for the whole row."""
+        P(t | word), which is computed once for the whole row, through the
+        suffix memo if one is given (see SuffixModel.tag_given_word)."""
         counts = self.emissions.get(word)
         if counts is not None:
             return [math.log(c / self.unigrams[t]) if (c := counts.get(t, 0)) else NEG_INF for t in self.tags]
-        tag_dist = self.suffix_model.tag_given_word(word, self.tags)
+        tag_dist = self.suffix_model.tag_given_word(word, self.tags, memo)
         row = []
         for tag in self.tags:
             p_tag = self.unigrams[tag] / self.total_tokens
@@ -146,33 +160,38 @@ def _deleted_interpolation(
 
 
 def estimate(train: Corpus) -> TntModel:
+    """Maximum-likelihood tables, interpolation weights and the suffix
+    model of a tagged corpus. Each n-gram table is one bulk count over
+    every sentence's padded tags (START, START, *tags, STOP); the START
+    unigram and the (START, START) bigram, one per sentence, are entered
+    after the first sentence's n-grams, the order a per-sentence count
+    gives, which save_model writes."""
     if not len(train):
         raise ValueError("train corpus is empty")
-    unigrams: Counter = Counter()
-    bigrams: Counter = Counter()
-    trigrams: Counter = Counter()
-    emissions: dict[str, Counter] = defaultdict(Counter)
-    total = 0
-
+    padded = [(START, START, *sentence.tags, STOP) for sentence in train]
+    first, rest = padded[0], padded[1:]
+    unigrams = Counter(first[2:])
+    unigrams[START] = len(padded)  # context mass for bigram backoff at position 1
+    unigrams.update(chain.from_iterable(tags[2:] for tags in rest))
+    bigrams = Counter(zip(first[1:], first[2:]))
+    bigrams[(START, START)] = len(padded)
+    bigrams.update(chain.from_iterable(zip(tags[1:], tags[2:]) for tags in rest))
+    trigrams = Counter(chain.from_iterable(zip(tags, tags[1:], tags[2:]) for tags in padded))
+    total = sum(map(len, padded)) - 2 * len(padded)  # every token and STOP
+    emissions: dict[str, dict[str, int]] = {}
     for sentence in train:
-        tags = [START, START, *sentence.tags, STOP]
-        for tag in tags[2:]:
-            unigrams[tag] += 1
-            total += 1
-        for a, b in zip(tags[1:], tags[2:]):
-            bigrams[(a, b)] += 1
-        for a, b, c in zip(tags, tags[1:], tags[2:]):
-            trigrams[(a, b, c)] += 1
-        bigrams[(START, START)] += 1
-        unigrams[START] += 1  # context mass for bigram backoff at position 1
         for token in sentence:
-            emissions[token.text][token.tag] += 1
+            counts = emissions.get(token.text)
+            if counts is None:
+                emissions[token.text] = {token.tag: 1}
+            else:
+                counts[token.tag] = counts.get(token.tag, 0) + 1
 
     tag_set = tuple(sorted(t for t in unigrams if t not in (START, STOP)))
     lambdas = _deleted_interpolation(unigrams, bigrams, trigrams, total)
 
     rare_totals: Counter = Counter()
-    suffix_counts: dict[bool, dict[str, Counter]] = {True: {}, False: {}}
+    suffix_counts: dict[bool, dict[str, dict[str, int]]] = {True: {}, False: {}}
     n_rare = 0
     for word, tag_counts in emissions.items():
         if sum(tag_counts.values()) >= RARE_THRESHOLD:
@@ -185,8 +204,9 @@ def estimate(train: Corpus) -> TntModel:
                 suffix = word[-length:]
                 counts = table.get(suffix)
                 if counts is None:
-                    counts = table[suffix] = Counter()
-                counts[tag] += count
+                    table[suffix] = {tag: count}
+                else:
+                    counts[tag] = counts.get(tag, 0) + count
 
     if n_rare:
         tag_probs = {t: c / n_rare for t, c in rare_totals.items()}
@@ -206,7 +226,7 @@ def estimate(train: Corpus) -> TntModel:
         bigrams=bigrams,
         trigrams=trigrams,
         lambdas=lambdas,
-        emissions=dict(emissions),
+        emissions=emissions,
         suffix_model=SuffixModel(tag_probs, theta, suffix_counts),
         total_tokens=total,
     )
@@ -233,7 +253,8 @@ def _viterbi(em: np.ndarray, tables) -> np.ndarray:
     in sorted(states) order."""
     first, step, step_ok, stop, sorted_position = tables
     n, k, b = em.shape
-    ok = (em[0] > NEG_INF) & (first[:, None] > NEG_INF)
+    em_ok = em > NEG_INF
+    ok = em_ok[0] & (first[:, None] > NEG_INF)
     stuck = ~ok.any(axis=0)  # every tag pruned: uniform emissions
     score = np.where(ok, em[0] + first[:, None], NEG_INF)
     score[:, stuck] = first[:, None]
@@ -244,7 +265,7 @@ def _viterbi(em: np.ndarray, tables) -> np.ndarray:
     back = []
     for i in range(1, n):
         # (previous, current, next, batch): state (p, c) moving on to (c, t)
-        valid = exists[:, :, None] & step_ok[prev][..., None] & (em[i] > NEG_INF)
+        valid = exists[:, :, None] & step_ok[prev][..., None] & em_ok[i]
         cand = score[:, :, None] + step[prev][..., None] + em[i]
         pointer, best = _first_max(cand, valid)
         new_exists = valid.any(axis=0)
@@ -273,11 +294,26 @@ def _viterbi(em: np.ndarray, tables) -> np.ndarray:
     return path
 
 
+def _emission_rows(model: TntModel, words: Collection[str]) -> np.ndarray:
+    """The (len(words), K) emission rows of distinct words, one computed
+    per known word and one per suffix key of the unknown ones, whose
+    suffix chains share one memo; the memo and the rows by key are freed
+    on return, before any decoding."""
+    # a known word keys its own row; unknown words share one per suffix key
+    keys = [word if word in model.emissions else model.suffix_model.suffix_key(word) for word in words]
+    rows = {}
+    suffix_memo: dict = {}
+    for key, word in zip(keys, words):
+        if key not in rows:
+            rows[key] = model.emission_logps(word, suffix_memo)
+    return np.array([rows[key] for key in keys]).reshape(len(keys), len(model.tags))
+
+
 def _viterbi_batches(model: TntModel, sentences: Sequence[Sequence[str]]) -> Iterator[tuple[list[int], np.ndarray]]:
     """(indices into sentences, tag-index paths) per batch of non-empty
     equal-length sentences. Transitions are looked up once per call, and
     emissions once per distinct known word and once per suffix key of the
-    unknown ones."""
+    unknown ones (see _emission_rows)."""
     tags = model.tags
     k = len(tags)
     labels = (*tags, START)
@@ -290,13 +326,7 @@ def _viterbi_batches(model: TntModel, sentences: Sequence[Sequence[str]]) -> Ite
     tables = first, step, step > NEG_INF, stop, sorted_position.reshape(k + 1, k)
 
     index = {word: i for i, word in enumerate(dict.fromkeys(w for words in sentences for w in words))}
-    # a known word keys its own row; unknown words share one per suffix key
-    keys = [word if word in model.emissions else model.suffix_model.suffix_key(word) for word in index]
-    rows = {}
-    for key, word in zip(keys, index):
-        if key not in rows:
-            rows[key] = model.emission_logps(word)
-    emissions = np.array([rows[key] for key in keys]).reshape(len(index), k)
+    emissions = _emission_rows(model, index)
     by_length = defaultdict(list)
     for i, words in enumerate(sentences):
         by_length[len(words)].append(i)
@@ -318,10 +348,10 @@ def tag_corpus(model: TntModel, corpus: Corpus) -> Corpus:
     their token texts untouched."""
     sentences = corpus.sentences
     tagged: list = [None] * len(sentences)
+    names = np.array(model.tags, dtype=object)
     inside = np.array([tag.startswith("I-") for tag in model.tags], dtype=bool)
     for batch, paths in _viterbi_batches(model, [sentence.texts for sentence in sentences]):
-        for i, path, repair in zip(batch, paths.tolist(), inside[paths].any(axis=1).tolist()):
-            tags = [model.tags[t] for t in path]
+        for i, tags, repair in zip(batch, names[paths].tolist(), inside[paths].any(axis=1).tolist()):
             tagged[i] = sentences[i].with_tags(repair_bio(tags)[0] if repair else tags)
     return Corpus(tuple(tagged), corpus.language)
 
@@ -371,14 +401,11 @@ def load_model(path) -> TntModel:
         bigrams=Counter({tuple(k.split("\t")): v for k, v in header["bigrams"].items()}),
         trigrams=Counter({tuple(k.split("\t")): v for k, v in header["trigrams"].items()}),
         lambdas=tuple(header["lambdas"]),
-        emissions={w: Counter(c) for w, c in header["emissions"].items()},
+        emissions=header["emissions"],
         suffix_model=SuffixModel(
             header["suffix"]["tag_probs"],
             header["suffix"]["theta"],
-            {
-                cap == "True": {s: Counter(c) for s, c in table.items()}
-                for cap, table in header["suffix"]["counts"].items()
-            },
+            {cap == "True": table for cap, table in header["suffix"]["counts"].items()},
         ),
         total_tokens=header["total_tokens"],
     )

@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+import os
 import warnings
 
 import numpy as np
@@ -85,6 +86,21 @@ def test_save_writes_each_value_as_its_float_repr(tmp_path):
     )
     assert (tmp_path / "t.vec").read_bytes() == expected.encode("utf-8")
     assert "-0.0 0.0 -0.0 1.0" in expected and "1e+16 1e-05" in expected
+
+
+def test_failed_save_keeps_the_old_table(tmp_path):
+    # the write raises at a row that is not a vector, after the header and
+    # the first row went out: the old file keeps its bytes, and no
+    # temporary file is left beside it
+    path = tmp_path / "t.vec"
+    table = table_of(["a", "b"])
+    save_embeddings(table, path)
+    old = path.read_bytes()
+    table.vectors = {"c": np.zeros(3), "bad": "not a vector"}
+    with pytest.raises(ValueError):
+        save_embeddings(table, path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["t.vec"]
 
 
 def reference_load(text):

@@ -713,6 +713,20 @@ def test_every_truncation_is_a_container_error(tmp_path, corpus):
             read_container(path, MODEL_MAGIC)
 
 
+def test_failed_write_keeps_the_old_model(tmp_path, corpus):
+    # the write raises at its last tensor, not an array, after the header
+    # and every other tensor went out: the old file keeps its bytes, and
+    # no temporary file is left beside it
+    path = tmp_path / "model.bin"
+    save_model(small_tagger(corpus), path)
+    old = path.read_bytes()
+    header, tensors = read_container(path, MODEL_MAGIC)
+    with pytest.raises(AttributeError):
+        write_container(path, MODEL_MAGIC, header, {**tensors, "broken": None})
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["model.bin"]
+
+
 @given(
     st.lists(st.lists(INFERENCE_WORDS, min_size=1, max_size=6), min_size=1, max_size=5),
     st.tuples(*[st.integers(1, 4)] * 4),

@@ -1,6 +1,6 @@
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Optional
 
 import numpy as np
@@ -12,9 +12,12 @@ from xlner import tnt
 from xlner.conll import Corpus, Sentence, repair_bio, write_conll
 from xlner.serialize import ContainerError, read_container, write_container
 from xlner.tnt import (
+    MAX_SUFFIX_LEN,
+    RARE_THRESHOLD,
     START,
     STOP,
     TNT_MAGIC,
+    SuffixModel,
     TntModel,
     estimate,
     load_model,
@@ -125,6 +128,63 @@ def reference_decode(model, sentence):
         path.append(pointers[path[-1]])
     path.reverse()
     return [cur for _, cur in path]
+
+
+def reference_estimate(train):
+    """The estimator's referee: one Counter increment per n-gram and per
+    token, sentence by sentence, and per suffix of each rare word's tag."""
+    unigrams: Counter = Counter()
+    bigrams: Counter = Counter()
+    trigrams: Counter = Counter()
+    emissions: dict[str, Counter] = defaultdict(Counter)
+    total = 0
+    for sentence in train:
+        tags = [START, START, *sentence.tags, STOP]
+        for tag in tags[2:]:
+            unigrams[tag] += 1
+            total += 1
+        for a, b in zip(tags[1:], tags[2:]):
+            bigrams[(a, b)] += 1
+        for a, b, c in zip(tags, tags[1:], tags[2:]):
+            trigrams[(a, b, c)] += 1
+        bigrams[(START, START)] += 1
+        unigrams[START] += 1
+        for token in sentence:
+            emissions[token.text][token.tag] += 1
+
+    tag_set = tuple(sorted(t for t in unigrams if t not in (START, STOP)))
+    rare_totals: Counter = Counter()
+    suffix_counts: dict[bool, dict[str, Counter]] = {True: {}, False: {}}
+    n_rare = 0
+    for word, tag_counts in emissions.items():
+        if sum(tag_counts.values()) >= RARE_THRESHOLD:
+            continue
+        table = suffix_counts[word[:1].isupper()]
+        for tag, count in tag_counts.items():
+            rare_totals[tag] += count
+            n_rare += count
+            for length in range(1, min(len(word), MAX_SUFFIX_LEN) + 1):
+                table.setdefault(word[-length:], Counter())[tag] += count
+    if n_rare:
+        tag_probs = {t: c / n_rare for t, c in rare_totals.items()}
+        mean = sum(tag_probs.get(t, 0.0) for t in tag_set) / len(tag_set)
+        if len(tag_set) > 1:
+            theta = sum((tag_probs.get(t, 0.0) - mean) ** 2 for t in tag_set) / (len(tag_set) - 1)
+        else:
+            theta = 0.0
+        theta = max(theta, 1e-10)
+    else:
+        tag_probs, theta = {}, 1e-10
+    return TntModel(
+        tags=tag_set,
+        unigrams=unigrams,
+        bigrams=bigrams,
+        trigrams=trigrams,
+        lambdas=tnt._deleted_interpolation(unigrams, bigrams, trigrams, total),
+        emissions=dict(emissions),
+        suffix_model=SuffixModel(tag_probs, theta, suffix_counts),
+        total_tokens=total,
+    )
 
 
 @pytest.fixture
@@ -273,6 +333,40 @@ def test_tag_corpus_matches_reference_decoder(case):
     assert write_conll(tag_corpus(model, corpus)) == write_conll(repaired)
 
 
+@st.composite
+def tagged_corpora(draw):
+    """A training corpus whose words, capitalized or not and some longer
+    than MAX_SUFFIX_LEN, are each seen 1 to 12 times, so on both sides of
+    RARE_THRESHOLD, under mixed tags, in sentences of 1 to 12 tokens."""
+    words = draw(st.lists(st.text("aBe", min_size=1, max_size=MAX_SUFFIX_LEN + 3), min_size=1, max_size=6, unique=True))
+    tokens = []
+    for word in words:
+        tokens += [(word, draw(st.sampled_from(TNT_TAGS))) for _ in range(draw(st.integers(1, 12)))]
+    tokens = draw(st.permutations(tokens))
+    sentences = []
+    while tokens:
+        length = draw(st.integers(1, 12))
+        sentences.append(tokens[:length])
+        tokens = tokens[length:]
+    return make_corpus(*sentences)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_corpora())
+@example(
+    make_corpus(
+        *[[("Hansen", "B-PER"), ("gik", "O"), ("q" * 12 + "sen", "B-LOC")]] * 9,
+        *[[("gik", "O"), ("Olsen", "B-LOC"), ("ud", "I-PER")]] * 3,
+        [("Ud", "O")],
+    )
+)
+def test_estimate_writes_the_reference_estimates_bytes(tmp_path_factory, corpus):
+    path = tmp_path_factory.mktemp("estimate")
+    save_model(estimate(corpus), path / "fast.bin")
+    save_model(reference_estimate(corpus), path / "reference.bin")
+    assert (path / "fast.bin").read_bytes() == (path / "reference.bin").read_bytes()
+
+
 @pytest.mark.parametrize("budget", [1, 250])
 def test_tag_corpus_splits_length_groups_across_batches(monkeypatch, train3, budget):
     # 21 sentences each of lengths 5, 7 and 9; with two tags a budget of 250
@@ -325,10 +419,32 @@ SUFFIX_TRAIN = make_corpus(
 def test_shared_rows_equal_each_words_own_row(monkeypatch, train):
     # suffix keys: Jensen's and Karlsen's differ only in the first letter
     # of the matched suffix, Jen's and jen's only in capitalization, and
-    # the other words share keys with these or with each other
+    # the other words share keys with these or with each other. The keys'
+    # chains share suffixes: Jensen's, Karlsen's and Svansen's run through
+    # (True, "sen"), landen's and hunden's through (False, "nden"), and
+    # Jen's and jen's through "en" under each capitalization.
     model = estimate(train)
-    unknown = ["Jensen", "Karlsen", "Jen", "jen", "Tensen", "Ensen", "xen", "q" * 12 + "sen", "zz", "Z", "7"]
+    unknown = ["Jensen", "Karlsen", "Jen", "jen", "Tensen", "Ensen", "Svansen", "landen", "hunden", "xen",
+               "q" * 12 + "sen", "zz", "Z", "7"]
     sentences = [unknown[i : i + 3] for i in range(len(unknown))] + [["Hansen", "gik", "jen"], ["ja", "Jen"]]
+
+    # one tag_corpus call abstracts each (capitalization, suffix) of the
+    # keys' chains once
+    where = {id(counts): (cap, suffix) for cap, table in model.suffix_model.suffix_counts.items()
+             for suffix, counts in table.items()}
+    steps = []
+    step = SuffixModel.abstraction_step
+
+    def counting_step(self, counts, dist):
+        steps.append(where[id(counts)])
+        return step(self, counts, dist)
+
+    monkeypatch.setattr(SuffixModel, "abstraction_step", counting_step)
+    tag_corpus(model, make_corpus(*[[(w, "O") for w in words] for words in sentences]))
+    abstracted = Counter(steps)
+    keys = {model.suffix_model.suffix_key(w) for words in sentences for w in words if w not in model.emissions}
+    assert abstracted == Counter({(cap, suffix[-n:]) for cap, suffix in keys for n in range(1, len(suffix) + 1)})
+
     seen = 0
     for words, rows in _built_rows(monkeypatch, model, sentences):
         assert np.array_equal(rows, [model.emission_logps(w) for w in words])
@@ -337,7 +453,8 @@ def test_shared_rows_equal_each_words_own_row(monkeypatch, train):
     if train is SUFFIX_TRAIN:
         keys = [model.suffix_model.suffix_key(w) for w in unknown]
         assert keys[:4] == [(True, "nsen"), (True, "lsen"), (True, "en"), (False, "en")]
-        assert len(set(keys)) == 6
+        assert len(set(keys)) == 9
+        assert sum(abstracted.values()) == 11 < sum(len(suffix) for _, suffix in set(keys))
         assert model.emission_logps("Jen") != model.emission_logps("jen")
         assert model.emission_logps("Jensen") != model.emission_logps("Karlsen")
 
