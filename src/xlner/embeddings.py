@@ -9,7 +9,7 @@ import itertools
 import logging
 import math
 import re
-from collections.abc import Container
+from collections.abc import Container, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, TextIO, Union
@@ -27,18 +27,59 @@ class EmbeddingError(Exception):
     pass
 
 
-@dataclass
-class EmbeddingTable:
-    dim: int
-    vectors: dict[str, np.ndarray]
+class EmbeddingTable(Mapping):
+    """A word embedding table, and a read-only word -> row mapping: words
+    in row order, each word's row number in index, and one C-contiguous
+    (n, dim) float64 matrix, made read-only. Tables made from one another
+    may share words and index, so neither is ever changed."""
 
-    def __post_init__(self):
-        for word, vec in self.vectors.items():
-            if vec.shape != (self.dim,):
-                raise EmbeddingError(f"vector for {word!r} has shape {vec.shape}, want ({self.dim},)")
+    __slots__ = ("words", "index", "matrix")
+
+    def __init__(self, dim: int, vectors: Mapping[str, np.ndarray]):
+        """Convert a {word: (dim,) vector} mapping, once, into a table."""
+        for word, vec in vectors.items():
+            if vec.shape != (dim,):
+                raise EmbeddingError(f"vector for {word!r} has shape {vec.shape}, want ({dim},)")
+        self._set(list(vectors), np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim))
+
+    @classmethod
+    def from_matrix(cls, words: list[str], matrix: np.ndarray, index: Optional[dict[str, int]] = None) -> EmbeddingTable:
+        """The table whose row i is words[i]'s vector, holding matrix (a
+        C-contiguous (len(words), dim) float64 array) and index as given."""
+        table = cls.__new__(cls)
+        table._set(words, matrix, index)
+        return table
+
+    def _set(self, words: list[str], matrix: np.ndarray, index: Optional[dict[str, int]] = None) -> None:
+        self.words = words
+        self.index = {word: i for i, word in enumerate(words)} if index is None else index
+        self.matrix = matrix
+        matrix.flags.writeable = False
+
+    # Pickled as words and matrix: the index is rebuilt, not shipped.
+    def __getstate__(self) -> tuple[list[str], np.ndarray]:
+        return self.words, self.matrix
+
+    def __setstate__(self, state: tuple[list[str], np.ndarray]) -> None:
+        self._set(*state)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def vectors(self) -> EmbeddingTable:
+        """The table itself, as its word -> row mapping."""
+        return self
+
+    def __getitem__(self, word: str) -> np.ndarray:
+        return self.matrix[self.index[word]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.words)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.words)
 
 
 def word_form(known: Container[str], word: str) -> Optional[str]:
@@ -54,7 +95,7 @@ def word_form(known: Container[str], word: str) -> Optional[str]:
     return digits if digits in known else None
 
 
-BLOCK_ROWS = 128  # lines parsed, or rows mapped, per numpy call
+BLOCK_ROWS = 128  # lines parsed, or rows mapped, gathered or written, per numpy call
 
 
 def load_embeddings(source: Union[str, Path, TextIO, Iterable[str]]) -> EmbeddingTable:
@@ -68,8 +109,10 @@ def load_embeddings(source: Union[str, Path, TextIO, Iterable[str]]) -> Embeddin
     a non-finite value, a repeated word) goes through the per-line checked
     loop instead, which gives its exact `line N:` error, its warnings and
     its values. loadtxt accepts a subset of what float() accepts (not `1_0`
-    or non-ASCII digits), with the same values, so both paths agree. Each
-    row is a view into its block's matrix."""
+    or non-ASCII digits), with the same values, so both paths agree. Rows
+    go into one matrix that grows in place, doubling but not past a header
+    count still ahead, and is trimmed at the end: a true count is allocated
+    exactly, a false one costs at most twice the rows present."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
             try:
@@ -79,27 +122,48 @@ def load_embeddings(source: Union[str, Path, TextIO, Iterable[str]]) -> Embeddin
             except EmbeddingError as exc:
                 raise EmbeddingError(f"{source}: {exc}") from None
 
-    vectors: dict[str, np.ndarray] = {}
     lines = iter(source)
-    # Line 1 may be a header, which only the checked loop recognizes.
-    dim = _checked_lines(itertools.islice(lines, 1), 1, vectors, None)
-    start = 2
+    first = next(lines, "")
+    count, dim = _header(first) or (0, None)
+    lines, start = (itertools.chain([first], lines), 1) if dim is None else (lines, 2)
+    words: list[str] = []
+    index: dict[str, int] = {}
+    matrix = np.empty((0, 0))
     while block := list(itertools.islice(lines, BLOCK_ROWS)):
-        rows = _parsed_block(block, vectors, dim)
-        dim = _checked_lines(block, start, vectors, dim) if rows is None else rows.shape[1]
+        new_words, rows = _parsed_block(block, index, dim) or _checked_lines(block, start, index, dim)
         start += len(block)
-    return EmbeddingTable(dim if dim is not None else 0, vectors)
+        if new_words:
+            n, need, dim = len(words), len(words) + len(new_words), rows.shape[1]
+            if need > len(matrix):
+                size = max(2 * len(matrix), need)
+                matrix.resize((min(size, count) if count >= need else size, dim), refcheck=False)
+            matrix[n:need] = rows
+            index.update(zip(new_words, range(n, need)))
+            words += new_words
+    matrix.resize((len(words), dim or 0), refcheck=False)
+    return EmbeddingTable.from_matrix(words, matrix, index)
 
 
-def _parsed_block(block: list[str], vectors: dict[str, np.ndarray], dim: Optional[int]) -> Optional[np.ndarray]:
-    """Add block's rows to vectors and return their matrix, or return None
-    (adding nothing) if the checked loop would do anything other than add
-    every line as a new row of dim values."""
+def _header(line: str) -> Optional[tuple[int, int]]:
+    """(count, dim) if line is a `count dim` header line, else None."""
+    try:
+        count, dim = map(int, line.split())
+    except ValueError:
+        return None
+    if dim < 0:
+        raise EmbeddingError(f"line 1: negative dimension {dim}")
+    return count, dim
+
+
+def _parsed_block(block: list[str], index: dict[str, int], dim: Optional[int]) -> Optional[tuple[list[str], np.ndarray]]:
+    """block's words and (rows, dim) matrix, or None if the checked loop
+    would do anything other than take every line as a new row of dim
+    values."""
     pairs = [line.split(None, 1) for line in block]
     if any(len(pair) != 2 for pair in pairs):
         return None
     words = [word for word, _ in pairs]
-    if len(set(words)) != len(words) or not vectors.keys().isdisjoint(words):
+    if len(set(words)) != len(words) or not index.keys().isdisjoint(words):
         return None
     try:
         rows = np.loadtxt([rest for _, rest in pairs], dtype=np.float64, comments=None, ndmin=2)
@@ -107,32 +171,25 @@ def _parsed_block(block: list[str], vectors: dict[str, np.ndarray], dim: Optiona
         return None
     if rows.shape != (len(words), rows.shape[1] if dim is None else dim) or not np.isfinite(rows).all():
         return None
-    vectors.update(zip(words, rows))
-    return rows
+    return words, rows
 
 
-def _checked_lines(lines: Iterable[str], start: int, vectors: dict[str, np.ndarray], dim: Optional[int]) -> Optional[int]:
-    """Add the rows of lines, numbered from start, to vectors one line at a
-    time: blank lines are skipped, a `count dim` line 1 sets dim, and the
-    first bad line raises. Returns the width rows must have from now on."""
+def _checked_lines(lines: list[str], start: int, index: dict[str, int], dim: Optional[int]) -> tuple[list[str], np.ndarray]:
+    """The new words of lines, numbered from start, and their rows, read
+    one line at a time: blank lines are skipped, words in index or earlier
+    in lines are warned about and skipped, and the first bad line raises.
+    Rows must have dim values; the first row sets dim if it is None."""
+    rows: dict[str, list[float]] = {}
     for lineno, line in enumerate(lines, start=start):
         fields = line.split()
         if not fields:
             continue
-        if lineno == 1 and len(fields) == 2:
-            try:
-                int(fields[0]), int(fields[1])
-            except ValueError:
-                pass
-            else:
-                dim = int(fields[1])
-                continue
         word, values = fields[0], fields[1:]
         if dim is None:
             dim = len(values)
         if len(values) != dim:
             raise EmbeddingError(f"line {lineno}: expected {dim} values, got {len(values)}")
-        if word in vectors:
+        if word in index or word in rows:
             log.warning("duplicate word %r at line %d; keeping first", word, lineno)
             continue
         try:
@@ -144,17 +201,18 @@ def _checked_lines(lines: Iterable[str], start: int, vectors: dict[str, np.ndarr
         if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
             bad = next(v for v in values if not math.isfinite(float(v)))
             raise EmbeddingError(f"line {lineno}: non-finite value {bad!r}")
-        vectors[word] = np.array(row)
-    return dim
+        rows[word] = row
+    return list(rows), np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), dim or 0)
 
 
 def save_embeddings(table: EmbeddingTable, path: Union[str, Path]) -> None:
     """Write table as text in place of path, whole or not at all (see
-    serialize.replacing)."""
+    serialize.replacing), BLOCK_ROWS rows per write."""
     with replacing(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
-        for word, vec in table.vectors.items():
-            fh.write(word + " " + " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist())) + "\n")
+        for start in range(0, len(table), BLOCK_ROWS):
+            rows = zip(table.words[start : start + BLOCK_ROWS], table.matrix[start : start + BLOCK_ROWS].tolist())
+            fh.write("".join(word + " " + " ".join(map(repr, row)) + "\n" for word, row in rows))
 
 
 @dataclass(frozen=True)
@@ -174,7 +232,7 @@ class SeedLexicon:
 def mine_identical_seeds(src: EmbeddingTable, tgt: EmbeddingTable) -> SeedLexicon:
     """Words spelled identically in both vocabularies, case-sensitive,
     in lexicographic order."""
-    shared = sorted(set(src.vectors) & set(tgt.vectors))
+    shared = sorted(src.index.keys() & tgt.index.keys())
     if not shared:
         raise EmbeddingError("no seeds: vocabularies share no identical words")
     return SeedLexicon(tuple((w, w) for w in shared))
@@ -229,23 +287,47 @@ def align_tables(src: EmbeddingTable, tgt: EmbeddingTable, seeds: Optional[SeedL
         raise EmbeddingError(f"dimension mismatch: src {src.dim} vs tgt {tgt.dim}")
     if seeds is None:
         seeds = mine_identical_seeds(src, tgt)
-    x = _unit_rows(np.stack([tgt.vectors[t] for _, t in seeds.pairs]))
-    y = _unit_rows(np.stack([src.vectors[s] for s, _ in seeds.pairs]))
+    x = _unit_rows(tgt.matrix[[tgt.index[t] for _, t in seeds.pairs]])
+    y = _unit_rows(src.matrix[[src.index[s] for s, _ in seeds.pairs]])
     return procrustes_align(x, y)
 
 
 def apply_mapping(table: EmbeddingTable, mapping: OrthogonalMap) -> EmbeddingTable:
-    """Rotate every vector into the aligned space: one stacked matmul per
-    BLOCK_ROWS rows, each mapped row a view into its block's product."""
+    """Rotate every vector into the aligned space. The result shares the
+    table's words and index."""
     if table.dim != mapping.dim:
         raise EmbeddingError(f"dimension mismatch: table {table.dim} vs map {mapping.dim}")
-    # Stacks of vector-matrix products: bit-equal to each row's `vec @ w`,
-    # where the matrix-matrix product `rows @ w` is not. Blocks keep peak
-    # RSS down: a whole-table stack, or one preallocated (n, d) result,
-    # raised it by ~6 MB on a 12k-row 64-d table.
-    items = iter(table.vectors.items())
-    mapped: dict[str, np.ndarray] = {}
-    while block := list(itertools.islice(items, BLOCK_ROWS)):
-        words, rows = zip(*block)
-        mapped.update(zip(words, np.matmul(np.stack(rows)[:, None, :], mapping.matrix)[:, 0]))
-    return EmbeddingTable(table.dim, mapped)
+    matrix = np.empty_like(table.matrix)
+    _put_rows(matrix, np.arange(len(table)), table, mapping)
+    return EmbeddingTable.from_matrix(table.words, matrix, table.index)
+
+
+def merge_tables(
+    primary: EmbeddingTable,
+    secondary: EmbeddingTable,
+    primary_map: Optional[OrthogonalMap] = None,
+    secondary_map: Optional[OrthogonalMap] = None,
+) -> EmbeddingTable:
+    """The union of two same-dimension tables in dict-union order:
+    secondary's words, then primary's words that secondary lacks, with
+    primary's rows on shared words. A table given a map is rotated as
+    apply_mapping rotates it, straight into the merged matrix."""
+    index = dict(secondary.index)
+    for word in primary.words:
+        index.setdefault(word, len(index))
+    matrix = np.empty((len(index), primary.dim))
+    _put_rows(matrix, np.arange(len(secondary)), secondary, secondary_map)
+    _put_rows(matrix, np.array([index[word] for word in primary.words], dtype=np.intp), primary, primary_map)
+    return EmbeddingTable.from_matrix(list(index), matrix, index)
+
+
+def _put_rows(out: np.ndarray, at: np.ndarray, table: EmbeddingTable, mapping: Optional[OrthogonalMap]) -> None:
+    """out[at[i]] = table's row i, times mapping's matrix unless mapping is
+    None, BLOCK_ROWS rows at a time."""
+    for start in range(0, len(table), BLOCK_ROWS):
+        rows = table.matrix[start : start + BLOCK_ROWS]
+        if mapping is not None:
+            # A stack of vector-matrix products: bit-equal to each row's
+            # `vec @ w`, where the matrix-matrix product `rows @ w` is not.
+            rows = np.matmul(rows[:, None, :], mapping.matrix)[:, 0]
+        out[at[start : start + BLOCK_ROWS]] = rows

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conll import Corpus, Sentence, Token
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, OrthogonalMap, apply_mapping
 
 _VOWEL_MAP = str.maketrans("aeiou", "eioua")
 
@@ -103,16 +103,17 @@ def make_twin_languages(
     tgt_train = corpus(n_tgt_train, twin_word, "tgt")
     tgt_dev = corpus(n_tgt_dev, twin_word, "tgt")
 
-    vocab = set(fillers) | set(SHARED_WORDS) | {w for ws in lexicon.values() for w in ws}
-    src_vectors = {w: rng.standard_normal(dim) for w in sorted(vocab)}
+    words = sorted(set(fillers) | set(SHARED_WORDS) | {w for ws in lexicon.values() for w in ws})
+    src_emb = EmbeddingTable.from_matrix(words, rng.standard_normal((len(words), dim)))
     rotation = random_orthogonal(rng, dim)
-    tgt_vectors = {twin_word(w): v @ rotation for w, v in src_vectors.items()}
+    tgt_rows = apply_mapping(src_emb, OrthogonalMap(rotation)).matrix
+    tgt_emb = EmbeddingTable.from_matrix([twin_word(w) for w in words], tgt_rows)
     return TwinLanguages(
         src_train,
         src_dev,
         tgt_train,
         tgt_dev,
-        EmbeddingTable(dim, src_vectors),
-        EmbeddingTable(dim, tgt_vectors),
+        src_emb,
+        tgt_emb,
         rotation,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conll import TAG_SET, TAGS, Corpus, Sentence, bio_violation
 from .crf import crf_nll_grad, viterbi_decode
-from .embeddings import EmbeddingTable, word_form
+from .embeddings import BLOCK_ROWS, EmbeddingTable, word_form
 from .lstm import lstm_backward, lstm_forward
 from .serialize import ContainerError, read_container, require_keys, write_container
 
@@ -151,7 +151,7 @@ def build_vocab(corpora: Sequence[Corpus], embeddings: Optional[EmbeddingTable] 
         for corpus in corpora[1:]:
             for sentence in corpus:
                 for token in sentence:
-                    if word_form(embeddings.vectors, token.text) is not None:
+                    if word_form(embeddings.index, token.text) is not None:
                         words.add(token.text)
     return Vocab(*({item: i for i, item in enumerate([UNK, *sorted(items - {UNK})])} for items in (words, chars)))
 
@@ -201,12 +201,12 @@ def init_params(
             params[name] = _uniform(rng, shape, fan_in)
 
     if pretrained is not None and len(pretrained):
-        for word, idx in vocab.words.items():
-            if word == UNK:
-                continue
-            form = word_form(pretrained.vectors, word)
-            if form is not None:
-                params["word_emb"][idx] = pretrained.vectors[form]
+        forms = ((idx, word_form(pretrained.index, word)) for word, idx in vocab.words.items() if word != UNK)
+        found = [(idx, pretrained.index[form]) for idx, form in forms if form is not None]
+        # Gathers of BLOCK_ROWS rows: one of every row would copy a table.
+        for start in range(0, len(found), BLOCK_ROWS):
+            ids, rows = zip(*found[start : start + BLOCK_ROWS])
+            params["word_emb"][list(ids)] = pretrained.matrix[list(rows)]
     return _stack_directions(params)
 
 

@@ -18,6 +18,7 @@ from .embeddings import (
     align_tables,
     apply_mapping,
     load_embeddings,
+    merge_tables,
 )
 from .evaluation import (
     AggregateReport,
@@ -176,13 +177,6 @@ def load_resources(config: ExperimentConfig, loaded: Optional[dict] = None) -> R
     return res
 
 
-def _merge_tables(primary: EmbeddingTable, secondary: EmbeddingTable) -> EmbeddingTable:
-    """Union of two same-dimension tables; primary wins on shared words."""
-    vectors = dict(secondary.vectors)
-    vectors.update(primary.vectors)
-    return EmbeddingTable(primary.dim, vectors)
-
-
 def rotated_table(
     direction: str, src: EmbeddingTable, tgt: EmbeddingTable, seeds: Optional[SeedLexicon] = None
 ) -> EmbeddingTable:
@@ -199,10 +193,9 @@ def bilingual_table(config: ExperimentConfig, res: Resources) -> EmbeddingTable:
     Procrustes alignment; source-side vectors win on shared words."""
     if res.src_emb is None or res.tgt_emb is None:
         raise ExperimentError("bilingual regimes need both embedding tables")
-    mapped = rotated_table(config.alignment_direction, res.src_emb, res.tgt_emb)
     if config.alignment_direction == "tgt_to_src":
-        return _merge_tables(res.src_emb, mapped)
-    return _merge_tables(mapped, res.tgt_emb)
+        return merge_tables(res.src_emb, res.tgt_emb, secondary_map=align_tables(res.src_emb, res.tgt_emb))
+    return merge_tables(res.src_emb, res.tgt_emb, primary_map=align_tables(res.tgt_emb, res.src_emb))
 
 
 def _concat(a: Corpus, b: Corpus) -> Corpus:

@@ -2,6 +2,8 @@ import io
 import logging
 import math
 import os
+import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +19,7 @@ from xlner.embeddings import (
     align_tables,
     apply_mapping,
     load_embeddings,
+    merge_tables,
     mine_identical_seeds,
     procrustes_align,
     save_embeddings,
@@ -88,17 +91,16 @@ def test_save_writes_each_value_as_its_float_repr(tmp_path):
     assert "-0.0 0.0 -0.0 1.0" in expected and "1e+16 1e-05" in expected
 
 
-def test_failed_save_keeps_the_old_table(tmp_path):
-    # the write raises at a row that is not a vector, after the header and
-    # the first row went out: the old file keeps its bytes, and no
-    # temporary file is left beside it
+def test_failed_save_keeps_the_old_table(tmp_path, monkeypatch):
+    # one row per write, and the write raises at a word UTF-8 cannot encode
+    # (a lone surrogate), after the header and the first row went out: the
+    # old file keeps its bytes, and no temporary file is left beside it
     path = tmp_path / "t.vec"
-    table = table_of(["a", "b"])
-    save_embeddings(table, path)
+    save_embeddings(table_of(["a", "b"]), path)
     old = path.read_bytes()
-    table.vectors = {"c": np.zeros(3), "bad": "not a vector"}
-    with pytest.raises(ValueError):
-        save_embeddings(table, path)
+    monkeypatch.setattr(embeddings, "BLOCK_ROWS", 1)
+    with pytest.raises(UnicodeEncodeError):
+        save_embeddings(table_of(["c", "\ud800"]), path)
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["t.vec"]
 
@@ -228,6 +230,98 @@ def test_empty_and_header_only_tables(text, dim):
         table = load_embeddings(io.StringIO(text))
     assert table.dim == dim
     assert table.vectors == {}
+
+
+def test_negative_header_dimension_is_an_error():
+    with pytest.raises(EmbeddingError, match="line 1: negative dimension -2"):
+        load_embeddings(io.StringIO("0 -2\n"))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the Python memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def rows_text(n, dim):
+    rng = np.random.default_rng(n)
+    row = " ".join(["%.6f"] * dim)
+    lines = [f"w{i} " + row % tuple(vec) for i, vec in enumerate(rng.standard_normal((n, dim)))]
+    # a duplicate in the last block takes the checked loop and warns
+    return "\n".join([*lines[:-1], "w1 " + lines[-1].split(None, 1)[1]]) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 100, 10**12])
+def test_header_count_is_only_a_hint(caplog, count):
+    # Too small or far too large a count loads the rows present, with the
+    # values and warnings of the per-line loader, and allocates no more
+    # than the same rows under a true count plus one more matrix.
+    n, dim = 2 * embeddings.BLOCK_ROWS + 10, 64
+    body = rows_text(n, dim)
+    want_dim, want, warned = reference_load(f"{n - 1} {dim}\n" + body)
+    peaks = []
+    for header in (f"{n - 1} {dim}", f"{count} {dim}"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="xlner.embeddings"):
+            table, peak = traced_peak(load_embeddings, io.StringIO(header + "\n" + body))
+        peaks.append(peak)
+        assert table.dim == want_dim
+        assert table.words == list(want) and len(table.matrix) == len(want)
+        assert table.matrix.tobytes() == np.stack(list(want.values())).tobytes()
+        assert [r.getMessage() for r in caplog.records] == warned
+    true_peak, peak = peaks
+    assert peak <= true_peak + table.matrix.nbytes, (peak, true_peak)
+
+
+@pytest.mark.parametrize("as_file", [True, False])
+def test_headerless_files_and_streams_load(tmp_path, as_file):
+    text = rows_text(embeddings.BLOCK_ROWS + 5, 3)
+    path = tmp_path / "t.vec"
+    path.write_text(text, encoding="utf-8")
+    table = load_embeddings(path if as_file else text.splitlines(keepends=True))
+    dim, want, _ = reference_load(text)
+    assert table.dim == dim == 3
+    assert table.words == list(want)
+    assert table.matrix.tobytes() == np.stack(list(want.values())).tobytes()
+
+
+def test_load_peaks_below_one_and_a_half_matrices(tmp_path):
+    path = tmp_path / "t.vec"
+    path.write_text("12000 64\n" + rows_text(12_001, 64), encoding="utf-8")
+    table, peak = traced_peak(load_embeddings, path)
+    assert table.matrix.shape == (12_000, 64)
+    assert peak < 1.5 * table.matrix.nbytes, (peak, table.matrix.nbytes)
+
+
+@pytest.mark.parametrize("protocol", sorted({pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL}))
+def test_unpickling_allocates_about_one_matrix(protocol):
+    words = [f"w{i:05d}" for i in range(20_000)]
+    table = EmbeddingTable.from_matrix(words, np.random.default_rng(0).standard_normal((20_000, 64)))
+    blob = pickle.dumps(table, protocol=protocol)
+    copy, peak = traced_peak(pickle.loads, blob)
+    assert peak < 1.3 * table.matrix.nbytes, (peak, table.matrix.nbytes)
+    assert copy.words == words and copy.index == table.index
+    assert copy.matrix.tobytes() == table.matrix.tobytes()
+
+
+def test_vectors_is_a_read_only_view():
+    table = table_of(["a", "b"])
+    assert list(table.vectors) == ["a", "b"] and "b" in table.vectors and len(table.vectors) == 2
+    assert np.shares_memory(table.vectors["b"], table.matrix)
+    with pytest.raises(AttributeError):
+        table.vectors = {}
+    with pytest.raises(ValueError):
+        table.vectors["a"][0] = 1.0
+
+
+def test_row_shape_error_names_the_word():
+    with pytest.raises(EmbeddingError, match=r"vector for 'b' has shape \(2,\), want \(3,\)"):
+        EmbeddingTable(3, {"a": np.zeros(3), "b": np.zeros(2)})
 
 
 # -------------------------------------------------------------------- lookup
@@ -386,3 +480,13 @@ def test_mapping_bit_equal_to_per_row_product(n):
 def test_mapping_dimension_mismatch():
     with pytest.raises(EmbeddingError):
         apply_mapping(table_of(["a"], dim=3), OrthogonalMap(np.eye(4)))
+
+
+def test_merge_is_the_dict_union():
+    primary, secondary = table_of(["a", "b", "c"], seed=1), table_of(["c", "d", "a"], seed=2)
+    merged = merge_tables(primary, secondary)
+    want = dict(secondary.vectors)
+    want.update(primary.vectors)
+    assert merged.words == list(want) == ["c", "d", "a", "b"]
+    assert merged.index == {w: i for i, w in enumerate(want)}
+    assert merged.matrix.tobytes() == np.stack(list(want.values())).tobytes()

@@ -97,6 +97,25 @@ def test_init_copies_pretrained_rows(corpus):
     assert np.array_equal(params["word_emb"][vocab.words["Rom"]], vec)
 
 
+def test_init_pretrained_rows_equal_a_per_row_copy(corpus):
+    # More vocabulary words than one gather block, found through each step
+    # of the word-form chain (exact, lowercase, digits) or not at all.
+    from xlner.embeddings import BLOCK_ROWS, word_form
+
+    words = [f"{stem}{i}" for i in range(BLOCK_ROWS + 40) for stem in ("w", "Cap", "x")]
+    extra = make_corpus([(w, "O") for w in words], [("Rom", "O"), ("19", "O")])
+    rng = np.random.default_rng(4)
+    forms = [f"w{i}" for i in range(BLOCK_ROWS + 40)] + [f"cap{i}" for i in range(0, BLOCK_ROWS + 40, 2)] + ["rom", "##"]
+    table = EmbeddingTable(4, {form: rng.standard_normal(4) for form in forms})
+    vocab = build_vocab([corpus, extra], table)
+    want = init_params(SMALL, vocab)["word_emb"].copy()
+    for word, idx in vocab.words.items():
+        form = word_form(table.vectors, word) if word != "<unk>" else None
+        if form is not None:
+            want[idx] = table.vectors[form]
+    assert init_params(SMALL, vocab, table)["word_emb"].tobytes() == want.tobytes()
+
+
 def test_init_respects_uniform_bounds(corpus):
     vocab = build_vocab([corpus])
     params = init_params(SMALL, vocab)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xlner.conll import Corpus, write_conll
-from xlner.embeddings import save_embeddings
+from xlner.embeddings import align_tables, save_embeddings
 from xlner.evaluation import AggregateReport, EvalReport, MetricSummary
 from xlner.synthetic import make_twin_languages
 from xlner.tagger import TaggerConfig
@@ -130,6 +130,27 @@ def test_bilingual_table_recovers_planted_rotation(twins):
             continue
         errs.append(np.linalg.norm(table.vectors[twin] - vec))
     assert max(errs) < 1e-6
+
+
+@pytest.mark.parametrize("direction", ["tgt_to_src", "src_to_tgt"])
+@pytest.mark.parametrize("dim", [16, 64])
+def test_bilingual_table_matches_per_row_dict_union(direction, dim):
+    # The referee: the dict union of the unrotated table and per-row
+    # `vec @ w` rotations of the other, source rows winning on shared words.
+    twins = make_twin_languages(seed=3, dim=dim, entities_per_type=60)
+    src, tgt = twins.src_emb, twins.tgt_emb
+    if direction == "tgt_to_src":
+        w = align_tables(src, tgt).matrix
+        primary, secondary = src.vectors, {word: vec @ w for word, vec in tgt.vectors.items()}
+    else:
+        w = align_tables(tgt, src).matrix
+        primary, secondary = {word: vec @ w for word, vec in src.vectors.items()}, tgt.vectors
+    want = dict(secondary)
+    want.update(primary)
+    config = ExperimentConfig(regime="zero_shot", source_size="large", alignment_direction=direction)
+    table = bilingual_table(config, twin_resources(twins))
+    assert table.words == list(want)
+    assert [table.vectors[word].tobytes() for word in table.words] == [vec.tobytes() for vec in want.values()]
 
 
 def test_bilingual_table_requires_both(twins):
