@@ -64,7 +64,7 @@ def main() -> int:
     matrix = run_grid(grid, resources, out_dir=Path(args.out))
     print(render_matrix(matrix))
     print("full per-cell results:")
-    for key, summary in sorted(matrix.cells.items()):
+    for key, summary in sorted(matrix.items()):
         print(f"  {'/'.join(key):40s} F1 {summary.f1.mean:6.2f} ± {summary.f1.std:.2f}")
     print(f"\nreports and models written under {args.out}/")
     return 0

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -27,6 +28,7 @@ from .evaluation import (
     evaluate,
     majority_baseline,
 )
+from .serialize import replacing
 from .tagger import Tagger, TaggerConfig, option_lines, save_model, tag_corpus, tagger_option, train
 
 REGIMES = (
@@ -273,75 +275,38 @@ def run_seed(
     return evaluate(res.tgt_dev, tag_corpus(tagger, res.tgt_dev)), tagger
 
 
-def run_regime(
-    config: ExperimentConfig,
-    resources: Optional[Resources] = None,
-    out_dir: Optional[Path] = None,
-    shared: Optional[EmbeddingTable] = None,
-) -> AggregateReport:
-    """Run the configured cell once per seed and aggregate. With out_dir
-    set, per-seed models/reports land under <regime>/<src>/<tgt>/<seed>/.
-    `shared` goes to every run_seed call."""
-    res = resources if resources is not None else load_resources(config)
-    reports = []
-    for seed in config.seeds:
-        report, tagger = run_seed(config, res, seed, shared)
-        reports.append(report)
-        if out_dir is not None:
-            cell_dir = Path(out_dir) / config.regime / config.source_size / config.target_size / str(seed)
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            (cell_dir / "report.json").write_text(
-                json.dumps(asdict(report), indent=2), encoding="utf-8"
-            )
-            (cell_dir / "log").write_text(
-                f"regime={config.regime} source={config.source_size} "
-                f"target={config.target_size} seed={seed} f1={report.f1:.2f}\n",
-                encoding="utf-8",
-            )
-            if tagger is not None:
-                save_model(tagger, cell_dir / "model")
-    return aggregate(reports)
+Matrix = dict[tuple[str, str, str], AggregateReport]  # a grid's result: each cell's aggregate over its seeds
 
 
-@dataclass
-class ResultMatrix:
-    cells: dict[tuple[str, str, str], AggregateReport] = field(default_factory=dict)
-
-    def add(self, key: tuple[str, str, str], report: AggregateReport) -> None:
-        if key in self.cells:
-            raise ExperimentError(f"duplicate cell {key}")
-        self.cells[key] = report
-
-    def to_dict(self) -> dict:
-        return {
-            "/".join(key): asdict(report) for key, report in sorted(self.cells.items())
-        }
+def matrix_dict(matrix: Matrix) -> dict:
+    """matrix.json's content: each cell's aggregate under its "regime/source/target" key, keys sorted."""
+    return {"/".join(key): asdict(report) for key, report in sorted(matrix.items())}
 
 
 _MATRIX_COLUMNS = ("TnT", "plain", "+Poly", "+Medium", "+Large", "FineTune")
 _ROW_SIZES = (("zero-shot", "none"), ("Tiny", "tiny"), ("Small", "small"))
 
 
-def _matrix_cell(matrix: ResultMatrix, column: str, target_size: str) -> Optional[AggregateReport]:
+def _matrix_cell(matrix: Matrix, column: str, target_size: str) -> Optional[AggregateReport]:
     if column == "TnT":
-        return matrix.cells.get(("tnt_baseline", "none", target_size))
+        return matrix.get(("tnt_baseline", "none", target_size))
     if column == "plain":
-        return matrix.cells.get(("in_language_plain", "none", target_size))
+        return matrix.get(("in_language_plain", "none", target_size))
     if column == "+Poly":
-        return matrix.cells.get(("in_language_pretrained", "none", target_size))
+        return matrix.get(("in_language_pretrained", "none", target_size))
     if column in ("+Medium", "+Large"):
         source = "medium" if column == "+Medium" else "large"
         regime = "zero_shot" if target_size == "none" else "joint"
-        return matrix.cells.get((regime, source, target_size))
+        return matrix.get((regime, source, target_size))
     if column == "FineTune":
         for source in ("medium", "large"):
-            cell = matrix.cells.get(("fine_tune", source, target_size))
+            cell = matrix.get(("fine_tune", source, target_size))
             if cell is not None:
                 return cell
     return None
 
 
-def render_matrix(matrix: ResultMatrix) -> str:
+def render_matrix(matrix: Matrix) -> str:
     """Text table: transfer columns by training-size rows, mean dev F1;
     absent cells render as ---."""
     width = 10
@@ -358,9 +323,10 @@ def render_matrix(matrix: ResultMatrix) -> str:
 def _grid_inputs(
     configs: list[ExperimentConfig], resources: Optional[Resources]
 ) -> list[tuple[Resources, Optional[EmbeddingTable]]]:
-    """Each cell's resources and, for bilingual regimes, its bilingual
-    table. Every input file is read once and every table pair aligned
-    once per direction, however many cells use them."""
+    """Each cell's inputs: a Resources holding only the fields its regime
+    reads (_NEEDS) and, for bilingual regimes, its bilingual table. Every
+    input file is read once and every table pair aligned once per
+    direction, however many cells use them."""
     loaded: dict = {}
     aligned: dict = {}
     inputs = []
@@ -372,23 +338,32 @@ def _grid_inputs(
             if key not in aligned:
                 aligned[key] = bilingual_table(config, res)
             shared = aligned[key]
-        inputs.append((res, shared))
+        needed = Resources(**{name: getattr(res, name) for name in _NEEDS[config.regime]})
+        inputs.append((needed, shared))
     return inputs
 
 
-# A --jobs worker's copy of the grid's inputs, set once when the worker
-# process starts, by the pool initializer; never set in the parent.
-_worker_inputs: list[tuple[Resources, Optional[EmbeddingTable]]] = []
+def _write_text(path: Path, text: str) -> None:
+    with replacing(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
-def _init_worker(inputs: list[tuple[Resources, Optional[EmbeddingTable]]]) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _run_worker_cell(config: ExperimentConfig, index: int, out_dir: Optional[Path]) -> AggregateReport:
-    res, shared = _worker_inputs[index]
-    return run_regime(config, res, out_dir, shared)
+def _run_task(
+    out_dir: Optional[Path], config: ExperimentConfig, res: Resources, shared: Optional[EmbeddingTable], seed: int
+) -> EvalReport:
+    """One seed of one cell. With out_dir set, its model, log and
+    report.json land under <regime>/<src>/<tgt>/<seed>/, each whole or not
+    at all, report.json last: a seed directory that holds it is complete."""
+    report, tagger = run_seed(config, res, seed, shared)
+    if out_dir is not None:
+        seed_dir = Path(out_dir) / config.regime / config.source_size / config.target_size / str(seed)
+        seed_dir.mkdir(parents=True, exist_ok=True)
+        if tagger is not None:
+            save_model(tagger, seed_dir / "model")
+        label = f"regime={config.regime} source={config.source_size} target={config.target_size} seed={seed}"
+        _write_text(seed_dir / "log", f"{label} f1={report.f1:.2f}\n")
+        _write_text(seed_dir / "report.json", json.dumps(asdict(report), indent=2))
+    return report
 
 
 def run_grid(
@@ -396,39 +371,34 @@ def run_grid(
     resources: Optional[Resources] = None,
     out_dir: Optional[Path] = None,
     jobs: int = 1,
-) -> ResultMatrix:
-    """Run every cell and collect the matrix. Cells share their inputs:
-    `resources` when given, otherwise each file the configs name is read
-    once, and each bilingual table is aligned once. With jobs > 1 the cells
-    run in that many worker processes, each handed the shared inputs once."""
+) -> Matrix:
+    """Run every seed of every cell and aggregate each cell's reports.
+    Cells share their inputs: `resources` when given, otherwise each file
+    the configs name is read once, and each bilingual table is aligned
+    once. One seed of one cell is one task, which carries only its cell's
+    inputs; with jobs > 1 the tasks run in up to that many worker
+    processes."""
     keys = [c.cell for c in configs]
+    if not keys:
+        raise ExperimentError("grid has no cells")
     if len(set(keys)) != len(keys):
         raise ExperimentError("duplicate cell keys in grid")
-    inputs = _grid_inputs(configs, resources)
-    matrix = ResultMatrix()
-    if jobs > 1 and len(configs) > 1:
-        import concurrent.futures
-        import multiprocessing
+    inputs = zip(configs, _grid_inputs(configs, resources))
+    tasks = [(out_dir, config, res, shared, seed) for config, (res, shared) in inputs for seed in config.seeds]
+    workers = min(jobs, len(tasks))
+    with ExitStack() as stack:
+        run = map
+        if workers > 1:  # imported here only: they add to a one-worker grid's peak memory
+            import concurrent.futures
+            import multiprocessing
 
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, len(configs)),
-            mp_context=multiprocessing.get_context("spawn"),  # fork is unsafe with BLAS threads
-            initializer=_init_worker,
-            initargs=(inputs,),
-        ) as pool:
-            futures = [
-                pool.submit(_run_worker_cell, config, i, out_dir) for i, config in enumerate(configs)
-            ]
-            for future, config in zip(futures, configs):
-                matrix.add(config.cell, future.result())
-    else:
-        for config, (res, shared) in zip(configs, inputs):
-            matrix.add(config.cell, run_regime(config, res, out_dir, shared))
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "matrix.json").write_text(json.dumps(matrix.to_dict(), indent=2), encoding="utf-8")
-        (out / "matrix.txt").write_text(render_matrix(matrix), encoding="utf-8")
+            spawn = multiprocessing.get_context("spawn")  # fork is unsafe with BLAS threads
+            run = stack.enter_context(concurrent.futures.ProcessPoolExecutor(workers, spawn)).map
+        reports = run(_run_task, *zip(*tasks))
+        matrix = {config.cell: aggregate([next(reports) for _ in config.seeds]) for config in configs}
+    if out_dir is not None:  # made by the tasks
+        _write_text(Path(out_dir) / "matrix.json", json.dumps(matrix_dict(matrix), indent=2))
+        _write_text(Path(out_dir) / "matrix.txt", render_matrix(matrix))
     return matrix
 
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from xlner import embeddings
@@ -120,6 +120,8 @@ def reference_load(text):
                 pass
             else:
                 dim = int(fields[1])
+                if dim < 0:
+                    raise EmbeddingError(f"line 1: negative dimension {dim}")
                 continue
         word, values = fields[0], fields[1:]
         if dim is None:
@@ -181,6 +183,10 @@ def table_texts(draw):
 @pytest.mark.parametrize("block", [1, 3, embeddings.BLOCK_ROWS])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=table_texts())
+# A headerless first row that reads as `count dim` with a negative dim is a
+# bad header, not a row: the loader rejects it at line 1.
+@example(text="1 -1\n1 0.0\n")
+@example(text="1 -1\n")
 def test_load_matches_reference_loader(caplog, block, text):
     caplog.clear()
     try:

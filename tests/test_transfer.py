@@ -9,19 +9,22 @@ from xlner.embeddings import align_tables, save_embeddings
 from xlner.evaluation import AggregateReport, EvalReport, MetricSummary
 from xlner.synthetic import make_twin_languages
 from xlner.tagger import TaggerConfig
+from xlner.serialize import replacing
 from xlner.transfer import (
+    BILINGUAL_REGIMES,
     REGIMES,
     ExperimentConfig,
     ExperimentError,
     Resources,
-    ResultMatrix,
     bilingual_table,
+    matrix_dict,
     parse_experiment_config,
     prepare_sources,
     render_matrix,
     run_grid,
-    run_regime,
     run_seed,
+    _grid_inputs,
+    _NEEDS,
     _slice_target,
 )
 
@@ -225,14 +228,14 @@ def test_run_seed_deterministic(twins):
     assert a == b
 
 
-# ------------------------------------------------------- run_regime / layout
+# ------------------------------------------------------------ output layout
 
 
 def test_run_regime_writes_cell_layout(tmp_path, twins):
     config = ExperimentConfig(
         regime="in_language_plain", target_size="tiny", seeds=(1, 2), tagger=FAST
     )
-    summary = run_regime(config, twin_resources(twins), out_dir=tmp_path)
+    summary = run_grid([config], twin_resources(twins), out_dir=tmp_path)[config.cell]
     assert summary.runs == 2
     for seed in (1, 2):
         cell = tmp_path / "in_language_plain" / "none" / "tiny" / str(seed)
@@ -254,17 +257,42 @@ def test_report_json_keys(tmp_path, twins):
     cell = json.loads((tmp_path / "matrix.json").read_text())["majority/none/tiny"]
     assert list(cell) == ["runs", "precision", "recall", "f1", "per_type_f1"]
     assert list(cell["f1"]) == ["mean", "std"]
-    assert cell == matrix.to_dict()["majority/none/tiny"]
+    assert cell == matrix_dict(matrix)["majority/none/tiny"]
 
 
 def test_run_regime_baselines_write_no_model(tmp_path, twins):
     config = ExperimentConfig(
         regime="majority", target_size="tiny", seeds=(1,), tagger=FAST
     )
-    run_regime(config, twin_resources(twins), out_dir=tmp_path)
+    run_grid([config], twin_resources(twins), out_dir=tmp_path)
     cell = tmp_path / "majority" / "none" / "tiny" / "1"
     assert (cell / "report.json").exists()
     assert not (cell / "model").exists()
+
+
+def test_seed_that_fails_writing_leaves_no_report_and_no_temp_file(tmp_path, twins, monkeypatch):
+    # report.json is written last, each file whole or not at all: a seed
+    # directory that holds report.json is complete.
+    import xlner.transfer as transfer
+
+    save_model = transfer.save_model
+
+    def save_fails_for_seed_2(tagger, path):
+        if path.parent.name == "2":
+            with replacing(path) as fh:
+                fh.write(b"part of a model")
+                raise OSError("disk full")
+        save_model(tagger, path)
+
+    monkeypatch.setattr(transfer, "save_model", save_fails_for_seed_2)
+    config = ExperimentConfig(regime="in_language_plain", target_size="tiny", seeds=(1, 2), tagger=FAST)
+    with pytest.raises(OSError, match="disk full"):
+        run_grid([config], twin_resources(twins), out_dir=tmp_path)
+    cell = tmp_path / "in_language_plain" / "none" / "tiny"
+    assert sorted(p.name for p in (cell / "1").iterdir()) == ["log", "model", "report.json"]
+    assert list((cell / "2").iterdir()) == []
+    assert not (tmp_path / "matrix.json").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 # ------------------------------------------------------------------- matrix
@@ -275,17 +303,11 @@ def _fake_summary(f1):
     return AggregateReport(runs=1, precision=m, recall=m, f1=m, per_type_f1={})
 
 
-def test_matrix_duplicate_cell_rejected():
-    matrix = ResultMatrix()
-    matrix.add(("joint", "medium", "tiny"), _fake_summary(50.0))
-    with pytest.raises(ExperimentError, match="duplicate"):
-        matrix.add(("joint", "medium", "tiny"), _fake_summary(60.0))
-
-
 def test_render_matrix_shape_and_absences():
-    matrix = ResultMatrix()
-    matrix.add(("zero_shot", "medium", "none"), _fake_summary(42.5))
-    matrix.add(("joint", "large", "tiny"), _fake_summary(61.25))
+    matrix = {
+        ("zero_shot", "medium", "none"): _fake_summary(42.5),
+        ("joint", "large", "tiny"): _fake_summary(61.25),
+    }
     text = render_matrix(matrix)
     lines = text.strip("\n").split("\n")
     assert len(lines) == 4  # header + three size rows
@@ -308,7 +330,7 @@ def test_run_grid_writes_matrix_files(tmp_path, twins):
         ExperimentConfig(regime="tnt_baseline", target_size="tiny", seeds=(1,), tagger=FAST),
     ]
     matrix = run_grid(configs, twin_resources(twins), out_dir=tmp_path)
-    assert set(matrix.cells) == {
+    assert set(matrix) == {
         ("majority", "none", "tiny"),
         ("tnt_baseline", "none", "tiny"),
     }
@@ -326,7 +348,7 @@ def test_run_grid_deterministic(twins):
     a = run_grid(configs, twin_resources(twins))
     b = run_grid(configs, twin_resources(twins))
     key = ("in_language_plain", "none", "tiny")
-    assert a.cells[key].f1 == b.cells[key].f1
+    assert a[key].f1 == b[key].f1
 
 
 # ------------------------------------------------- shared grid inputs, --jobs
@@ -396,8 +418,26 @@ def test_run_grid_reads_each_input_once_and_aligns_once_per_direction(tmp_path, 
     assert len(fits) == 2 and len(set(fits)) == 2
 
     for config in configs:
-        alone = run_regime(config, None)
-        assert asdict(matrix.cells[config.cell]) == asdict(alone)
+        alone = run_grid([config])[config.cell]
+        assert asdict(matrix[config.cell]) == asdict(alone)
+
+
+def test_grid_inputs_hold_only_what_each_regime_reads(tmp_path):
+    # Each task is pickled with its own cell's inputs, so this is also what
+    # a --jobs worker receives.
+    configs = parse_experiment_config(write_grid(tmp_path).read_text())
+    flipped = [replace(c, alignment_direction="src_to_tgt") if c.regime == "fine_tune" else c for c in configs]
+    for grid, n_tables in ((configs, {"tgt_to_src": 1}), (flipped, {"tgt_to_src": 1, "src_to_tgt": 1})):
+        tables = {}
+        for config, (res, shared) in zip(grid, _grid_inputs(grid, None)):
+            for f in fields(Resources):
+                assert (getattr(res, f.name) is not None) == (f.name in _NEEDS[config.regime]), (config.cell, f.name)
+            assert res.src_emb is None
+            assert (res.tgt_emb is not None) == (config.regime == "in_language_pretrained")
+            assert (shared is not None) == (config.regime in BILINGUAL_REGIMES)
+            if shared is not None:
+                tables.setdefault(config.alignment_direction, set()).add(id(shared))
+        assert {direction: len(ids) for direction, ids in tables.items()} == n_tables
 
 
 def test_run_grid_jobs_match_serial_in_memory(twins):
@@ -409,18 +449,37 @@ def test_run_grid_jobs_match_serial_in_memory(twins):
     ]
     serial = run_grid(configs, twin_resources(twins), jobs=1)
     parallel = run_grid(configs, twin_resources(twins), jobs=2)
-    assert parallel.to_dict() == serial.to_dict()
+    assert matrix_dict(parallel) == matrix_dict(serial)
+
+
+def tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def test_experiment_jobs_match_serial_from_files(tmp_path, capsys):
     from xlner.cli import main
 
     config_path = write_grid(tmp_path)
-    for jobs in ("1", "2"):
-        argv = ["experiment", "--config", str(config_path), "--out", str(tmp_path / f"out{jobs}")]
-        assert main([*argv, "--jobs", jobs]) == 0
-    capsys.readouterr()
-    assert (tmp_path / "out2" / "matrix.json").read_text() == (tmp_path / "out1" / "matrix.json").read_text()
+    # One cell with two seeds is two tasks, which --jobs 2 runs in two workers.
+    one_cell = tmp_path / "one_cell.conf"
+    lines = [line for line in config_path.read_text().splitlines() if not line.startswith("cell =")]
+    one_cell.write_text("\n".join([*lines, "cell = fine_tune:large:tiny"]) + "\n")
+    for name, path, cells in (("grid", config_path, GRID_CELLS), ("one", one_cell, ("fine_tune:large:tiny",))):
+        for jobs in ("1", "2"):
+            argv = ["experiment", "--config", str(path), "--out", str(tmp_path / f"{name}{jobs}")]
+            assert main([*argv, "--jobs", jobs]) == 0
+        capsys.readouterr()
+        serial, parallel = tmp_path / f"{name}1", tmp_path / f"{name}2"
+        assert (parallel / "matrix.json").read_text() == (serial / "matrix.json").read_text()
+        files = tree_bytes(serial)
+        neural = [cell for cell in cells if not cell.startswith(("majority", "tnt_baseline"))]
+        assert sorted(files) == sorted(
+            ["matrix.json", "matrix.txt"]
+            + [f"{cell.replace(':', '/')}/{seed}/{kind}" for cell in cells for seed in (1, 2) for kind in ("log", "report.json")]
+            + [f"{cell.replace(':', '/')}/{seed}/model" for cell in neural for seed in (1, 2)]
+        )
+        assert tree_bytes(parallel) == files
 
 
 # ------------------------------------------------------------- config parser
