@@ -28,7 +28,7 @@ from .embeddings import (
     save_embeddings,
 )
 from .evaluation import evaluate, render_report
-from .serialize import ContainerError
+from .serialize import ContainerError, replacing
 from .tagger import TaggerConfig, TrainingError, load_model, parse_tagger_config, save_model, tag_corpus, train
 from .transfer import (
     ExperimentError,
@@ -82,9 +82,11 @@ def _emit(report, fmt: str, text: Optional[str] = None) -> None:
 
 
 def _output(text: str, out: Optional[str]) -> None:
-    """Write text to the --out file, or to stdout without one."""
+    """Write text to the --out file, whole or not at all (see
+    serialize.replacing), or to stdout without one."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with replacing(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 

@@ -5,7 +5,7 @@ agreement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, Optional, Sequence
 
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
@@ -52,53 +52,78 @@ class Token:
             raise ValueError(f"unknown tag {self.tag!r}")
 
 
-@dataclass(frozen=True)
+# parse_conll stores each tag as the TAGS string itself
+_CANONICAL_TAGS = {tag: tag for tag in TAGS}
+_setattr = object.__setattr__
+
+
 class Sentence:
-    tokens: tuple[Token, ...]
+    """A sentence as three equal-length columns: each token's text, its
+    tag, and its middle columns (usually the empty tuple). No per-token
+    object is kept; `tokens` and iteration build Token views. Immutable,
+    and equal (and hash-equal) to a sentence of the same columns."""
 
-    def __post_init__(self):
-        if not self.tokens:
+    __slots__ = ("texts", "tags", "extras")
+    texts: tuple[str, ...]
+    tags: tuple[str, ...]
+    extras: tuple[tuple[str, ...], ...]
+
+    def __init__(self, tokens: Sequence[Token]):
+        if not tokens:
             raise ValueError("sentence must be non-empty")
+        _setattr(self, "texts", tuple(t.text for t in tokens))
+        _setattr(self, "tags", tuple(t.tag for t in tokens))
+        _setattr(self, "extras", tuple(t.extras for t in tokens))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Sentence:
+            return NotImplemented
+        return self.texts == other.texts and self.tags == other.tags and self.extras == other.extras
+
+    def __hash__(self) -> int:
+        return hash((self.texts, self.tags, self.extras))
+
+    def __repr__(self) -> str:
+        return f"Sentence({self.tokens!r})"
+
+    def __reduce__(self):
+        return from_columns, (self.texts, self.tags, self.extras)
 
     @property
-    def tags(self) -> tuple[str, ...]:
-        return tuple(t.tag for t in self.tokens)
-
-    @property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.tokens)
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(map(Token, self.texts, self.tags, self.extras))
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.texts)
 
     def __iter__(self) -> Iterator[Token]:
         return iter(self.tokens)
 
     def with_tags(self, tags: Sequence[str]) -> "Sentence":
-        """This sentence with each token's tag replaced. The tags are
-        checked; the texts are not checked again, as each comes from a
-        token that was."""
-        if len(tags) != len(self.tokens):
+        """This sentence with each token's tag replaced, sharing this
+        sentence's texts and extras. The tags are checked; the texts are
+        not checked again."""
+        if len(tags) != len(self.texts):
             raise ValueError("tag sequence length mismatch")
         if not TAG_SET.issuperset(tags):
             raise ValueError(f"unknown tag {next(tag for tag in tags if tag not in TAG_SET)!r}")
-        return Sentence(tuple(map(_retagged, self.tokens, tags)))
+        return from_columns(self.texts, tuple(tags), self.extras)
 
 
-_new = object.__new__
-_setattr = object.__setattr__
-
-
-def _retagged(token: Token, tag: str) -> Token:
-    """Token(token.text, tag, token.extras) without __post_init__'s text
-    check; equal, and hash-equal, to the checked token. Fields are set as
-    the dataclass __init__ sets them: writing to __dict__ instead would
-    make every later attribute read slower."""
-    new = _new(Token)
-    _setattr(new, "text", token.text)
-    _setattr(new, "tag", tag)
-    _setattr(new, "extras", token.extras)
-    return new
+def from_columns(texts: tuple[str, ...], tags: tuple[str, ...], extras: tuple[tuple[str, ...], ...]) -> Sentence:
+    """A Sentence of three non-empty, equal-length tuples of valid texts,
+    BIO2 tags and middle columns, none of which is checked."""
+    sentence = object.__new__(Sentence)
+    _setattr(sentence, "texts", texts)
+    _setattr(sentence, "tags", tags)
+    _setattr(sentence, "extras", extras)
+    return sentence
 
 
 @dataclass(frozen=True)
@@ -125,26 +150,34 @@ class BioViolation:
 
 def parse_conll(text: str, language: str = "") -> Corpus:
     """Parse one-token-per-line CoNLL text; tag is the last column, blank
-    lines separate sentences, -DOCSTART- lines are dropped."""
+    lines separate sentences, -DOCSTART- lines are dropped. Tokens with
+    equal texts, or equal middle columns, share one object, and tags are
+    the strings of TAGS."""
     sentences: list[Sentence] = []
-    current: list[Token] = []
+    texts: list[str] = []
+    tags: list[str] = []
+    extras: list[tuple[str, ...]] = []
+    shared: dict = {}  # each distinct text, and middle columns, once
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            if current:
-                sentences.append(Sentence(tuple(current)))
-                current = []
-            continue
         fields = line.split()
+        if not fields:
+            if texts:
+                sentences.append(from_columns(tuple(texts), tuple(tags), tuple(extras)))
+                texts, tags, extras = [], [], []
+            continue
         if fields[0] == DOCSTART:
             continue
         if len(fields) < 2:
             raise ParseError(f"expected at least 2 columns, got {len(fields)}", lineno)
-        text_col, tag = fields[0], fields[-1]
-        if tag not in TAG_SET:
-            raise TagError(f"unknown tag {tag!r}", lineno)
-        current.append(Token(text_col, tag, tuple(fields[1:-1])))
-    if current:
-        sentences.append(Sentence(tuple(current)))
+        tag = _CANONICAL_TAGS.get(fields[-1])
+        if tag is None:
+            raise TagError(f"unknown tag {fields[-1]!r}", lineno)
+        middle = tuple(fields[1:-1])
+        texts.append(shared.setdefault(fields[0], fields[0]))
+        tags.append(tag)
+        extras.append(shared.setdefault(middle, middle))
+    if texts:
+        sentences.append(from_columns(tuple(texts), tuple(tags), tuple(extras)))
     return Corpus(tuple(sentences), language)
 
 
@@ -155,7 +188,11 @@ def write_conll(corpus: Corpus) -> str:
         return ""
     blocks = []
     for sentence in corpus:
-        blocks.append("\n".join(" ".join((t.text, *t.extras, t.tag)) for t in sentence))
+        if any(sentence.extras):
+            rows = ((text, *extra, tag) for text, extra, tag in zip(sentence.texts, sentence.extras, sentence.tags))
+        else:
+            rows = zip(sentence.texts, sentence.tags)
+        blocks.append("\n".join(map(" ".join, rows)))
     return "\n\n".join(blocks) + "\n"
 
 

@@ -125,8 +125,8 @@ def majority_baseline(train: Corpus, corpus: Corpus) -> Corpus:
         raise ValueError("train corpus is empty")
     counts: dict[str, Counter] = defaultdict(Counter)
     for sentence in train:
-        for token in sentence:
-            counts[token.text][token.tag] += 1
+        for text, tag in zip(sentence.texts, sentence.tags):
+            counts[text][tag] += 1
     lexicon = {}
     for word, tag_counts in counts.items():
         best = tag_counts.most_common()
@@ -136,7 +136,7 @@ def majority_baseline(train: Corpus, corpus: Corpus) -> Corpus:
             lexicon[word] = best[0][0]
     tagged = []
     for sentence in corpus:
-        tags = [lexicon.get(t.text, "O") for t in sentence]
+        tags = [lexicon.get(text, "O") for text in sentence.texts]
         tagged.append(sentence.with_tags(repair_bio(tags)[0]))
     return Corpus(tuple(tagged), corpus.language)
 

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conll import Corpus, Sentence, Token
+from .conll import Corpus, Sentence, from_columns
 from .embeddings import EmbeddingTable, OrthogonalMap, apply_mapping
 
 _VOWEL_MAP = str.maketrans("aeiou", "eioua")
+_BEGIN = {etype: f"B-{etype}" for etype in ("PER", "LOC", "ORG")}
 
 # Identical in both languages: the free supervision for alignment.
 SHARED_WORDS = tuple(str(d) for d in range(10)) + (
@@ -85,15 +86,17 @@ def make_twin_languages(
     fillers = _random_words(rng, n_fillers, False, used)
 
     def sentence(words_of) -> Sentence:
-        tokens = []
+        texts, tags = [], []
         for _ in range(int(rng.integers(2, 5))):
             for _ in range(int(rng.integers(1, 3))):
-                tokens.append(Token(words_of(fillers[rng.integers(len(fillers))]), "O"))
+                texts.append(words_of(fillers[rng.integers(len(fillers))]))
+                tags.append("O")
             etype = ("PER", "LOC", "ORG")[rng.integers(3)]
-            name = lexicon[etype][rng.integers(len(lexicon[etype]))]
-            tokens.append(Token(words_of(name), f"B-{etype}"))
-        tokens.append(Token(words_of("."), "O"))
-        return Sentence(tuple(tokens))
+            texts.append(words_of(lexicon[etype][rng.integers(len(lexicon[etype]))]))
+            tags.append(_BEGIN[etype])
+        texts.append(words_of("."))
+        tags.append("O")
+        return from_columns(tuple(texts), tuple(tags), ((),) * len(texts))
 
     def corpus(n: int, words_of, language: str) -> Corpus:
         return Corpus(tuple(sentence(words_of) for _ in range(n)), language)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -141,18 +142,12 @@ def build_vocab(corpora: Sequence[Corpus], embeddings: Optional[EmbeddingTable] 
     training characters. Tag vocab is the fixed 9-label BIO2 set."""
     if not corpora:
         raise ValueError("need at least one corpus")
-    words = set()
-    chars = set()
-    for sentence in corpora[0]:
-        for token in sentence:
-            words.add(token.text)
-            chars.update(token.text)
+    words = {text for sentence in corpora[0] for text in sentence.texts}
+    chars = set(chain.from_iterable(words))
     if embeddings is not None and len(embeddings):
         for corpus in corpora[1:]:
             for sentence in corpus:
-                for token in sentence:
-                    if word_form(embeddings.index, token.text) is not None:
-                        words.add(token.text)
+                words.update(text for text in sentence.texts if word_form(embeddings.index, text) is not None)
     return Vocab(*({item: i for i, item in enumerate([UNK, *sorted(items - {UNK})])} for items in (words, chars)))
 
 
@@ -321,11 +316,11 @@ def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, word_id_fn):
         word_ids = (
             word_id_fn(sentence, rng)
             if word_id_fn is not None
-            else [tagger.vocab.word_id(t.text) for t in sentence]
+            else [tagger.vocab.word_id(text) for text in sentence.texts]
         )
         mask = _dropout_mask(tagger.config, rng, len(sentence))
         emissions, cache = _forward(params, tagger.vocab, sentence, word_ids, mask)
-        tag_ids = [tagger.vocab.tag_id(t.tag) for t in sentence]
+        tag_ids = [tagger.vocab.tag_id(tag) for tag in sentence.tags]
         nll, d_emissions, d_transitions = crf_nll_grad(emissions, params["transitions"], tag_ids)
         total += nll
         sentence_grads, word_rows = _backward(params, cache, d_emissions, d_transitions)
@@ -399,7 +394,7 @@ def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence]):
     on its spelling alone. The word-BiLSTM projects only its batch's own
     words, and only real steps' outputs become emissions."""
     params, vocab = tagger.params, tagger.vocab
-    distinct = dict.fromkeys(token.text for sentence in sentences for token in sentence)
+    distinct = dict.fromkeys(text for sentence in sentences for text in sentence.texts)
     words = sorted(distinct, key=len, reverse=True)  # longest first, ties in first-seen order
     position = {word: i for i, word in enumerate(words)}
     dw, hc = params["word_emb"].shape[1], params["char_wh"].shape[1]
@@ -470,12 +465,12 @@ def train(
         tagger = Tagger(config, vocab, init_params(config, vocab, pretrained))
 
     rng = np.random.default_rng(config.seed)
-    counts = Counter(t.text for sentence in train_corpus for t in sentence) if config.unk_word_dropout else {}
+    counts = Counter(text for sentence in train_corpus for text in sentence.texts) if config.unk_word_dropout else {}
     singletons = {w for w, c in counts.items() if c == 1}
 
     def word_ids_for(sentence: Sentence, step_rng: np.random.Generator) -> list[int]:
         unk, word_id = tagger.vocab.words[UNK], tagger.vocab.word_id
-        return [unk if t.text in singletons and step_rng.random() < 0.5 else word_id(t.text) for t in sentence]
+        return [unk if text in singletons and step_rng.random() < 0.5 else word_id(text) for text in sentence.texts]
 
     history = TrainHistory()
     best_f1 = -1.0

@@ -6,9 +6,9 @@ states.
 Estimation counts each n-gram order in bulk. Decoding is table driven.
 Each call looks up every smoothed transition once, into arrays, and one
 emission row per distinct known word and per suffix key of the unknown
-ones, abstracting each (capitalization, suffix) on those keys' chains
-once, then runs one second-order Viterbi per batch of equal-length
-sentences."""
+ones, walking each unknown word's suffixes once and abstracting each
+(capitalization, suffix) on those keys' chains once, then runs one
+second-order Viterbi per batch of equal-length sentences."""
 
 from __future__ import annotations
 
@@ -54,44 +54,47 @@ class SuffixModel:
         total = sum(counts.values())
         return {t: (counts.get(t, 0) / total + self.theta * p) / (1.0 + self.theta) for t, p in dist.items()}
 
-    def tag_given_word(self, word: str, tags: Sequence[str], memo: dict | None = None) -> dict[str, float]:
-        """P(t | word) by successive abstraction over ever-longer suffixes,
-        stopping at the longest observed one. A memo maps capitalization,
-        then suffix, to the distribution after that suffix's step, so words
-        that share a suffix, passing one memo and the same tags, abstract it
-        once."""
-        if not self.tag_probs:
-            return {t: 1.0 / len(tags) for t in tags}
+    def suffix_chain(
+        self, word: str, tags: Sequence[str], memo: dict | None = None
+    ) -> tuple[tuple[bool, str], dict[str, float]]:
+        """One walk over a word's ever-longer suffixes, stopping at the
+        longest observed one: its key (capitalized, longest matched suffix),
+        which every word with the same chain shares, and the unnormalized
+        P(t | word) after successive abstraction over the chain. A memo maps
+        capitalization, then suffix, to the distribution after that
+        suffix's step, and the empty suffix to the one before any step, so
+        words that share a suffix, passing one memo and the same tags,
+        abstract it once."""
         capitalized = word[:1].isupper()
         table = self.suffix_counts.get(capitalized) or {}
         after = ({} if memo is None else memo).setdefault(capitalized, {})
-        dist = {t: self.tag_probs.get(t, 0.0) for t in tags}
+        if "" not in after:
+            after[""] = {t: self.tag_probs.get(t, 0.0) for t in tags}
+        matched = ""
+        dist = after[matched]
         for length in range(1, min(len(word), MAX_SUFFIX_LEN) + 1):
             suffix = word[-length:]
-            counts = table.get(suffix)
-            if counts is None:
-                break
-            if suffix not in after:
-                after[suffix] = self.abstraction_step(counts, dist)
-            dist = after[suffix]
-        norm = sum(dist.values())
+            step = after.get(suffix)
+            if step is None:
+                counts = table.get(suffix)
+                if counts is None:
+                    break
+                step = after[suffix] = self.abstraction_step(counts, dist)
+            dist, matched = step, suffix
+        return (capitalized, matched), dist
+
+    def normalized(self, dist: dict[str, float], tags: Sequence[str]) -> dict[str, float]:
+        """P(t | word) from suffix_chain's distribution; uniform when there
+        were no rare training words or the distribution has no mass."""
+        norm = sum(dist.values()) if self.tag_probs else 0.0
         if norm <= 0.0:
             return {t: 1.0 / len(tags) for t in tags}
         return {t: p / norm for t, p in dist.items()}
 
-    def suffix_key(self, word: str) -> tuple[bool, str]:
-        """(capitalized, longest matched suffix): the chain of suffixes
-        tag_given_word abstracts over, so words with one key get one
-        distribution."""
-        capitalized = word[:1].isupper()
-        table = self.suffix_counts.get(capitalized) or {}
-        matched = ""
-        for length in range(1, min(len(word), MAX_SUFFIX_LEN) + 1):
-            suffix = word[-length:]
-            if suffix not in table:
-                break
-            matched = suffix
-        return capitalized, matched
+    def tag_given_word(self, word: str, tags: Sequence[str]) -> dict[str, float]:
+        """P(t | word) by successive abstraction over ever-longer suffixes,
+        stopping at the longest observed one (see suffix_chain)."""
+        return self.normalized(self.suffix_chain(word, tags)[1], tags)
 
 
 @dataclass
@@ -124,15 +127,18 @@ class TntModel:
             return NEG_INF
         return math.log(p / denom)
 
-    def emission_logps(self, word: str, memo: dict | None = None) -> list[float]:
+    def emission_logps(self, word: str) -> list[float]:
         """log P(word | t) for each of `tags`. Known words: maximum
         likelihood; unknown words: Bayes inversion of the suffix model's
-        P(t | word), which is computed once for the whole row, through the
-        suffix memo if one is given (see SuffixModel.tag_given_word)."""
+        P(t | word), which is computed once for the whole row."""
         counts = self.emissions.get(word)
         if counts is not None:
             return [math.log(c / self.unigrams[t]) if (c := counts.get(t, 0)) else NEG_INF for t in self.tags]
-        tag_dist = self.suffix_model.tag_given_word(word, self.tags, memo)
+        return self.suffix_logps(self.suffix_model.tag_given_word(word, self.tags))
+
+    def suffix_logps(self, tag_dist: dict[str, float]) -> list[float]:
+        """log P(word | t) for each of `tags` of an unknown word whose
+        P(t | word) is tag_dist."""
         row = []
         for tag in self.tags:
             p_tag = self.unigrams[tag] / self.total_tokens
@@ -180,12 +186,12 @@ def estimate(train: Corpus) -> TntModel:
     total = sum(map(len, padded)) - 2 * len(padded)  # every token and STOP
     emissions: dict[str, dict[str, int]] = {}
     for sentence in train:
-        for token in sentence:
-            counts = emissions.get(token.text)
+        for text, tag in zip(sentence.texts, sentence.tags):
+            counts = emissions.get(text)
             if counts is None:
-                emissions[token.text] = {token.tag: 1}
+                emissions[text] = {tag: 1}
             else:
-                counts[token.tag] = counts.get(token.tag, 0) + 1
+                counts[tag] = counts.get(tag, 0) + 1
 
     tag_set = tuple(sorted(t for t in unigrams if t not in (START, STOP)))
     lambdas = _deleted_interpolation(unigrams, bigrams, trigrams, total)
@@ -296,17 +302,24 @@ def _viterbi(em: np.ndarray, tables) -> np.ndarray:
 
 def _emission_rows(model: TntModel, words: Collection[str]) -> np.ndarray:
     """The (len(words), K) emission rows of distinct words, one computed
-    per known word and one per suffix key of the unknown ones, whose
-    suffix chains share one memo; the memo and the rows by key are freed
-    on return, before any decoding."""
-    # a known word keys its own row; unknown words share one per suffix key
-    keys = [word if word in model.emissions else model.suffix_model.suffix_key(word) for word in words]
+    per known word and one per suffix key of the unknown ones. Each unknown
+    word's suffixes are walked once, for its key and, through one memo
+    shared by every chain, its distribution; the memo and the rows by key
+    are freed on return, before any decoding."""
+    suffix_model, tags = model.suffix_model, model.tags
+    keys = []
     rows = {}
     suffix_memo: dict = {}
-    for key, word in zip(keys, words):
-        if key not in rows:
-            rows[key] = model.emission_logps(word, suffix_memo)
-    return np.array([rows[key] for key in keys]).reshape(len(keys), len(model.tags))
+    for word in words:
+        if word in model.emissions:  # a known word keys its own row
+            key = word
+            rows[key] = model.emission_logps(word)
+        else:  # unknown words share one per suffix key
+            key, dist = suffix_model.suffix_chain(word, tags, suffix_memo)
+            if key not in rows:
+                rows[key] = model.suffix_logps(suffix_model.normalized(dist, tags))
+        keys.append(key)
+    return np.array([rows[key] for key in keys]).reshape(len(keys), len(tags))
 
 
 def _viterbi_batches(model: TntModel, sentences: Sequence[Sequence[str]]) -> Iterator[tuple[list[int], np.ndarray]]:

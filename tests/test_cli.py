@@ -1,4 +1,5 @@
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,46 @@ def test_convert_stdout(capsys, tmp_path):
     code, out, _ = run(capsys, "convert", src)
     assert code == 0
     assert "EU B-ORG" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "{sample}"],
+        ["tag", "--model", str(DATA / "tiny_model.bin"), "{sample}"],
+        ["baseline", "--method", "tnt", "--train", "{sample}", "--input", "{sample}"],
+    ],
+    ids=["convert", "tag", "baseline"],
+)
+def test_out_file_is_written_whole_or_not_at_all(capsys, tmp_path, sample, monkeypatch, argv):
+    # the write fails after half the text has reached the file: the old
+    # --out file keeps its bytes and no temporary file is left behind
+    import xlner.cli as cli
+
+    replacing = cli.replacing
+
+    @contextmanager
+    def failing_halfway(path, *args, **kwargs):
+        with replacing(path, *args, **kwargs) as fh:
+
+            class HalfWriter:
+                def write(self, text):
+                    fh.write(text[: len(text) // 2])
+                    fh.flush()
+                    raise OSError("disk full")
+
+            yield HalfWriter()
+
+    out_path = tmp_path / "out" / "pred.conll"
+    out_path.parent.mkdir()
+    out_path.write_text("old contents\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "replacing", failing_halfway)
+    code, out, err = run(capsys, *(a.format(sample=sample) for a in argv), "--out", out_path)
+    assert code == 1
+    assert err.splitlines()[-1] == "error: disk full"
+    assert out == ""
+    assert out_path.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in out_path.parent.iterdir()) == ["pred.conll"]
 
 
 # --------------------------------------------------------------------- kappa

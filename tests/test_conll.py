@@ -1,4 +1,8 @@
+import gc
 import itertools
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from xlner.conll import (
     ConllError,
     Corpus,
     ParseError,
+    Sentence,
     TagError,
     Token,
     cohen_kappa,
@@ -22,8 +27,9 @@ from xlner.conll import (
     validate_bio,
     write_conll,
 )
+from xlner.synthetic import make_twin_languages
 
-from conftest import TABLE_FIXTURE, _scan_spans_iob1, bio2_tags, corpora, iob1_tags, make_corpus
+from conftest import TABLE_FIXTURE, _scan_spans_iob1, bio2_tags, corpora, iob1_tags, make_corpus, words
 
 # ------------------------------------------------------------------- parsing
 
@@ -134,6 +140,144 @@ def test_parse_write_parse_fixed_point():
 @given(corpora())
 def test_parse_inverts_write(corpus):
     assert parse_conll(write_conll(corpus)) == corpus
+
+
+# --------------------------------------------------------- columnar layout
+
+middle_columns = st.lists(st.text(alphabet="ABNPVX-_.", min_size=1, max_size=4), max_size=3)
+blank_line = st.sampled_from(["", " ", "\t", "  \t "])
+docstart_line = st.sampled_from(["-DOCSTART-", "-DOCSTART- O", "-DOCSTART- -X- -X- O"])
+
+
+@st.composite
+def conll_documents(draw):
+    """(text, its sentences as Token tuples): tokens with 0 to 3 middle
+    columns, sentences apart by runs of blank or whitespace-only lines,
+    and -DOCSTART- lines among them, at the start and at the end."""
+    sentences = draw(
+        st.lists(
+            st.lists(st.builds(Token, words, st.sampled_from(TAGS), middle_columns.map(tuple)), min_size=1, max_size=5)
+            .map(tuple),
+            max_size=4,
+        )
+    )
+    separator = st.lists(st.one_of(blank_line, docstart_line), max_size=3).map(lambda lines: [*lines, ""])
+    lines = draw(st.lists(st.one_of(blank_line, docstart_line), max_size=2))
+    for tokens in sentences:
+        lines += [" ".join((t.text, *t.extras, t.tag)) for t in tokens]
+        lines += draw(separator)
+    return "\n".join(lines), sentences
+
+
+@settings(max_examples=200)
+@given(conll_documents())
+def test_parse_write_round_trip_with_middle_columns(document):
+    text, sentences = document
+    corpus = parse_conll(text)
+    assert corpus == Corpus(tuple(map(Sentence, sentences)))
+    assert [s.tokens for s in corpus] == sentences
+    assert [hash(s) for s in corpus] == [hash(Sentence(tokens)) for tokens in sentences]
+    written = write_conll(corpus)
+    assert written == "".join("\n".join(" ".join((t.text, *t.extras, t.tag)) for t in tokens) + "\n\n" for tokens in sentences)[:-1]
+    assert parse_conll(written) == corpus
+
+
+FOUR_COLUMNS = "Rom NNP I-NP B-LOC\nblev VB I-VP O\nbygget VB I-VP O\n\nElvis NNP I-NP B-PER\n"
+
+
+def test_sentence_of_tokens_equals_parsed_sentence():
+    parsed = parse_conll(FOUR_COLUMNS).sentences[0]
+    tokens = (Token("Rom", "B-LOC", ("NNP", "I-NP")), Token("blev", "O", ("VB", "I-VP")), Token("bygget", "O", ("VB", "I-VP")))
+    built = Sentence(tokens)
+    assert built == parsed and hash(built) == hash(parsed)
+    assert (built.texts, built.tags, built.extras) == (("Rom", "blev", "bygget"), ("B-LOC", "O", "O"), (("NNP", "I-NP"), ("VB", "I-VP"), ("VB", "I-VP")))
+    assert built.tokens == tokens and list(built) == list(tokens)
+    assert all(type(t) is Token for t in built.tokens)
+    assert len(built) == 3
+    assert built != parsed.with_tags(("B-LOC", "O", "B-PER")) and built != tokens
+
+
+def test_parsed_tokens_share_texts_tags_and_middle_columns():
+    first, second = parse_conll(FOUR_COLUMNS + "\nblev VB I-VP O\nRom NNP I-NP B-LOC\n").sentences[::2]
+    assert first.texts[1] is second.texts[0] and first.texts[0] is second.texts[1]
+    assert first.extras[1] is first.extras[2] is second.extras[0]
+    assert all(tag is TAGS[TAGS.index(tag)] for tag in first.tags + second.tags)
+
+
+@pytest.mark.parametrize("protocol", [2, 5])
+def test_pickle_round_trip(protocol):
+    corpus = parse_conll(FOUR_COLUMNS + "\nen O\n", language="da")
+    loaded = pickle.loads(pickle.dumps(corpus, protocol=protocol))
+    assert loaded == corpus and loaded.language == "da"
+    assert [type(s) for s in loaded] == [Sentence] * 3
+    assert [hash(s) for s in loaded] == [hash(s) for s in corpus]
+
+
+def test_with_tags_shares_texts_and_extras():
+    sentence = parse_conll(FOUR_COLUMNS).sentences[0]
+    retagged = sentence.with_tags(["B-PER", "I-PER", "O"])
+    assert retagged.texts is sentence.texts and retagged.extras is sentence.extras
+    assert retagged.tags == ("B-PER", "I-PER", "O")
+    with pytest.raises(ValueError, match="^tag sequence length mismatch$"):
+        sentence.with_tags(["O", "O"])
+    with pytest.raises(ValueError, match="^unknown tag 'B-GPE'$"):
+        sentence.with_tags(["O", "B-GPE", "O"])
+
+
+@pytest.mark.parametrize("name", ["texts", "tags", "extras", "tokens", "other"])
+def test_sentence_is_immutable(name):
+    sentence = parse_conll(FOUR_COLUMNS).sentences[0]
+    with pytest.raises(FrozenInstanceError):
+        setattr(sentence, name, ())
+    with pytest.raises(FrozenInstanceError):
+        delattr(sentence, name)
+    assert sentence == parse_conll(FOUR_COLUMNS).sentences[0]
+
+
+@dataclass(frozen=True)
+class TokenSentence:
+    """The layout sentences had before they were columnar: a tuple of one
+    Token object per token."""
+
+    tokens: tuple
+
+
+def token_object_parse(text):
+    """parse_conll into that layout, one fresh Token per line."""
+    sentences, current = [], []
+    for line in text.split("\n"):
+        fields = line.split()
+        if not fields:
+            if current:
+                sentences.append(TokenSentence(tuple(current)))
+                current = []
+            continue
+        current.append(Token(fields[0], fields[-1], tuple(fields[1:-1])))
+    if current:
+        sentences.append(TokenSentence(tuple(current)))
+    return tuple(sentences)
+
+
+def retained_bytes(parse, text):
+    """Bytes still allocated, by tracemalloc, once parse(text) returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse(text)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del parsed
+    return after - before
+
+
+def test_parsed_corpus_retains_at_most_two_thirds_of_token_objects_bytes():
+    corpus = make_twin_languages(seed=3, n_src_train=1000).src_train
+    text = write_conll(corpus)
+    columnar = retained_bytes(parse_conll, text) / corpus.num_tokens
+    token_objects = retained_bytes(token_object_parse, text) / corpus.num_tokens
+    assert columnar <= 2 / 3 * token_objects, (columnar, token_objects)
 
 
 # ---------------------------------------------------------------- validation

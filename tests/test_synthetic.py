@@ -47,6 +47,7 @@ def test_twins_match_per_row_reference(seed, dim):
     corpora, src, tgt, rotation = reference_twins(seed, dim)
     got = (twins.src_train, twins.src_dev, twins.tgt_train, twins.tgt_dev)
     assert [write_conll(c) for c in got] == [write_conll(c) for c in corpora]
+    assert list(got) == corpora
     assert [c.language for c in got] == [c.language for c in corpora]
     assert table_bytes(twins.src_emb) == [(w, v.tobytes()) for w, v in src.items()]
     assert table_bytes(twins.tgt_emb) == [(w, v.tobytes()) for w, v in tgt.items()]

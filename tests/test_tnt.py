@@ -130,6 +130,36 @@ def reference_decode(model, sentence):
     return [cur for _, cur in path]
 
 
+def suffix_key(model, word):
+    """The suffix key's referee, a linear walk: (capitalized, longest
+    suffix whose every shorter suffix is in the capitalization's table)."""
+    capitalized = word[:1].isupper()
+    table = model.suffix_model.suffix_counts.get(capitalized) or {}
+    matched = ""
+    for length in range(1, min(len(word), MAX_SUFFIX_LEN) + 1):
+        suffix = word[-length:]
+        if suffix not in table:
+            break
+        matched = suffix
+    return capitalized, matched
+
+
+def reference_tag_given_word(model, word):
+    """P(t | word) by successive abstraction over the suffixes of the
+    referee's key, one step per suffix, without any memo."""
+    suffix_model, tags = model.suffix_model, model.tags
+    if not suffix_model.tag_probs:
+        return {t: 1.0 / len(tags) for t in tags}
+    capitalized, matched = suffix_key(model, word)
+    dist = {t: suffix_model.tag_probs.get(t, 0.0) for t in tags}
+    for length in range(1, len(matched) + 1):
+        dist = suffix_model.abstraction_step(suffix_model.suffix_counts[capitalized][matched[-length:]], dist)
+    norm = sum(dist.values())
+    if norm <= 0.0:
+        return {t: 1.0 / len(tags) for t in tags}
+    return {t: p / norm for t, p in dist.items()}
+
+
 def reference_estimate(train):
     """The estimator's referee: one Counter increment per n-gram and per
     token, sentence by sentence, and per suffix of each rare word's tag."""
@@ -442,7 +472,7 @@ def test_shared_rows_equal_each_words_own_row(monkeypatch, train):
     monkeypatch.setattr(SuffixModel, "abstraction_step", counting_step)
     tag_corpus(model, make_corpus(*[[(w, "O") for w in words] for words in sentences]))
     abstracted = Counter(steps)
-    keys = {model.suffix_model.suffix_key(w) for words in sentences for w in words if w not in model.emissions}
+    keys = {suffix_key(model, w) for words in sentences for w in words if w not in model.emissions}
     assert abstracted == Counter({(cap, suffix[-n:]) for cap, suffix in keys for n in range(1, len(suffix) + 1)})
 
     seen = 0
@@ -451,12 +481,66 @@ def test_shared_rows_equal_each_words_own_row(monkeypatch, train):
         seen += 1
     assert seen == len(sentences)
     if train is SUFFIX_TRAIN:
-        keys = [model.suffix_model.suffix_key(w) for w in unknown]
+        keys = [suffix_key(model, w) for w in unknown]
         assert keys[:4] == [(True, "nsen"), (True, "lsen"), (True, "en"), (False, "en")]
         assert len(set(keys)) == 9
         assert sum(abstracted.values()) == 11 < sum(len(suffix) for _, suffix in set(keys))
         assert model.emission_logps("Jen") != model.emission_logps("jen")
         assert model.emission_logps("Jensen") != model.emission_logps("Karlsen")
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_corpora(), st.lists(st.text("aBeq", min_size=1, max_size=MAX_SUFFIX_LEN + 3), min_size=1, max_size=8))
+def test_suffix_chain_matches_referees(corpus, words):
+    model = estimate(corpus)
+    memo: dict = {}
+    for word in words:
+        for shared in (memo, None):
+            key, dist = model.suffix_model.suffix_chain(word, model.tags, shared)
+            assert key == suffix_key(model, word)
+            assert model.suffix_model.normalized(dist, model.tags) == reference_tag_given_word(model, word)
+        assert model.suffix_model.tag_given_word(word, model.tags) == reference_tag_given_word(model, word)
+
+
+class CountingTable(dict):
+    """A suffix table that records every suffix looked up in it."""
+
+    def __init__(self, table, capitalized, lookups):
+        super().__init__(table)
+        self.capitalized, self.lookups = capitalized, lookups
+
+    def get(self, suffix, default=None):
+        self.lookups.append((self.capitalized, suffix))
+        return super().get(suffix, default)
+
+    def __contains__(self, suffix):
+        self.lookups.append((self.capitalized, suffix))
+        return super().__contains__(suffix)
+
+    def __getitem__(self, suffix):
+        self.lookups.append((self.capitalized, suffix))
+        return super().__getitem__(suffix)
+
+
+def test_tag_corpus_looks_up_each_unknown_words_suffixes_once():
+    # one linear walk per distinct unknown word looks each suffix up at
+    # most once, the first missing one included; a second walk over a new
+    # key's chain, or over a repeated word, would look its suffixes up again
+    model = estimate(SUFFIX_TRAIN)
+    sentences = [["Jensen", "Karlsen", "Jen", "jen"], ["Tensen", "landen", "hunden", "Jensen"], ["zz", "gik", "Hansen"]]
+    one_walk = Counter()
+    for word in dict.fromkeys(w for words in sentences for w in words if w not in model.emissions):
+        capitalized, matched = suffix_key(model, word)
+        walked = min(len(word), MAX_SUFFIX_LEN, len(matched) + 1)
+        one_walk.update((capitalized, word[-n:]) for n in range(1, walked + 1))
+    lookups: list = []
+    model.suffix_model.suffix_counts = {
+        cap: CountingTable(table, cap, lookups) for cap, table in model.suffix_model.suffix_counts.items()
+    }
+    tag_corpus(model, make_corpus(*[[(w, "O") for w in words] for words in sentences]))
+    assert lookups and not Counter(lookups) - one_walk
+    # the memo answers the suffixes that an earlier word's walk found
+    assert len(lookups) < one_walk.total()
 
 
 def test_tag_corpus_repairs_only_paths_with_inside_tags(monkeypatch):
