@@ -68,6 +68,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _read_config(path: Path, parse, *args):
+    """parse(the text of the config file at path, *args), its errors
+    naming path as read_conll's name their file."""
+    try:
+        return parse(path.read_text(encoding="utf-8"), *args)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except (ValueError, ExperimentError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -142,7 +154,7 @@ def _cmd_align(args) -> int:
 
 def _cmd_train(args) -> int:
     config = (
-        parse_tagger_config(Path(args.config).read_text(encoding="utf-8"), args.seed)
+        _read_config(Path(args.config), parse_tagger_config, args.seed)
         if args.config
         else TaggerConfig(seed=args.seed)
     )
@@ -186,7 +198,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    configs = parse_experiment_config(Path(_resolve(args.config)).read_text(encoding="utf-8"))
+    configs = _read_config(_resolve(args.config), parse_experiment_config)
     if args.seed is not None:
         configs = [dataclasses.replace(c, seeds=(args.seed,)) for c in configs]
     out_dir = Path(args.out) if args.out else Path("results")

@@ -137,10 +137,6 @@ class Corpus:
     def __iter__(self) -> Iterator[Sentence]:
         return iter(self.sentences)
 
-    @property
-    def num_tokens(self) -> int:
-        return sum(len(s) for s in self.sentences)
-
 
 @dataclass(frozen=True)
 class BioViolation:

@@ -1,6 +1,6 @@
-"""Linear-chain CRF: log-partition via the forward algorithm, Viterbi
-decoding of a batch of sequences of different lengths at once, and the
-negative log-likelihood with its gradient by forward-backward posteriors.
+"""Linear-chain CRF: path scores, Viterbi decoding of a batch of sequences
+of different lengths at once, and the negative log-likelihood with its
+gradient by the forward-backward algorithm.
 
 Transition matrices are (K+2) x (K+2): K tag states plus a start state at
 index K and a stop state at index K+1.
@@ -27,29 +27,6 @@ def crf_score(emissions: np.ndarray, transitions: np.ndarray, tags: Sequence[int
     for t in range(1, t_len):
         score += transitions[tags[t - 1], tags[t]] + emissions[t, tags[t]]
     return float(score + transitions[tags[-1], stop])
-
-
-def _forward_scores(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    """alpha[t, j]: log sum of exp(score) over path prefixes ending in tag
-    j at step t, the start transition included."""
-    t_len, k = emissions.shape
-    alpha = np.empty((t_len, k))
-    alpha[0] = transitions[k, :k] + emissions[0]
-    for t in range(1, t_len):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + transitions[:k, :k] + emissions[t][None, :], axis=0)
-    return alpha
-
-
-def crf_log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
-    """log sum over all tag paths of exp(path score)."""
-    k = emissions.shape[1]
-    return float(_logsumexp(_forward_scores(emissions, transitions)[-1] + transitions[:k, k + 1]))
-
-
-def crf_neg_log_likelihood(
-    emissions: np.ndarray, transitions: np.ndarray, tags: Sequence[int]
-) -> float:
-    return crf_log_partition(emissions, transitions) - crf_score(emissions, transitions, tags)
 
 
 def viterbi_decode(emissions: np.ndarray, transitions: np.ndarray, lengths: Sequence[int]) -> list[list[int]]:
@@ -80,13 +57,17 @@ def viterbi_decode(emissions: np.ndarray, transitions: np.ndarray, lengths: Sequ
 def crf_nll_grad(
     emissions: np.ndarray, transitions: np.ndarray, tags: Sequence[int]
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """crf_neg_log_likelihood and its gradients with respect to emissions
-    and transitions: posterior tag (and tag-pair) marginals from the
+    """The negative log-likelihood of the gold path tags, log Z minus its
+    crf_score, and its gradients with respect to emissions and
+    transitions: posterior tag (and tag-pair) marginals from the
     forward-backward algorithm, minus the gold path's indicators."""
     t_len, k = emissions.shape
     start, stop = k, k + 1
     trans = transitions[:k, :k]
-    alpha = _forward_scores(emissions, transitions)
+    alpha = np.empty((t_len, k))  # log sum over path prefixes ending in each tag at step t
+    alpha[0] = transitions[start, :k] + emissions[0]
+    for t in range(1, t_len):
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans + emissions[t][None, :], axis=0)
     beta = np.empty((t_len, k))  # log sum over path suffixes after step t
     beta[-1] = transitions[:k, stop]
     for t in range(t_len - 2, -1, -1):

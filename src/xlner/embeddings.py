@@ -35,22 +35,10 @@ class EmbeddingTable(Mapping):
 
     __slots__ = ("words", "index", "matrix")
 
-    def __init__(self, dim: int, vectors: Mapping[str, np.ndarray]):
-        """Convert a {word: (dim,) vector} mapping, once, into a table."""
-        for word, vec in vectors.items():
-            if vec.shape != (dim,):
-                raise EmbeddingError(f"vector for {word!r} has shape {vec.shape}, want ({dim},)")
-        self._set(list(vectors), np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim))
-
-    @classmethod
-    def from_matrix(cls, words: list[str], matrix: np.ndarray, index: Optional[dict[str, int]] = None) -> EmbeddingTable:
+    def __init__(self, words: list[str], matrix: np.ndarray, index: Optional[dict[str, int]] = None):
         """The table whose row i is words[i]'s vector, holding matrix (a
-        C-contiguous (len(words), dim) float64 array) and index as given."""
-        table = cls.__new__(cls)
-        table._set(words, matrix, index)
-        return table
-
-    def _set(self, words: list[str], matrix: np.ndarray, index: Optional[dict[str, int]] = None) -> None:
+        C-contiguous (len(words), dim) float64 array) and index as given,
+        or built from words."""
         self.words = words
         self.index = {word: i for i, word in enumerate(words)} if index is None else index
         self.matrix = matrix
@@ -61,7 +49,7 @@ class EmbeddingTable(Mapping):
         return self.words, self.matrix
 
     def __setstate__(self, state: tuple[list[str], np.ndarray]) -> None:
-        self._set(*state)
+        self.__init__(*state)
 
     @property
     def dim(self) -> int:
@@ -69,7 +57,8 @@ class EmbeddingTable(Mapping):
 
     @property
     def vectors(self) -> EmbeddingTable:
-        """The table itself, as its word -> row mapping."""
+        """The table itself, as its word -> row mapping; only the
+        benchmark's table_rows (perfbench/workloads.py) reads it."""
         return self
 
     def __getitem__(self, word: str) -> np.ndarray:
@@ -141,7 +130,7 @@ def load_embeddings(source: Union[str, Path, TextIO, Iterable[str]]) -> Embeddin
             index.update(zip(new_words, range(n, need)))
             words += new_words
     matrix.resize((len(words), dim or 0), refcheck=False)
-    return EmbeddingTable.from_matrix(words, matrix, index)
+    return EmbeddingTable(words, matrix, index)
 
 
 def _header(line: str) -> Optional[tuple[int, int]]:
@@ -299,7 +288,7 @@ def apply_mapping(table: EmbeddingTable, mapping: OrthogonalMap) -> EmbeddingTab
         raise EmbeddingError(f"dimension mismatch: table {table.dim} vs map {mapping.dim}")
     matrix = np.empty_like(table.matrix)
     _put_rows(matrix, np.arange(len(table)), table, mapping)
-    return EmbeddingTable.from_matrix(table.words, matrix, table.index)
+    return EmbeddingTable(table.words, matrix, table.index)
 
 
 def merge_tables(
@@ -318,7 +307,7 @@ def merge_tables(
     matrix = np.empty((len(index), primary.dim))
     _put_rows(matrix, np.arange(len(secondary)), secondary, secondary_map)
     _put_rows(matrix, np.array([index[word] for word in primary.words], dtype=np.intp), primary, primary_map)
-    return EmbeddingTable.from_matrix(list(index), matrix, index)
+    return EmbeddingTable(list(index), matrix, index)
 
 
 def _put_rows(out: np.ndarray, at: np.ndarray, table: EmbeddingTable, mapping: Optional[OrthogonalMap]) -> None:

@@ -114,10 +114,10 @@ def read_container(path: Union[str, Path], magic: bytes) -> tuple[dict, dict[str
 
         got = fh.read(8)
         if got != magic:
-            raise ContainerError(f"bad magic: expected {magic!r}, got {got!r}")
+            raise ContainerError(f"{path}: bad magic: expected {magic!r}, got {got!r}")
         version, header_len = struct.unpack("<II", take(8, "version and header length"))
         if version != FORMAT_VERSION:
-            raise ContainerError(f"unsupported format version {version} (expected {FORMAT_VERSION})")
+            raise ContainerError(f"{path}: unsupported format version {version} (expected {FORMAT_VERSION})")
         offset = fh.tell()
         try:
             header = json.loads(text(header_len, "header"))

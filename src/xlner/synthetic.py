@@ -107,10 +107,10 @@ def make_twin_languages(
     tgt_dev = corpus(n_tgt_dev, twin_word, "tgt")
 
     words = sorted(set(fillers) | set(SHARED_WORDS) | {w for ws in lexicon.values() for w in ws})
-    src_emb = EmbeddingTable.from_matrix(words, rng.standard_normal((len(words), dim)))
+    src_emb = EmbeddingTable(words, rng.standard_normal((len(words), dim)))
     rotation = random_orthogonal(rng, dim)
     tgt_rows = apply_mapping(src_emb, OrthogonalMap(rotation)).matrix
-    tgt_emb = EmbeddingTable.from_matrix([twin_word(w) for w in words], tgt_rows)
+    tgt_emb = EmbeddingTable([twin_word(w) for w in words], tgt_rows)
     return TwinLanguages(
         src_train,
         src_dev,

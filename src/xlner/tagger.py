@@ -304,7 +304,8 @@ def _dropout_mask(config: TaggerConfig, rng: np.random.Generator, n_tokens: int)
 
 
 def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, word_id_fn):
-    """Mean CRF NLL over the batch under training dropout, the dense
+    """Mean CRF NLL over the batch under training dropout drawn from rng,
+    each sentence's word ids from word_id_fn(sentence, rng), the dense
     gradient of every tensor but word_emb, and word_emb's gradient as
     (row ids, rows) with one row per token; a repeated id appears once per
     occurrence."""
@@ -313,11 +314,7 @@ def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, word_id_fn):
     total = 0.0
     row_ids, rows = [], []
     for sentence in batch:
-        word_ids = (
-            word_id_fn(sentence, rng)
-            if word_id_fn is not None
-            else [tagger.vocab.word_id(text) for text in sentence.texts]
-        )
+        word_ids = word_id_fn(sentence, rng)
         mask = _dropout_mask(tagger.config, rng, len(sentence))
         emissions, cache = _forward(params, tagger.vocab, sentence, word_ids, mask)
         tag_ids = [tagger.vocab.tag_id(tag) for tag in sentence.tags]
@@ -332,23 +329,6 @@ def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, word_id_fn):
     for grad in grads.values():
         grad *= scale
     return total * scale, grads, (np.array(row_ids, dtype=np.intp), np.concatenate(rows) * scale)
-
-
-def batch_gradients(
-    tagger: Tagger,
-    batch: Sequence[Sentence],
-    rng: Optional[np.random.Generator] = None,
-    word_id_fn=None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean CRF negative log-likelihood over the batch, with dropout drawn
-    from rng as in training, and its gradient with respect to every
-    parameter tensor."""
-    if rng is None:
-        rng = np.random.default_rng(tagger.config.seed)
-    loss, grads, (row_ids, rows) = _gradients(tagger, batch, rng, word_id_fn)
-    word_grad = np.zeros_like(tagger.params["word_emb"])
-    np.add.at(word_grad, row_ids, rows)
-    return loss, {name: word_grad if name == "word_emb" else grads[name] for name in tagger.params}
 
 
 def constrained_transitions(transitions: np.ndarray, tags: Sequence[str] = TAGS) -> np.ndarray:

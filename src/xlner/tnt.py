@@ -91,11 +91,6 @@ class SuffixModel:
             return {t: 1.0 / len(tags) for t in tags}
         return {t: p / norm for t, p in dist.items()}
 
-    def tag_given_word(self, word: str, tags: Sequence[str]) -> dict[str, float]:
-        """P(t | word) by successive abstraction over ever-longer suffixes,
-        stopping at the longest observed one (see suffix_chain)."""
-        return self.normalized(self.suffix_chain(word, tags)[1], tags)
-
 
 @dataclass
 class TntModel:
@@ -128,13 +123,10 @@ class TntModel:
         return math.log(p / denom)
 
     def emission_logps(self, word: str) -> list[float]:
-        """log P(word | t) for each of `tags`. Known words: maximum
-        likelihood; unknown words: Bayes inversion of the suffix model's
-        P(t | word), which is computed once for the whole row."""
-        counts = self.emissions.get(word)
-        if counts is not None:
-            return [math.log(c / self.unigrams[t]) if (c := counts.get(t, 0)) else NEG_INF for t in self.tags]
-        return self.suffix_logps(self.suffix_model.tag_given_word(word, self.tags))
+        """log P(word | t) for each of `tags` of a known word, by maximum
+        likelihood."""
+        counts = self.emissions[word]
+        return [math.log(c / self.unigrams[t]) if (c := counts.get(t, 0)) else NEG_INF for t in self.tags]
 
     def suffix_logps(self, tag_dist: dict[str, float]) -> list[float]:
         """log P(word | t) for each of `tags` of an unknown word whose

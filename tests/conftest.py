@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from xlner.conll import ENTITY_TYPES, Corpus, Sentence, Token, parse_conll
+from xlner.embeddings import EmbeddingTable
+from xlner.tagger import _gradients
 
 TABLE_FIXTURE = """\
 Rom B-LOC
@@ -37,6 +40,30 @@ def make_corpus(*tagged_sentences, language=""):
         ),
         language,
     )
+
+
+def table_from_dict(dim, vectors):
+    """The EmbeddingTable of a {word: (dim,) vector} dict, rows in the
+    dict's order."""
+    return EmbeddingTable(list(vectors), np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim))
+
+
+def batch_gradients(tagger, batch, rng=None, word_id_fn=None):
+    """Mean CRF NLL over the batch and its dense gradient with respect to
+    every parameter tensor: tagger._gradients, the gradient train()
+    applies, with its word_emb rows summed into a table of zeros. Dropout
+    is drawn from rng (default: one seeded with the config's seed), and
+    word ids come from word_id_fn(sentence, rng) (default: the vocabulary's
+    lookup, without UNK dropout)."""
+    if rng is None:
+        rng = np.random.default_rng(tagger.config.seed)
+    if word_id_fn is None:
+        def word_id_fn(sentence, _):
+            return [tagger.vocab.word_id(text) for text in sentence.texts]
+    loss, grads, (row_ids, rows) = _gradients(tagger, batch, rng, word_id_fn)
+    word_grad = np.zeros_like(tagger.params["word_emb"])
+    np.add.at(word_grad, row_ids, rows)
+    return loss, {name: word_grad if name == "word_emb" else grads[name] for name in tagger.params}
 
 
 def drop_key(header: dict, dotted: str) -> None:

@@ -7,9 +7,9 @@ import numpy as np
 
 from xlner.crf import _logsumexp
 from xlner.lstm import lstm_backward, lstm_forward
-from xlner.tagger import Tagger, TaggerConfig, batch_gradients, build_vocab, init_params
+from xlner.tagger import Tagger, TaggerConfig, build_vocab, init_params
 
-from conftest import make_corpus
+from conftest import batch_gradients, make_corpus
 
 
 def numeric_grad(fn, x, eps=1e-6):

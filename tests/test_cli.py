@@ -1,4 +1,5 @@
 import json
+import struct
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -7,11 +8,11 @@ import pytest
 
 from xlner.cli import main
 from xlner.conll import Corpus, parse_conll, repair_bio, write_conll
-from xlner.embeddings import EmbeddingTable, align_tables, load_embeddings, save_embeddings
-from xlner.serialize import read_container, write_container
+from xlner.embeddings import align_tables, load_embeddings, save_embeddings
+from xlner.serialize import FORMAT_VERSION, read_container, write_container
 from xlner.tagger import MODEL_MAGIC, Tagger, TaggerConfig, build_vocab, init_params, save_model
 
-from conftest import TABLE_FIXTURE, drop_key, make_corpus
+from conftest import TABLE_FIXTURE, drop_key, make_corpus, table_from_dict
 
 DATA = Path(__file__).parent / "data"
 
@@ -216,8 +217,8 @@ def test_align_round_trip(capsys, tmp_path):
         tmp_path / "tgt.vec",
         tmp_path / "mapped.vec",
     )
-    save_embeddings(EmbeddingTable(4, src_vecs), src_path)
-    save_embeddings(EmbeddingTable(4, tgt_vecs), tgt_path)
+    save_embeddings(table_from_dict(4, src_vecs), src_path)
+    save_embeddings(table_from_dict(4, tgt_vecs), tgt_path)
     code, _, err = run(
         capsys, "align", "--src", src_path, "--tgt", tgt_path, "--out", out_path
     )
@@ -239,7 +240,7 @@ def test_align_output_bytes_match_per_row_reference(capsys, tmp_path, direction)
     for i in range(40):
         src_vecs[f"fælles{i}"] = rng.standard_normal(16)
         tgt_vecs[f"fælles{i}"] = src_vecs[f"fælles{i}"] @ rotation
-    src, tgt = EmbeddingTable(16, src_vecs), EmbeddingTable(16, tgt_vecs)
+    src, tgt = table_from_dict(16, src_vecs), table_from_dict(16, tgt_vecs)
     src_path, tgt_path, out_path = tmp_path / "src.vec", tmp_path / "tgt.vec", tmp_path / "mapped.vec"
     save_embeddings(src, src_path)
     save_embeddings(tgt, tgt_path)
@@ -516,6 +517,21 @@ def test_tag_rejects_trailing_bytes(capsys, tmp_path, sample):
     assert_tag_fails(capsys, path, sample, "3 trailing bytes", f"offset {size}")
 
 
+def test_tag_names_a_file_that_is_not_a_model(capsys, tmp_path, sample):
+    path = tmp_path / "table.vec"
+    path.write_text("2 3\na 1 2 3\nb 4 5 6\n", encoding="utf-8")
+    assert_tag_fails(capsys, path, sample, f"error: {path}: bad magic: expected {MODEL_MAGIC!r}, got b'2 3\\na 1 '")
+
+
+def test_tag_names_a_model_of_another_format_version(capsys, tmp_path, sample):
+    path = tmp_path / "model.bin"
+    write_model(path, sample, lambda header, tensors: None)
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<I", FORMAT_VERSION + 1) + data[12:])
+    wanted = f"error: {path}: unsupported format version {FORMAT_VERSION + 1} (expected {FORMAT_VERSION})"
+    assert_tag_fails(capsys, path, sample, wanted)
+
+
 # ------------------------------------------------------ malformed input files
 
 # name: (file content, what the error line must name; "{path}" is the file)
@@ -615,7 +631,25 @@ def test_out_of_range_tagger_option_names_its_line(capsys, tmp_path, sample, com
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
-    assert errors[0].startswith(f"error: line 2: {option.split(' = ')[0]} must be ")
+    assert errors[0].startswith(f"error: {config_path}: line 2: {option.split(' = ')[0]} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_config_that_is_not_utf8_names_its_file(capsys, tmp_path, sample, command):
+    config_path = tmp_path / "latin1.conf"
+    config_path.write_bytes("# Søren\nmax_epochs = 1\n".encode("latin-1"))
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--train", sample, "--dev", sample, "--out", out, "--config", config_path]
+    else:
+        argv = ["experiment", "--config", config_path, "--out", out]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {config_path}: not UTF-8 text (invalid start byte)"]
     assert not out.exists()
 
 
@@ -723,7 +757,7 @@ def test_experiment_rejects_repeated_seeds(capsys, tmp_path):
     assert stdout == ""
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert errors == ["error: line 3: seeds must not repeat a seed, got '1,1'"]
+    assert errors == [f"error: {config_path}: line 3: seeds must not repeat a seed, got '1,1'"]
     assert not results.exists()
 
 

@@ -3,13 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from xlner.crf import (
-    crf_log_partition,
-    crf_neg_log_likelihood,
-    crf_nll_grad,
-    crf_score,
-    viterbi_decode,
-)
+from xlner.crf import crf_nll_grad, crf_score, viterbi_decode
 
 
 def brute_force_paths(emissions, transitions):
@@ -26,6 +20,18 @@ def brute_force_paths(emissions, transitions):
     return scores
 
 
+def nll(emissions, transitions, gold):
+    """crf_nll_grad's negative log-likelihood of the gold path."""
+    return crf_nll_grad(emissions, transitions, gold)[0]
+
+
+def log_partition(emissions, transitions):
+    """log Z as crf_nll_grad computes it: the NLL of a path (all tag 0)
+    plus that path's crf_score."""
+    path = [0] * len(emissions)
+    return nll(emissions, transitions, path) + crf_score(emissions, transitions, path)
+
+
 def random_instance(rng, t_len, k, scale=2.0):
     return (
         scale * rng.standard_normal((t_len, k)),
@@ -38,7 +44,7 @@ def test_single_step_partition():
     em, tr = random_instance(rng, 1, 4)
     k = 4
     expected = np.logaddexp.reduce(tr[k, :k] + em[0] + tr[:k, k + 1])
-    assert crf_log_partition(em, tr) == pytest.approx(expected, abs=1e-12)
+    assert log_partition(em, tr) == pytest.approx(expected, abs=1e-12)
 
 
 def test_partition_matches_enumeration():
@@ -49,22 +55,22 @@ def test_partition_matches_enumeration():
         em, tr = random_instance(rng, t_len, k)
         scores = brute_force_paths(em, tr)
         expected = np.logaddexp.reduce(list(scores.values()))
-        assert crf_log_partition(em, tr) == pytest.approx(expected, abs=1e-10)
+        assert log_partition(em, tr) == pytest.approx(expected, abs=1e-10)
 
 
 def test_emission_shift_property():
     rng = np.random.default_rng(2)
     em, tr = random_instance(rng, 4, 3)
     c = 1.7
-    shifted = crf_log_partition(em + c, tr)
-    assert shifted == pytest.approx(crf_log_partition(em, tr) + 4 * c, abs=1e-9)
+    shifted = log_partition(em + c, tr)
+    assert shifted == pytest.approx(log_partition(em, tr) + 4 * c, abs=1e-9)
 
 
 def test_partition_dominates_any_path():
     rng = np.random.default_rng(3)
     for _ in range(20):
         em, tr = random_instance(rng, 3, 3)
-        log_z = crf_log_partition(em, tr)
+        log_z = log_partition(em, tr)
         for path, score in brute_force_paths(em, tr).items():
             assert log_z >= score - 1e-12
 
@@ -75,7 +81,7 @@ def test_path_posteriors_sum_to_one():
         t_len = int(rng.integers(1, 5))
         k = int(rng.integers(2, 5))
         em, tr = random_instance(rng, t_len, k)
-        log_z = crf_log_partition(em, tr)
+        log_z = log_partition(em, tr)
         total = sum(np.exp(s - log_z) for s in brute_force_paths(em, tr).values())
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -89,7 +95,7 @@ def test_nll_matches_enumeration():
         gold = [int(g) for g in rng.integers(0, k, t_len)]
         scores = brute_force_paths(em, tr)
         expected = np.logaddexp.reduce(list(scores.values())) - scores[tuple(gold)]
-        assert crf_neg_log_likelihood(em, tr, gold) == pytest.approx(expected, abs=1e-10)
+        assert nll(em, tr, gold) == pytest.approx(expected, abs=1e-10)
 
 
 def test_nll_nonnegative():
@@ -97,7 +103,7 @@ def test_nll_nonnegative():
     for _ in range(50):
         em, tr = random_instance(rng, 4, 4)
         gold = [int(g) for g in rng.integers(0, 4, 4)]
-        assert crf_neg_log_likelihood(em, tr, gold) >= -1e-9
+        assert nll(em, tr, gold) >= -1e-9
 
 
 def test_nll_vanishes_with_huge_margin():
@@ -105,7 +111,7 @@ def test_nll_vanishes_with_huge_margin():
     em = np.zeros((2, k))
     em[0, 1] = em[1, 2] = 100.0
     tr = np.zeros((k + 2, k + 2))
-    assert crf_neg_log_likelihood(em, tr, [1, 2]) == pytest.approx(0.0, abs=1e-6)
+    assert nll(em, tr, [1, 2]) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_viterbi_single_token():
@@ -182,12 +188,15 @@ GRAD_SHAPES = [(1, 1), (1, 3), (3, 1), (2, 2), (3, 3), (4, 2), (2, 4)]
 
 
 def test_tape_nll_matches_plain():
+    # the gradient checks' shapes, single steps and a single tag included,
+    # against plain enumeration
     rng = np.random.default_rng(10)
     for t_len, k in GRAD_SHAPES * 3:
         em, tr = random_instance(rng, t_len, k)
         gold = [int(g) for g in rng.integers(0, k, t_len)]
-        nll, _, _ = crf_nll_grad(em, tr, gold)
-        assert nll == pytest.approx(crf_neg_log_likelihood(em, tr, gold), abs=1e-10)
+        scores = brute_force_paths(em, tr)
+        expected = np.logaddexp.reduce(list(scores.values())) - scores[tuple(gold)]
+        assert nll(em, tr, gold) == pytest.approx(expected, abs=1e-10)
 
 
 def test_nll_grad_emissions_are_posterior_minus_gold():
@@ -216,9 +225,9 @@ def test_tape_nll_gradients():
         for ix in np.ndindex(tr.shape):
             orig = tr[ix]
             tr[ix] = orig + eps
-            hi = crf_neg_log_likelihood(em, tr, gold)
+            hi = nll(em, tr, gold)
             tr[ix] = orig - eps
-            lo = crf_neg_log_likelihood(em, tr, gold)
+            lo = nll(em, tr, gold)
             tr[ix] = orig
             num[ix] = (hi - lo) / (2 * eps)
         assert np.allclose(d_tr, num, atol=1e-8), (t_len, k)

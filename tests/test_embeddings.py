@@ -27,10 +27,12 @@ from xlner.embeddings import (
 )
 from xlner.synthetic import random_orthogonal
 
+from conftest import table_from_dict
+
 
 def table_of(words, dim=3, seed=0):
     rng = np.random.default_rng(seed)
-    return EmbeddingTable(dim, {w: rng.standard_normal(dim) for w in words})
+    return table_from_dict(dim, {w: rng.standard_normal(dim) for w in words})
 
 
 # ------------------------------------------------------------------- loading
@@ -73,7 +75,7 @@ def test_save_writes_each_value_as_its_float_repr(tmp_path):
     # The per-value writer, repr(float(x)) for each numpy scalar, is the
     # referee: float32 rows widen exactly, integers become floats, and
     # signed zeros, large and small magnitudes keep repr's spelling.
-    table = EmbeddingTable(
+    table = table_from_dict(
         4,
         {
             "f32": np.array([0.1, -2.5, 3.4028235e38, 1e-5], dtype=np.float32),
@@ -307,7 +309,7 @@ def test_load_peaks_below_one_and_a_half_matrices(tmp_path):
 @pytest.mark.parametrize("protocol", sorted({pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL}))
 def test_unpickling_allocates_about_one_matrix(protocol):
     words = [f"w{i:05d}" for i in range(20_000)]
-    table = EmbeddingTable.from_matrix(words, np.random.default_rng(0).standard_normal((20_000, 64)))
+    table = EmbeddingTable(words, np.random.default_rng(0).standard_normal((20_000, 64)))
     blob = pickle.dumps(table, protocol=protocol)
     copy, peak = traced_peak(pickle.loads, blob)
     assert peak < 1.3 * table.matrix.nbytes, (peak, table.matrix.nbytes)
@@ -323,11 +325,6 @@ def test_vectors_is_a_read_only_view():
         table.vectors = {}
     with pytest.raises(ValueError):
         table.vectors["a"][0] = 1.0
-
-
-def test_row_shape_error_names_the_word():
-    with pytest.raises(EmbeddingError, match=r"vector for 'b' has shape \(2,\), want \(3,\)"):
-        EmbeddingTable(3, {"a": np.zeros(3), "b": np.zeros(2)})
 
 
 # -------------------------------------------------------------------- lookup

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from xlner import tagger as tagger_module
 from xlner.conll import TAGS, Corpus, validate_bio
-from xlner.embeddings import EmbeddingTable
 from xlner.serialize import FORMAT_VERSION, ContainerError, read_container, write_container
 from xlner.tagger import (
     MODEL_MAGIC,
     Tagger,
     TaggerConfig,
     _forward,
-    batch_gradients,
     build_vocab,
     constrained_transitions,
     init_params,
@@ -27,7 +25,7 @@ from xlner.tagger import (
     train,
 )
 
-from conftest import make_corpus
+from conftest import batch_gradients, make_corpus, table_from_dict
 
 
 SMALL = TaggerConfig(
@@ -65,7 +63,7 @@ def test_vocab_counts(example_corpus):
 
 def test_vocab_includes_embedding_covered_words(corpus):
     extra = make_corpus([("Aarhus", "O"), ("zzz", "O")])
-    table = EmbeddingTable(4, {"aarhus": np.zeros(4)})
+    table = table_from_dict(4, {"aarhus": np.zeros(4)})
     vocab = build_vocab([corpus, extra], table)
     assert vocab.word_id("Aarhus") != vocab.words["<unk>"]
     assert vocab.word_id("zzz") == vocab.words["<unk>"]
@@ -92,7 +90,7 @@ def test_init_deterministic(corpus):
 def test_init_copies_pretrained_rows(corpus):
     vocab = build_vocab([corpus])
     vec = np.arange(4, dtype=float)
-    table = EmbeddingTable(4, {"Rom": vec})
+    table = table_from_dict(4, {"Rom": vec})
     params = init_params(SMALL, vocab, table)
     assert np.array_equal(params["word_emb"][vocab.words["Rom"]], vec)
 
@@ -106,7 +104,7 @@ def test_init_pretrained_rows_equal_a_per_row_copy(corpus):
     extra = make_corpus([(w, "O") for w in words], [("Rom", "O"), ("19", "O")])
     rng = np.random.default_rng(4)
     forms = [f"w{i}" for i in range(BLOCK_ROWS + 40)] + [f"cap{i}" for i in range(0, BLOCK_ROWS + 40, 2)] + ["rom", "##"]
-    table = EmbeddingTable(4, {form: rng.standard_normal(4) for form in forms})
+    table = table_from_dict(4, {form: rng.standard_normal(4) for form in forms})
     vocab = build_vocab([corpus, extra], table)
     want = init_params(SMALL, vocab)["word_emb"].copy()
     for word, idx in vocab.words.items():
@@ -130,7 +128,7 @@ def test_init_respects_uniform_bounds(corpus):
 def test_init_rejects_dim_mismatch(corpus):
     vocab = build_vocab([corpus])
     with pytest.raises(ValueError):
-        init_params(SMALL, vocab, EmbeddingTable(7, {"Rom": np.zeros(7)}))
+        init_params(SMALL, vocab, table_from_dict(7, {"Rom": np.zeros(7)}))
 
 
 # -------------------------------------------------------------------- encode
@@ -217,7 +215,7 @@ def test_emissions_match_reference_loop():
 
 def test_unused_vocab_rows_do_not_affect_emissions(corpus):
     extra = make_corpus([("Aarhus", "O")])
-    table = EmbeddingTable(4, {"Aarhus": np.ones(4)})
+    table = table_from_dict(4, {"Aarhus": np.ones(4)})
     vocab = build_vocab([corpus, extra], table)
     params = init_params(SMALL, vocab, table)
     tagger = Tagger(SMALL, vocab, params)
@@ -324,7 +322,7 @@ def test_every_kernel_call_reads_lengths_longest_first(monkeypatch):
     train_corpus, corpus = varied_corpora(0)
     tagger = small_tagger(train_corpus)
     for run in (
-        lambda: tagger_module._gradients(tagger, corpus.sentences[:4], np.random.default_rng(0), None),
+        lambda: batch_gradients(tagger, corpus.sentences[:4], np.random.default_rng(0)),
         lambda: encode_sentences(tagger, corpus.sentences),
         lambda: tag_corpus(tagger, corpus),
     ):
@@ -458,7 +456,7 @@ def test_train_epoch_applies_batch_gradients():
     corpus = make_corpus(sentence)
     dev = make_corpus([("Rom", "B-LOC")])
     extra = make_corpus([("Aarhus", "O")])
-    table = EmbeddingTable(4, {"Aarhus": np.ones(4)})
+    table = table_from_dict(4, {"Aarhus": np.ones(4)})
     config = TaggerConfig(**{**SMALL.__dict__, "max_epochs": 1})
     vocab = build_vocab([corpus, dev, extra], table)
     initial = Tagger(config, vocab, init_params(config, vocab, table))
@@ -474,7 +472,7 @@ def test_train_epoch_applies_batch_gradients():
 
 def test_unused_word_rows_have_zero_gradient(corpus):
     extra = make_corpus([("Aarhus", "O")])
-    table = EmbeddingTable(4, {"Aarhus": np.ones(4)})
+    table = table_from_dict(4, {"Aarhus": np.ones(4)})
     vocab = build_vocab([corpus, extra], table)
     tagger = Tagger(SMALL, vocab, init_params(SMALL, vocab, table))
     _, grads = batch_gradients(tagger, list(corpus.sentences))
@@ -634,7 +632,7 @@ def test_training_holds_one_word_emb(corpus):
     # full best-epoch copy of the table would be one on its own.
     words = [f"w{i:05d}" for i in range(20_000)]
     rng = np.random.default_rng(0)
-    pretrained = EmbeddingTable(64, {w: rng.uniform(-0.1, 0.1, 64) for w in words})
+    pretrained = table_from_dict(64, {w: rng.uniform(-0.1, 0.1, 64) for w in words})
     extra = make_corpus(*([(w, "O") for w in words[i : i + 20]] for i in range(0, len(words), 20)))
     config = TaggerConfig(**{**SMALL.__dict__, "word_emb_dim": 64, "max_epochs": 3, "patience": 3, "dropout": 0.25})
     tracemalloc.start()
