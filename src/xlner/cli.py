@@ -154,7 +154,7 @@ def _cmd_align(args) -> int:
 
 def _cmd_train(args) -> int:
     config = (
-        _read_config(Path(args.config), parse_tagger_config, args.seed)
+        _read_config(_resolve(args.config), parse_tagger_config, args.seed)
         if args.config
         else TaggerConfig(seed=args.seed)
     )

@@ -1,16 +1,16 @@
 """BiLSTM-CRF tagger: character and word BiLSTM encoders over trainable
-embeddings with hand-written numpy forward and backward passes, CRF
-training by forward-backward, batched inference (the char-BiLSTM once per
-distinct word, the word-BiLSTM and Viterbi over batches of length-sorted
-sentences) with optional BIO2 transition constraints, SGD with sparse
-word-embedding updates and early stopping; the `key = value`
-tagger-option parser that `xlner train` and experiment configs share;
-checked model files."""
+embeddings, one batched numpy forward pass that training and inference
+share (the char-BiLSTM once per distinct word, the word-BiLSTM over
+batches of length-sorted sentences) and one backward pass, CRF training
+by forward-backward, batched Viterbi with optional BIO2 transition
+constraints, SGD with sparse word-embedding updates and early stopping;
+the `key = value` tagger-option parser that `xlner train` and experiment
+configs share; checked model files."""
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from typing import Iterator, Optional, Sequence
@@ -222,85 +222,28 @@ class Tagger:
     params: dict[str, np.ndarray]  # BiLSTM weights stacked: see _stack_directions
 
 
-def _readings(seqs: Sequence[Sequence], id_of) -> tuple[np.ndarray, ...]:
-    """Ids (2, longest, len(seqs)) of both readings: item k of sequence j
-    at step k of column j forwards in [0] and at step len - 1 - k
-    backwards in [1], each column padded at its end with id 0; lengths
-    (len(seqs),); and each item's forward step and col, in seqs' order."""
-    lengths = np.array([len(seq) for seq in seqs], dtype=np.intp)
-    col = np.repeat(np.arange(len(seqs)), lengths)
+def _readings(lengths: np.ndarray, items) -> tuple[np.ndarray, ...]:
+    """Ids (2, longest, len(lengths)) of both readings of sequences laid
+    end to end in items, sequence j holding lengths[j] of them: its item k
+    at step k of column j forwards in [0] and at step lengths[j] - 1 - k
+    backwards in [1], each column padded at its end with id 0; and each
+    item's forward step and column."""
+    col = np.repeat(np.arange(len(lengths)), lengths)
     step = np.arange(len(col)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    ids = np.zeros((2, lengths.max(initial=0), len(seqs)), dtype=np.intp)
-    ids[0, step, col] = ids[1, lengths[col] - 1 - step, col] = [id_of(item) for seq in seqs for item in seq]
-    return ids, lengths, step, col
+    ids = np.zeros((2, lengths.max(initial=0), len(lengths)), dtype=np.intp)
+    ids[0, step, col] = ids[1, lengths[col] - 1 - step, col] = items
+    return ids, step, col
 
 
-def _char_layer(params: dict[str, np.ndarray], vocab: Vocab, words: Sequence[str]):
-    """Final forward and backward char-BiLSTM states (len(words), 2 *
-    char_lstm_dim) of words sorted longest first, their lengths, and the
-    cache lstm_backward reads."""
-    ids, lengths, _, _ = _readings(words, vocab.char_id)
-    cache = lstm_forward(params["char_emb"], ids, lengths, params["char_wx"], params["char_wh"], params["char_b"])
-    final = cache[0][:, lengths, np.arange(len(words))]  # (dirs, words, char_lstm_dim)
-    return final.transpose(1, 0, 2).reshape(len(words), -1), lengths, cache
-
-
-def _forward(
-    params: dict[str, np.ndarray],
-    vocab: Vocab,
-    sentence: Sentence,
-    word_ids: Sequence[int],
-    dropout_mask: Optional[np.ndarray],
-):
-    """Emissions (len(sentence), num_tags) and the cache _backward needs.
-    The char-BiLSTM runs over the sentence's tokens sorted longest first,
-    and the word-BiLSTM over the sentence as a batch of one; dropout_mask,
-    if given, scales the token representations."""
-    texts = sentence.texts
-    order = sorted(range(len(texts)), key=lambda i: -len(texts[i]))  # longest first, ties in sentence order
-    dw = params["word_emb"].shape[1]
-    reps = np.empty((len(texts), dw + 2 * params["char_wh"].shape[1]))
-    reps[:, :dw] = params["word_emb"][word_ids]
-    reps[order, dw:], char_lengths, char_cache = _char_layer(params, vocab, [texts[i] for i in order])
-    if dropout_mask is not None:
-        reps = reps * dropout_mask
-    ids, lengths, _, _ = _readings([range(len(texts))], int)
-    word_cache = lstm_forward(reps, ids, lengths, params["word_wx"], params["word_wh"], params["word_b"])
-    hs = word_cache[0][:, 1:, 0]
-    feats = np.concatenate([hs[0], hs[1][::-1]], axis=1)
-    emissions = feats @ params["proj_w"] + params["proj_b"]
-    return emissions, (order, char_lengths, char_cache, dropout_mask, word_cache, feats)
-
-
-def _backward(params: dict[str, np.ndarray], cache, d_emissions: np.ndarray, d_transitions: np.ndarray):
-    """One sentence's gradients: a dict over every tensor but word_emb,
-    and the gradient of its word_emb rows, one per token."""
-    order, char_lengths, char_cache, dropout_mask, word_cache, feats = cache
-    grads = {"transitions": d_transitions, "proj_w": feats.T @ d_emissions, "proj_b": d_emissions.sum(axis=0)}
-    d_feats = d_emissions @ params["proj_w"].T
-    hw = d_feats.shape[1] // 2
-    d_hs = np.stack([d_feats[:, :hw], d_feats[::-1, hw:]])[:, :, None, :]
-    d_reps, *d_word_w = lstm_backward(word_cache, d_hs, params["word_wx"], params["word_wh"])
-    if dropout_mask is not None:
-        d_reps = d_reps * dropout_mask
-
-    dw = params["word_emb"].shape[1]
-    hc = params["char_wh"].shape[1]
-    d_char_hs = np.zeros((2, char_lengths[0], len(order), hc))
-    d_char_hs[:, char_lengths - 1, np.arange(len(order))] = d_reps[order, dw:].reshape(-1, 2, hc).transpose(1, 0, 2)
-    grads["char_emb"], *d_char_w = lstm_backward(char_cache, d_char_hs, params["char_wx"], params["char_wh"])
-    grads.update(zip(("word_wx", "word_wh", "word_b", "char_wx", "char_wh", "char_b"), (*d_word_w, *d_char_w)))
-    return grads, d_reps[:, :dw]
-
-
-def _dropout_mask(config: TaggerConfig, rng: np.random.Generator, n_tokens: int) -> Optional[np.ndarray]:
-    """Inverted-dropout mask over token representations; one draw per
-    sentence, the same stream as one rng.random(rep_dim) per token."""
+def _dropout_mask(config: TaggerConfig, rng: np.random.Generator, n_tokens: int) -> np.ndarray:
+    """Inverted-dropout mask over token representations, all ones without
+    dropout; one draw per sentence, the same stream as one
+    rng.random(rep_dim) per token."""
+    shape = (n_tokens, config.word_emb_dim + 2 * config.char_lstm_dim)
     if config.dropout <= 0.0:
-        return None
+        return np.ones(shape)
     keep = 1.0 - config.dropout
-    rep_dim = config.word_emb_dim + 2 * config.char_lstm_dim
-    return (rng.random((n_tokens, rep_dim)) < keep) / keep
+    return (rng.random(shape) < keep) / keep
 
 
 def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, word_id_fn):
@@ -309,26 +252,24 @@ def _gradients(tagger: Tagger, batch: Sequence[Sentence], rng, word_id_fn):
     gradient of every tensor but word_emb, and word_emb's gradient as
     (row ids, rows) with one row per token; a repeated id appears once per
     occurrence."""
-    params = tagger.params
-    grads = None
-    total = 0.0
-    row_ids, rows = [], []
-    for sentence in batch:
-        word_ids = word_id_fn(sentence, rng)
-        mask = _dropout_mask(tagger.config, rng, len(sentence))
-        emissions, cache = _forward(params, tagger.vocab, sentence, word_ids, mask)
-        tag_ids = [tagger.vocab.tag_id(tag) for tag in sentence.tags]
-        nll, d_emissions, d_transitions = crf_nll_grad(emissions, params["transitions"], tag_ids)
-        total += nll
-        sentence_grads, word_rows = _backward(params, cache, d_emissions, d_transitions)
-        # the first sentence's gradients start the sum, as 0 + g == g
-        grads = sentence_grads if grads is None else {n: g + sentence_grads[n] for n, g in grads.items()}
-        rows.append(word_rows)
-        row_ids.extend(word_ids)
+    params, vocab = tagger.params, tagger.vocab
+    # each sentence's UNK-dropout draws, then its mask
+    word_ids, masks = zip(*[(word_id_fn(s, rng), _dropout_mask(tagger.config, rng, len(s))) for s in batch])
+    total, d_transitions, runs = 0.0, 0.0, []
+    for run, emissions, lengths, cache in _emission_batches(tagger, batch, word_ids, masks):
+        d_emissions = np.zeros_like(emissions)
+        for j, (i, n) in enumerate(zip(run.tolist(), lengths.tolist())):
+            tag_ids = [vocab.tag_id(tag) for tag in batch[i].tags]
+            nll, d_emissions[j, :n], d_trans = crf_nll_grad(emissions[j, :n], params["transitions"], tag_ids)
+            total += nll
+            d_transitions = d_transitions + d_trans
+        runs.append((cache, d_emissions))
+    grads, (row_ids, rows) = _emission_backward(params, runs)
+    grads["transitions"] = d_transitions
     scale = 1.0 / len(batch)
     for grad in grads.values():
         grad *= scale
-    return total * scale, grads, (np.array(row_ids, dtype=np.intp), np.concatenate(rows) * scale)
+    return total * scale, grads, (row_ids, rows * scale)
 
 
 def constrained_transitions(transitions: np.ndarray, tags: Sequence[str] = TAGS) -> np.ndarray:
@@ -364,37 +305,94 @@ def _runs(lengths: np.ndarray, budget: int):
         start = stop
 
 
-def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence]):
-    """Inference emissions, batch by batch: (indices into sentences,
-    emissions (batch, steps, num_tags), lengths) for runs of the sentences
-    sorted longest first, each batch end-padded to its longest sentence.
+def _emission_batches(tagger: Tagger, sentences: Sequence[Sentence], word_ids, masks=None):
+    """The forward pass, batch by batch: (indices into sentences,
+    emissions (batch, steps, num_tags), lengths, cache) for runs of the
+    sentences sorted longest first, each batch end-padded to its longest
+    sentence; word_ids holds each sentence's word_emb rows.
 
     The char-BiLSTM runs once per distinct word, over runs of the words
-    sorted longest first: with no dropout, a word's representation depends
-    on its spelling alone. The word-BiLSTM projects only its batch's own
-    words, and only real steps' outputs become emissions."""
+    sorted longest first: a word's char states depend on its spelling
+    alone. The word-BiLSTM projects only its batch's own rows, and only
+    real steps' outputs become emissions. Without masks (inference) a
+    batch's tokens of one spelling and word id share a row. masks, one
+    (len(sentence), rep_dim) array per sentence, scale each token's
+    representation for training: then each token reads a row of its own,
+    and each cache holds what _emission_backward reads (None without)."""
     params, vocab = tagger.params, tagger.vocab
     distinct = dict.fromkeys(text for sentence in sentences for text in sentence.texts)
     words = sorted(distinct, key=len, reverse=True)  # longest first, ties in first-seen order
     position = {word: i for i, word in enumerate(words)}
-    dw, hc = params["word_emb"].shape[1], params["char_wh"].shape[1]
-    reps = np.empty((len(words), dw + 2 * hc))  # word row, forward and backward char final states
-    reps[:, :dw] = params["word_emb"][[vocab.word_id(word) for word in words]]
+    chars = np.empty((len(words), 2 * params["char_wh"].shape[1]))  # forward and backward final states
+    char_runs = []  # each char-BiLSTM batch's (run, lengths, cache), kept for the backward
     word_lengths = np.array([len(word) for word in words], dtype=np.intp)
     for run in _runs(word_lengths, CHAR_BATCH_CHARS):
-        reps[run, dw:] = _char_layer(params, vocab, words[run])[0]
+        n = word_lengths[run]
+        ids = _readings(n, [vocab.char_id(ch) for word in words[run] for ch in word])[0]
+        cache = lstm_forward(params["char_emb"], ids, n, params["char_wx"], params["char_wh"], params["char_b"])
+        chars[run] = cache[0][:, n, np.arange(len(n))].transpose(1, 0, 2).reshape(len(n), -1)
+        if masks is not None:
+            char_runs.append((run, n, cache))
+        del cache  # at inference, a batch's states die before the next batch runs
 
-    word_w = params["word_wx"], params["word_wh"], params["word_b"]
+    word_emb = params["word_emb"]
     lengths = np.array([len(sentence) for sentence in sentences], dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
     for run in _runs(lengths[order], WORD_BATCH_TOKENS):
-        batch = order[run]
-        ids, n, step, col = _readings([sentences[i].texts for i in batch], position.__getitem__)
-        rows, local = np.unique(ids, return_inverse=True)
-        hs = lstm_forward(reps[rows], local.reshape(ids.shape), n, *word_w)[0]
+        batch, n = order[run], lengths[order[run]]
+        c = np.array([position[text] for i in batch for text in sentences[i].texts], dtype=np.intp)
+        w = np.array([word_id for i in batch for word_id in word_ids[i]], dtype=np.intp)
+        if masks is None:  # one row per (spelling, word id), in spelling order
+            mask = 1.0
+            keys, local = np.unique(c * len(word_emb) + w, return_inverse=True)
+            c, w = np.divmod(keys, len(word_emb))
+        else:
+            mask, local = np.concatenate([masks[i] for i in batch]), np.arange(len(c))
+        x = np.concatenate([word_emb[w], chars[c]], axis=1)
+        x *= mask
+        ids, step, col = _readings(n, local)
+        word_cache = lstm_forward(x, ids, n, params["word_wx"], params["word_wh"], params["word_b"])
+        hs = word_cache[0]
         feats = np.zeros((len(batch), n[0], 2 * hs.shape[3]))  # token k: forward step k, backward step n - 1 - k
         feats[col, step] = np.concatenate([hs[0, step + 1, col], hs[1, n[col] - step, col]], axis=1)
-        yield batch, feats @ params["proj_w"] + params["proj_b"], n
+        cache = None if masks is None else (chars, char_runs, n, step, col, w, c, mask, word_cache, feats)
+        del word_cache  # at inference, the states die with the batch, as above
+        yield batch, feats @ params["proj_w"] + params["proj_b"], n, cache
+
+
+def _emission_backward(params: dict[str, np.ndarray], runs):
+    """The backward pass of one _emission_batches call with masks, runs
+    holding each batch's (cache, d_emissions): the gradients of every
+    tensor but word_emb and transitions, and word_emb's gradient as (row
+    ids, rows), one row per token, batch after batch. Each distinct word's
+    char-state gradient is summed over its occurrences before the char
+    backward."""
+    terms = defaultdict(list)  # each tensor's gradient from each kernel call
+    chars, char_runs = runs[0][0][:2]
+    dw, hw, hc = params["word_emb"].shape[1], params["word_wh"].shape[1], params["char_wh"].shape[1]
+    d_chars = np.zeros_like(chars)
+    word_rows = []  # (row ids, rows) of each batch
+    for (_, _, n, step, col, w, c, mask, cache, feats), d_emissions in runs:
+        d_tokens = d_emissions[col, step]
+        terms["proj_w"].append(feats[col, step].T @ d_tokens)
+        terms["proj_b"].append(d_tokens.sum(axis=0))
+        d_feats = d_tokens @ params["proj_w"].T
+        d_hs = np.zeros((2, n[0], len(n), hw))  # as _readings reads: forward step k, backward step n - 1 - k
+        d_hs[0, step, col], d_hs[1, n[col] - 1 - step, col] = d_feats[:, :hw], d_feats[:, hw:]
+        d_x, *d_word_w = lstm_backward(cache, d_hs, params["word_wx"], params["word_wh"])
+        d_x *= mask
+        word_rows.append((w, d_x[:, :dw]))
+        np.add.at(d_chars, c, d_x[:, dw:])
+        for name, grad in zip(("word_wx", "word_wh", "word_b"), d_word_w):
+            terms[name].append(grad)
+    char_w = params["char_wx"], params["char_wh"]
+    for run, n, cache in char_runs:
+        d_hs = np.zeros((2, n[0], len(n), hc))
+        d_hs[:, n - 1, np.arange(len(n))] = d_chars[run].reshape(-1, 2, hc).transpose(1, 0, 2)
+        for name, grad in zip(("char_emb", "char_wx", "char_wh", "char_b"), lstm_backward(cache, d_hs, *char_w)):
+            terms[name].append(grad)
+    grads = {name: sum(parts[1:], parts[0]) for name, parts in terms.items()}  # the first part starts each sum
+    return grads, tuple(map(np.concatenate, zip(*word_rows)))
 
 
 def tag_corpus(tagger: Tagger, corpus: Corpus) -> Corpus:
@@ -406,7 +404,8 @@ def tag_corpus(tagger: Tagger, corpus: Corpus) -> Corpus:
         transitions = constrained_transitions(transitions, tagger.vocab.tags)
     tags = tagger.vocab.tags
     tagged: list = [None] * len(corpus)
-    for batch, emissions, lengths in _emission_batches(tagger, corpus.sentences):
+    word_ids = [[tagger.vocab.word_id(text) for text in sentence.texts] for sentence in corpus]
+    for batch, emissions, lengths, _ in _emission_batches(tagger, corpus.sentences, word_ids):
         for i, path in zip(batch, viterbi_decode(emissions, transitions, lengths)):
             tagged[i] = corpus.sentences[i].with_tags([tags[t] for t in path])
     return Corpus(tuple(tagged), corpus.language)

@@ -21,7 +21,7 @@ from typing import Collection, Iterator, Sequence
 import numpy as np
 
 from .conll import Corpus, repair_bio
-from .serialize import read_container, require_keys, write_container
+from .serialize import write_container
 
 START = "<s>"
 STOP = "</s>"
@@ -361,18 +361,6 @@ def tag_corpus(model: TntModel, corpus: Corpus) -> Corpus:
     return Corpus(tuple(tagged), corpus.language)
 
 
-_HEADER_KEYS = (
-    "tags",
-    "unigrams",
-    "bigrams",
-    "trigrams",
-    "lambdas",
-    "emissions",
-    "suffix",
-    "total_tokens",
-)
-
-
 def save_model(model: TntModel, path) -> None:
     header = {
         "tags": list(model.tags),
@@ -392,25 +380,3 @@ def save_model(model: TntModel, path) -> None:
         "total_tokens": model.total_tokens,
     }
     write_container(path, TNT_MAGIC, header, {})
-
-
-def load_model(path) -> TntModel:
-    """Read a TnT model file; header keys beyond the ones this version
-    writes (older files also carry a `word_freq` table) are ignored."""
-    header, _ = read_container(path, TNT_MAGIC)
-    require_keys(header, _HEADER_KEYS, path)
-    require_keys(header["suffix"], ("tag_probs", "theta", "counts"), path, "header suffix")
-    return TntModel(
-        tags=tuple(header["tags"]),
-        unigrams=Counter(header["unigrams"]),
-        bigrams=Counter({tuple(k.split("\t")): v for k, v in header["bigrams"].items()}),
-        trigrams=Counter({tuple(k.split("\t")): v for k, v in header["trigrams"].items()}),
-        lambdas=tuple(header["lambdas"]),
-        emissions=header["emissions"],
-        suffix_model=SuffixModel(
-            header["suffix"]["tag_probs"],
-            header["suffix"]["theta"],
-            {cap == "True": table for cap, table in header["suffix"]["counts"].items()},
-        ),
-        total_tokens=header["total_tokens"],
-    )

@@ -636,6 +636,30 @@ def test_out_of_range_tagger_option_names_its_line(capsys, tmp_path, sample, com
 
 
 @pytest.mark.parametrize("command", ["train", "experiment"])
+def test_config_resolves_through_data_dir(capsys, tmp_path, sample, monkeypatch, command):
+    # The config file, like the data, is found only under XLNER_DATA_DIR.
+    monkeypatch.setenv("XLNER_DATA_DIR", str(sample.parent))
+    (tmp_path / "da.conll").write_text(write_conll(make_corpus([("Elvis", "B-PER"), ("sang", "O")])))
+    if command == "train":
+        (tmp_path / "run.conf").write_text("word_emb_dim = 5\nword_lstm_dim = 3\nchar_lstm_dim = 2\nmax_epochs = 1\n")
+        argv = ["train", "--train", "sample.conll", "--dev", "sample.conll", "--config", "run.conf"]
+    else:
+        paths = "tgt_train_path = da.conll\ntgt_dev_path = da.conll\n"
+        (tmp_path / "run.conf").write_text(f"data_dir = {tmp_path}\n{paths}seeds = 4\ncell = majority:none:tiny\n")
+        argv = ["experiment", "--config", "run.conf"]
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    code, _, err = run(capsys, *argv, "--out", elsewhere / "out")
+    assert code == 0, err
+    if command == "train":
+        header, _ = read_container(elsewhere / "out", MODEL_MAGIC)
+        assert header["config"]["word_emb_dim"] == 5
+    else:
+        assert (elsewhere / "out" / "majority" / "none" / "tiny" / "4").is_dir()
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
 def test_config_that_is_not_utf8_names_its_file(capsys, tmp_path, sample, command):
     config_path = tmp_path / "latin1.conf"
     config_path.write_bytes("# Søren\nmax_epochs = 1\n".encode("latin-1"))

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xlner"
@@ -58,20 +59,46 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
+def qualified_references(source: str, module: str) -> set[tuple[str, str]]:
+    """(module, name) for every name a module reads through its module:
+    `tnt.name`, `from .tnt import name`, and a bare name in the module
+    itself."""
+    pairs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            pairs.add((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            pairs.update((node.module.rsplit(".", 1)[-1], alias.name) for alias in node.names)
+        elif isinstance(node, ast.Name):
+            pairs.add((module, node.id))
+    return pairs
+
+
 def test_every_definition_has_a_caller_outside_tests():
     # Callers are the package, its scripts and the benchmark, not the tests:
-    # code that only tests call belongs in the tests.
+    # code that only tests call belongs in the tests. A top-level function
+    # that two modules define (tagger.load_model, tnt.load_model) counts as
+    # called only where the caller names its module.
     sample = "def used():\n    pass\n\nclass Box:\n    def __len__(self):\n        return 0\n    def spare(self):\n        used()\n"
     assert definitions(sample) == ["used", "Box", "Box.spare"]
     assert {"used"} <= referenced_names(sample)
+    pairs = qualified_references("from .tnt import save_model\ntagger.load_model()\nestimate()\n", "cli")
+    assert {("tnt", "save_model"), ("tagger", "load_model"), ("cli", "estimate")} <= pairs
+    assert ("tnt", "load_model") not in pairs
     callers = [
         *PACKAGE.glob("*.py"),
         *(ROOT / "scripts").glob("*.py"),
         *(path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_")),
     ]
-    referenced = set().union(*(referenced_names(path.read_text(encoding="utf-8")) for path in callers))
-    uncalled = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        names = definitions(path.read_text(encoding="utf-8"))
-        uncalled[path.name] = [name for name in names if name.rsplit(".", 1)[-1] not in referenced]
+    sources = {path: path.read_text(encoding="utf-8") for path in callers}
+    referenced = set().union(*map(referenced_names, sources.values()))
+    qualified = set().union(*(qualified_references(source, path.stem) for path, source in sources.items()))
+    package = sorted(PACKAGE.glob("*.py"))
+    functions = [node.name for path in package for node in ast.parse(sources[path]).body if isinstance(node, ast.FunctionDef)]
+    shared = {name for name, count in Counter(functions).items() if count > 1}
+
+    def called(module: str, name: str) -> bool:
+        return (module, name) in qualified if name in shared else name.rsplit(".", 1)[-1] in referenced
+
+    uncalled = {path.name: [name for name in definitions(sources[path]) if not called(path.stem, name)] for path in package}
     assert {name: names for name, names in uncalled.items() if names} == {}

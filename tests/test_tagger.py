@@ -15,7 +15,6 @@ from xlner.tagger import (
     MODEL_MAGIC,
     Tagger,
     TaggerConfig,
-    _forward,
     build_vocab,
     constrained_transitions,
     init_params,
@@ -168,7 +167,8 @@ def encode_sentences(tagger, sentences):
     (len(sentence), num_tags), in the order given, with no dropout: the
     emissions tag_corpus decodes, batch by batch."""
     out: list = [None] * len(sentences)
-    for batch, emissions, lengths in tagger_module._emission_batches(tagger, sentences):
+    word_ids = [[tagger.vocab.word_id(text) for text in sentence.texts] for sentence in sentences]
+    for batch, emissions, lengths, _ in tagger_module._emission_batches(tagger, sentences, word_ids):
         for i, rows, n in zip(batch, emissions, lengths):
             out[i] = rows[:n]
     return out
@@ -270,8 +270,7 @@ def test_batched_emissions_match_per_sentence_forward(monkeypatch, budget):
     word_lengths = sorted((len(w) for w in {t.text for sentence in corpus for t in sentence}), reverse=True)
     assert len(list(tagger_module._runs(np.array(word_lengths), tagger_module.CHAR_BATCH_CHARS))) > 2
     for sentence, got in zip(corpus, encode_sentences(tagger, corpus.sentences), strict=True):
-        word_ids = [tagger.vocab.word_id(t.text) for t in sentence]
-        want = _forward(tagger.params, tagger.vocab, sentence, word_ids, None)[0]
+        want = reference_emissions(tagger, sentence)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -302,9 +301,7 @@ def test_long_token_pads_only_its_own_batch(monkeypatch):
     assert calls[0] == (2, 3000, 1)
     assert all(steps * n <= tagger_module.CHAR_BATCH_CHARS for _, steps, n in calls[1:])
     for sentence, got in zip(corpus, emissions, strict=True):
-        word_ids = [tagger.vocab.word_id(t.text) for t in sentence]
-        want = _forward(tagger.params, tagger.vocab, sentence, word_ids, None)[0]
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert np.allclose(got, reference_emissions(tagger, sentence), rtol=0.0, atol=1e-12)
 
 
 def test_every_kernel_call_reads_lengths_longest_first(monkeypatch):
@@ -368,8 +365,7 @@ def test_tag_corpus_matches_per_sentence_reference(sentences, seed):
     assert len(tagged) == len(corpus)
     for sentence, out in zip(corpus, tagged):
         assert out.texts == sentence.texts  # corpus order
-        word_ids = [tagger.vocab.word_id(t.text) for t in sentence]
-        emissions = _forward(tagger.params, tagger.vocab, sentence, word_ids, None)[0]
+        emissions = reference_emissions(tagger, sentence)
         assert list(out.tags) == [TAGS[i] for i in reference_viterbi(emissions, transitions)]
 
 
@@ -449,6 +445,67 @@ def test_gradients_match_finite_differences_with_dropout():
             num = (hi - lo) / (2 * eps)
             ana = grads[name].reshape(-1)[i]
             assert abs(num - ana) <= max(1e-4 * abs(num), 1e-6), (name, i)
+
+
+def test_minibatch_gradients_are_the_mean_of_sentence_gradients():
+    # One generator drawn through a minibatch, or through its sentences one
+    # at a time, gives the same UNK-dropout ids and masks, so the batched
+    # forward and backward must give the mean of the one-sentence gradients.
+    # "Rom" and "og" repeat within and across sentences, and the lengths
+    # differ, so the word layer pads and each char gradient sums occurrences.
+    corpus = make_corpus(
+        [("Rom", "B-LOC"), ("og", "O"), ("Rom", "B-LOC"), ("Copenhagen", "B-LOC")],
+        [("Elvis", "B-PER"), ("sang", "O"), ("i", "O"), ("Rom", "B-LOC"), ("og", "O"), ("Aarhus", "B-LOC")],
+        [("og", "O")],
+        [("Sun", "B-MISC"), ("Records", "I-MISC"), ("og", "O")],
+    )
+    config = TaggerConfig(**{**SMALL.__dict__, "dropout": 0.5, "unk_word_dropout": True})
+    tagger = small_tagger(corpus, config)
+    singletons = {w for w in tagger.vocab.words if sum(s.texts.count(w) for s in corpus) == 1}
+
+    unk = tagger.vocab.words["<unk>"]
+
+    def unk_dropout_ids(sentence, rng):  # train()'s singleton-to-UNK rule
+        return [unk if t in singletons and rng.random() < 0.5 else tagger.vocab.word_id(t) for t in sentence.texts]
+
+    batch = list(corpus.sentences)
+    loss, grads = batch_gradients(tagger, batch, np.random.default_rng(4), unk_dropout_ids)
+    rng = np.random.default_rng(4)
+    parts = [batch_gradients(tagger, [sentence], rng, unk_dropout_ids) for sentence in batch]
+    assert abs(loss - np.mean([part[0] for part in parts])) <= 1e-12
+    for name, grad in grads.items():
+        want = sum(part[1][name] for part in parts) / len(parts)
+        assert np.allclose(grad, want, rtol=0.0, atol=1e-12), name
+    assert np.count_nonzero(grads["word_emb"][unk])  # some singleton was dropped to UNK
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_training_step_runs_each_distinct_word_once(monkeypatch, batch_size):
+    # Each SGD step runs the char-BiLSTM once per distinct word of its
+    # sentences, however often the word repeats within or across them.
+    steps, calls, char_emb = [], [], []
+    forward, gradients = tagger_module.lstm_forward, tagger_module._gradients
+
+    def spy_forward(emb, ids, lengths, *weights):
+        if char_emb and emb is char_emb[0]:
+            calls.append(len(lengths))
+        return forward(emb, ids, lengths, *weights)
+
+    def spy_gradients(tagger, batch, *args):
+        calls.clear()
+        char_emb[:] = [tagger.params["char_emb"]]
+        out = gradients(tagger, batch, *args)
+        steps.append((sum(calls), len({text for sentence in batch for text in sentence.texts})))
+        return out
+
+    monkeypatch.setattr(tagger_module, "lstm_forward", spy_forward)
+    monkeypatch.setattr(tagger_module, "_gradients", spy_gradients)
+    sentences = ["Rom og Rom og Rom", "og Elvis og", "Rom", "Sun Records Sun", "og Rom"]
+    corpus = make_corpus(*[[(w, "O") for w in words.split()] for words in sentences])
+    config = TaggerConfig(**{**SMALL.__dict__, "max_epochs": 1, "batch_size": batch_size, "dropout": 0.5})
+    train(config, corpus, corpus)
+    assert len(steps) == -(-len(sentences) // batch_size)
+    assert all(ran == distinct for ran, distinct in steps), steps
 
 
 def test_train_epoch_applies_batch_gradients():

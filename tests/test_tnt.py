@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from xlner import tnt
 from xlner.conll import Corpus, Sentence, repair_bio, write_conll
-from xlner.serialize import ContainerError, read_container, write_container
+from xlner.serialize import ContainerError, read_container, require_keys, write_container
 from xlner.tnt import (
     MAX_SUFFIX_LEN,
     RARE_THRESHOLD,
@@ -20,7 +20,6 @@ from xlner.tnt import (
     SuffixModel,
     TntModel,
     estimate,
-    load_model,
     save_model,
     tag_corpus,
 )
@@ -598,6 +597,32 @@ def test_tag_corpus_repairs_bio(train3):
 
     for sentence in out:
         assert validate_bio(sentence.tags) == []
+
+
+HEADER_KEYS = ("tags", "unigrams", "bigrams", "trigrams", "lambdas", "emissions", "suffix", "total_tokens")
+
+
+def load_model(path) -> TntModel:
+    """Referee of tnt.save_model: the model a TnT file holds, read back;
+    header keys beyond the ones save_model writes (older files also carry a
+    `word_freq` table) are ignored."""
+    header, _ = read_container(path, TNT_MAGIC)
+    require_keys(header, HEADER_KEYS, path)
+    require_keys(header["suffix"], ("tag_probs", "theta", "counts"), path, "header suffix")
+    return TntModel(
+        tags=tuple(header["tags"]),
+        unigrams=Counter(header["unigrams"]),
+        bigrams=Counter({tuple(k.split("\t")): v for k, v in header["bigrams"].items()}),
+        trigrams=Counter({tuple(k.split("\t")): v for k, v in header["trigrams"].items()}),
+        lambdas=tuple(header["lambdas"]),
+        emissions=header["emissions"],
+        suffix_model=SuffixModel(
+            header["suffix"]["tag_probs"],
+            header["suffix"]["theta"],
+            {cap == "True": table for cap, table in header["suffix"]["counts"].items()},
+        ),
+        total_tokens=header["total_tokens"],
+    )
 
 
 def test_model_round_trip(tmp_path, train3):
