@@ -31,6 +31,7 @@ from .evaluation import evaluate, render_report
 from .serialize import ContainerError, replacing
 from .tagger import TaggerConfig, TrainingError, load_model, parse_tagger_config, save_model, tag_corpus, train
 from .transfer import (
+    ALIGNMENT_DIRECTIONS,
     ExperimentError,
     parse_experiment_config,
     render_matrix,
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--direction", choices=("tgt_to_src", "src_to_tgt"), default="tgt_to_src")
+    p.add_argument("--direction", choices=ALIGNMENT_DIRECTIONS, default=ALIGNMENT_DIRECTIONS[0])
     p.set_defaults(fn=_cmd_align)
 
     p = sub.add_parser("train", help="train the BiLSTM-CRF tagger")

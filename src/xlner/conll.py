@@ -5,8 +5,9 @@ agreement."""
 
 from __future__ import annotations
 
+import io
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 # Fixed 9-label BIO2 alphabet, O first.
@@ -149,12 +150,17 @@ def parse_conll(text: str, language: str = "") -> Corpus:
     lines separate sentences, -DOCSTART- lines are dropped. Tokens with
     equal texts, or equal middle columns, share one object, and tags are
     the strings of TAGS."""
+    return _parse_lines(io.StringIO(text), language)  # splits on "\n" only
+
+
+def _parse_lines(lines: Iterable[str], language: str) -> Corpus:
+    """parse_conll over lines (a text file, a StringIO), numbered from 1."""
     sentences: list[Sentence] = []
     texts: list[str] = []
     tags: list[str] = []
     extras: list[tuple[str, ...]] = []
     shared: dict = {}  # each distinct text, and middle columns, once
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             if texts:
@@ -193,13 +199,12 @@ def write_conll(corpus: Corpus) -> str:
 
 
 def read_conll(path, language: str = "") -> Corpus:
+    """parse_conll of a UTF-8 file, read a line at a time."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return _parse_lines(fh, language)
     except UnicodeDecodeError as exc:
         raise ConllError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    try:
-        return parse_conll(text, language)
     except ParseError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

@@ -31,24 +31,26 @@ from .evaluation import (
 from .serialize import replacing
 from .tagger import Tagger, TaggerConfig, option_lines, save_model, tag_corpus, tagger_option, train
 
-REGIMES = (
-    "zero_shot",
-    "in_language_plain",
-    "in_language_pretrained",
-    "joint",
-    "fine_tune",
-    "tnt_baseline",
-    "majority",
-)
-# Regimes that train on the aligned source+target embedding table.
-BILINGUAL_REGIMES = ("zero_shot", "joint", "fine_tune")
-SOURCE_SIZES = ("none", "medium", "large")
-TARGET_SIZES = ("none", "tiny", "small")
-
-# Sentence budgets used when slicing a Danish training file into the two
-# few-shot sizes (first 5k / 10k tokens, whole sentences).
-TINY_TOKENS = 5000
-SMALL_TOKENS = 10000
+# The regimes and the resources each reads; bilingual_table checks the embedding tables.
+_NEEDS = {
+    "zero_shot": ("src_train", "src_dev", "tgt_dev"),
+    "in_language_plain": ("tgt_train", "tgt_dev"),
+    "in_language_pretrained": ("tgt_train", "tgt_dev", "tgt_emb"),
+    "joint": ("src_train", "src_dev", "tgt_train", "tgt_dev"),
+    "fine_tune": ("src_train", "src_dev", "tgt_train", "tgt_dev"),
+    "tnt_baseline": ("tgt_train", "tgt_dev"),
+    "majority": ("tgt_train", "tgt_dev"),
+}
+REGIMES = tuple(_NEEDS)
+# Regimes that train on the source corpora, and so on the aligned source+target embedding table.
+BILINGUAL_REGIMES = tuple(regime for regime, needs in _NEEDS.items() if "src_train" in needs)
+# The English files each source size reads.
+_SOURCE_FILES = {"medium": ("eng.testa",), "large": ("eng.train", "eng.testa")}
+SOURCE_SIZES = ("none", *_SOURCE_FILES)
+# Target sizes as token budgets on the target training file (whole sentences).
+TARGET_TOKENS = {"none": 0, "tiny": 5000, "small": 10000}
+# The two ways to align: rotate the target table into the source space, or the reverse.
+ALIGNMENT_DIRECTIONS = ("tgt_to_src", "src_to_tgt")
 
 
 class ExperimentError(Exception):
@@ -62,9 +64,7 @@ class ExperimentConfig:
     target_size: str = "none"
     seeds: tuple[int, ...] = (1, 2, 3)
     tagger: TaggerConfig = field(default_factory=TaggerConfig)
-    # mapping direction: "tgt_to_src" rotates target vectors into the
-    # source space; "src_to_tgt" the reverse
-    alignment_direction: str = "tgt_to_src"
+    alignment_direction: str = ALIGNMENT_DIRECTIONS[0]
     data_dir: Optional[str] = None
     src_train_path: Optional[str] = None
     src_dev_path: Optional[str] = None
@@ -80,12 +80,16 @@ class ExperimentConfig:
             raise ExperimentError(f"seeds must not repeat a seed, got {self.seeds}")
         if self.regime not in REGIMES:
             raise ExperimentError(f"unknown regime {self.regime!r}")
-        if self.source_size not in SOURCE_SIZES or self.target_size not in TARGET_SIZES:
+        if self.source_size not in SOURCE_SIZES or self.target_size not in TARGET_TOKENS:
             raise ExperimentError("bad source/target size")
-        if self.alignment_direction not in ("tgt_to_src", "src_to_tgt"):
+        if self.alignment_direction not in ALIGNMENT_DIRECTIONS:
             raise ExperimentError(f"bad alignment direction {self.alignment_direction!r}")
-        if self.regime == "zero_shot" and self.target_size != "none":
-            raise ExperimentError("zero_shot requires target_size = none")
+        # Only regimes that read tgt_train take a target size; all but joint train on that slice alone.
+        reads_target = "tgt_train" in _NEEDS[self.regime]
+        if not reads_target and self.target_size != "none":
+            raise ExperimentError(f"{self.regime} requires target_size = none")
+        if reads_target and self.regime != "joint" and self.target_size == "none":
+            raise ExperimentError(f"{self.regime} requires target_size = tiny or small")
         if self.regime.startswith("in_language") and self.source_size != "none":
             raise ExperimentError("in_language regimes require source_size = none")
 
@@ -113,33 +117,18 @@ def prepare_sources(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
     """English source corpora in BIO2. Large trains on eng.train with
     eng.testa for early stopping; Medium trains on the first 90% of
     eng.testa sentences and holds out the last 10% for early stopping."""
-    root = _data_root(config)
-    if config.source_size == "large":
-        train_path, dev_path = root / "eng.train", root / "eng.testa"
-        for p in (train_path, dev_path):
-            if not p.exists():
-                raise ExperimentError(f"missing source corpus: {p}")
-        train_c = convert_corpus_iob1_to_bio2(read_conll(train_path, "en"))
-        dev_c = convert_corpus_iob1_to_bio2(read_conll(dev_path, "en"))
-        return train_c, dev_c
-    if config.source_size == "medium":
-        path = root / "eng.testa"
+    if config.source_size not in _SOURCE_FILES:
+        raise ExperimentError("prepare_sources needs source_size medium or large")
+    paths = [_data_root(config) / name for name in _SOURCE_FILES[config.source_size]]
+    for path in paths:
         if not path.exists():
             raise ExperimentError(f"missing source corpus: {path}")
-        corpus = convert_corpus_iob1_to_bio2(read_conll(path, "en"))
-        cut = len(corpus) - max(1, len(corpus) // 10)
-        return Corpus(corpus.sentences[:cut], "en"), Corpus(corpus.sentences[cut:], "en")
-    raise ExperimentError("prepare_sources needs source_size medium or large")
-
-
-def _slice_target(corpus: Corpus, size: str) -> Corpus:
-    if size == "none":
-        return Corpus((), corpus.language)
-    if size == "tiny":
-        return take_first_tokens(corpus, TINY_TOKENS)
-    if size == "small":
-        return take_first_tokens(corpus, SMALL_TOKENS)
-    return corpus
+    corpora = [convert_corpus_iob1_to_bio2(read_conll(path, "en")) for path in paths]
+    if config.source_size == "large":
+        return corpora[0], corpora[1]
+    sentences = corpora[0].sentences
+    cut = len(sentences) - max(1, len(sentences) // 10)
+    return Corpus(sentences[:cut], "en"), Corpus(sentences[cut:], "en")
 
 
 def load_resources(config: ExperimentConfig, loaded: Optional[dict] = None) -> Resources:
@@ -172,7 +161,7 @@ def load_resources(config: ExperimentConfig, loaded: Optional[dict] = None) -> R
     if config.src_train_path or config.src_dev_path:
         res.src_train = read(config.src_train_path, "corpus", read_conll, "en")
         res.src_dev = read(config.src_dev_path, "corpus", read_conll, "en")
-    elif config.source_size in ("medium", "large"):
+    elif config.source_size in _SOURCE_FILES:
         res.src_train, res.src_dev = once(
             ("sources", root, config.source_size), lambda: prepare_sources(config)
         )
@@ -185,9 +174,8 @@ def rotated_table(
     """The table an alignment direction rotates, in the other table's
     space: tgt into the src space for "tgt_to_src", src into the tgt space
     for "src_to_tgt". Seeds default to the identical words of the two."""
-    if direction == "tgt_to_src":
-        return apply_mapping(tgt, align_tables(src, tgt, seeds))
-    return apply_mapping(src, align_tables(tgt, src, seeds))
+    fixed, moved = (src, tgt) if direction == "tgt_to_src" else (tgt, src)
+    return apply_mapping(moved, align_tables(fixed, moved, seeds))
 
 
 def bilingual_table(config: ExperimentConfig, res: Resources) -> EmbeddingTable:
@@ -202,24 +190,6 @@ def bilingual_table(config: ExperimentConfig, res: Resources) -> EmbeddingTable:
 
 def _concat(a: Corpus, b: Corpus) -> Corpus:
     return Corpus(a.sentences + b.sentences, f"{a.language}+{b.language}")
-
-
-# The resources each regime reads; bilingual_table checks the embedding tables.
-_NEEDS = {
-    "majority": ("tgt_train", "tgt_dev"),
-    "tnt_baseline": ("tgt_train", "tgt_dev"),
-    "in_language_plain": ("tgt_train", "tgt_dev"),
-    "in_language_pretrained": ("tgt_train", "tgt_dev", "tgt_emb"),
-    "zero_shot": ("src_train", "src_dev", "tgt_dev"),
-    "joint": ("src_train", "src_dev", "tgt_train", "tgt_dev"),
-    "fine_tune": ("src_train", "src_dev", "tgt_train", "tgt_dev"),
-}
-
-# Baselines: (target training corpus, corpus to tag) -> tagged corpus.
-_BASELINES = {
-    "majority": majority_baseline,
-    "tnt_baseline": lambda train_corpus, corpus: tnt.tag_corpus(tnt.estimate(train_corpus), corpus),
-}
 
 
 def run_seed(
@@ -237,41 +207,27 @@ def run_seed(
             raise ExperimentError(f"regime needs resource {name!r}")
     if regime in BILINGUAL_REGIMES and shared is None:
         shared = bilingual_table(config, res)
-    tgt_train = None if res.tgt_train is None else _slice_target(res.tgt_train, config.target_size)
-    if regime in _BASELINES:
-        return evaluate(res.tgt_dev, _BASELINES[regime](tgt_train, res.tgt_dev)), None
+    tgt_train = None if res.tgt_train is None else take_first_tokens(res.tgt_train, TARGET_TOKENS[config.target_size])
+    if regime == "majority":
+        return evaluate(res.tgt_dev, majority_baseline(tgt_train, res.tgt_dev)), None
+    if regime == "tnt_baseline":
+        return evaluate(res.tgt_dev, tnt.tag_corpus(tnt.estimate(tgt_train), res.tgt_dev)), None
 
     tagger_config = replace(config.tagger, seed=seed)
-    if regime in ("in_language_plain", "in_language_pretrained"):
-        pretrained = res.tgt_emb if regime == "in_language_pretrained" else None
-        tagger, _ = train(tagger_config, tgt_train, res.tgt_dev, pretrained=pretrained)
-    elif regime == "zero_shot":
-        tagger, _ = train(
-            tagger_config,
-            res.src_train,
-            res.src_dev,
-            pretrained=shared,
-            extra_vocab_corpora=[res.tgt_dev],
-        )
+    if regime in ("zero_shot", "fine_tune"):
+        # The source-only model; fine_tune's vocabulary also holds the target training words.
+        extra = [res.tgt_dev] if regime == "zero_shot" else [res.tgt_dev, tgt_train]
+        tagger, _ = train(tagger_config, res.src_train, res.src_dev, pretrained=shared, extra_vocab_corpora=extra)
+        if regime == "fine_tune":
+            # Same learning rate, fresh early stopping on the target dev set.
+            tagger, _ = train(tagger_config, tgt_train, res.tgt_dev, initial=tagger)
     elif regime == "joint":
         # Early stopping on the target dev set (the reporting target).
-        tagger, _ = train(
-            tagger_config,
-            _concat(res.src_train, tgt_train),
-            res.tgt_dev,
-            pretrained=shared,
-            extra_vocab_corpora=[res.src_dev],
-        )
-    else:  # fine_tune
-        stage1, _ = train(
-            tagger_config,
-            res.src_train,
-            res.src_dev,
-            pretrained=shared,
-            extra_vocab_corpora=[res.tgt_dev, tgt_train],
-        )
-        # Same learning rate, fresh early stopping on the target dev set.
-        tagger, _ = train(tagger_config, tgt_train, res.tgt_dev, initial=stage1)
+        corpus = _concat(res.src_train, tgt_train)
+        tagger, _ = train(tagger_config, corpus, res.tgt_dev, pretrained=shared, extra_vocab_corpora=[res.src_dev])
+    else:  # in_language
+        pretrained = res.tgt_emb if regime == "in_language_pretrained" else None
+        tagger, _ = train(tagger_config, tgt_train, res.tgt_dev, pretrained=pretrained)
     return evaluate(res.tgt_dev, tag_corpus(tagger, res.tgt_dev)), tagger
 
 
@@ -283,40 +239,37 @@ def matrix_dict(matrix: Matrix) -> dict:
     return {"/".join(key): asdict(report) for key, report in sorted(matrix.items())}
 
 
-_MATRIX_COLUMNS = ("TnT", "plain", "+Poly", "+Medium", "+Large", "FineTune")
 _ROW_SIZES = (("zero-shot", "none"), ("Tiny", "tiny"), ("Small", "small"))
 
 
-def _matrix_cell(matrix: Matrix, column: str, target_size: str) -> Optional[AggregateReport]:
-    if column == "TnT":
-        return matrix.get(("tnt_baseline", "none", target_size))
-    if column == "plain":
-        return matrix.get(("in_language_plain", "none", target_size))
-    if column == "+Poly":
-        return matrix.get(("in_language_pretrained", "none", target_size))
-    if column in ("+Medium", "+Large"):
-        source = "medium" if column == "+Medium" else "large"
-        regime = "zero_shot" if target_size == "none" else "joint"
-        return matrix.get((regime, source, target_size))
-    if column == "FineTune":
-        for source in ("medium", "large"):
-            cell = matrix.get(("fine_tune", source, target_size))
-            if cell is not None:
-                return cell
-    return None
+def _matrix_columns(target_size: str) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Each matrix column's candidate (regime, source size) cells in the
+    row of a target size; the first one in the matrix fills it. The
+    transfer columns read zero_shot in the zero-shot row, joint in the
+    others."""
+    transfer = "zero_shot" if target_size == "none" else "joint"
+    return {
+        "TnT": (("tnt_baseline", "none"),),
+        "plain": (("in_language_plain", "none"),),
+        "+Poly": (("in_language_pretrained", "none"),),
+        "+Medium": ((transfer, "medium"),),
+        "+Large": ((transfer, "large"),),
+        "FineTune": (("fine_tune", "medium"), ("fine_tune", "large")),
+    }
 
 
 def render_matrix(matrix: Matrix) -> str:
     """Text table: transfer columns by training-size rows, mean dev F1;
     absent cells render as ---."""
     width = 10
-    lines = ["".ljust(width) + "".join(c.rjust(width) for c in _MATRIX_COLUMNS)]
+    lines = ["".ljust(width) + "".join(c.rjust(width) for c in _matrix_columns("none"))]
     for row_name, target_size in _ROW_SIZES:
-        cells = []
-        for column in _MATRIX_COLUMNS:
-            report = _matrix_cell(matrix, column, target_size)
-            cells.append(f"{report.f1.mean:.2f}".rjust(width) if report else "---".rjust(width))
-        lines.append(row_name.ljust(width) + "".join(cells))
+        cells = ""
+        for candidates in _matrix_columns(target_size).values():
+            reports = (matrix.get((regime, source, target_size)) for regime, source in candidates)
+            report = next(filter(None, reports), None)
+            cells += (f"{report.f1.mean:.2f}" if report else "---").rjust(width)
+        lines.append(row_name.ljust(width) + cells)
     return "\n".join(lines) + "\n"
 
 
@@ -406,10 +359,11 @@ def parse_experiment_config(text: str) -> list[ExperimentConfig]:
     """Flat key-value grammar: `key = value` lines, `#` comments. Shared
     keys apply to every cell; each `cell = regime:source:target` line adds
     one grid cell. A file with no cell lines but a `regime` key defines a
-    single cell. Every ExperimentConfig field but `tagger` (set by
-    `tagger.<option>` keys) is a key, `seeds` a comma-separated list.
-    Errors name their line: a cell's invalid combination names its `cell`
-    line, a single cell's its `regime` line."""
+    single cell; in a file with cell lines, a `regime`, `source_size` or
+    `target_size` key is an error. Every ExperimentConfig field but
+    `tagger` (set by `tagger.<option>` keys) is a key, `seeds` a
+    comma-separated list. Errors name their line: a cell's invalid
+    combination names its `cell` line, a single cell's its `regime` line."""
     options = {f.name for f in fields(ExperimentConfig)} - {"seeds", "tagger"}
     cells: list[tuple[int, str, str, str]] = []
     tagger_kwargs = {}
@@ -459,8 +413,10 @@ def parse_experiment_config(text: str) -> list[ExperimentConfig]:
         if "regime" not in config_kwargs:
             raise ExperimentError("config defines no cells and no regime")
         return [config_at(option_line["regime"], **config_kwargs)]
-    base = {k: v for k, v in config_kwargs.items() if k not in ("regime", "source_size", "target_size")}
+    for lineno, key, _ in lines:
+        if key in ("regime", "source_size", "target_size"):
+            raise ExperimentError(f"line {lineno}: {key} has no effect in a grid; each cell line sets it")
     return [
-        config_at(lineno, regime=regime, source_size=source, target_size=target, **base)
+        config_at(lineno, regime=regime, source_size=source, target_size=target, **config_kwargs)
         for lineno, regime, source, target in cells
     ]

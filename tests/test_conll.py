@@ -1,6 +1,7 @@
 import gc
 import itertools
 import pickle
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass
 
@@ -22,6 +23,7 @@ from xlner.conll import (
     entity_kappa,
     extract_sentence_spans,
     parse_conll,
+    read_conll,
     repair_bio,
     take_first_tokens,
     validate_bio,
@@ -105,6 +107,26 @@ def test_parse_reports_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_conll("Rom B-LOC\nblev\n")
     assert err.value.line == 2
+
+
+def test_parse_splits_lines_on_newline_only():
+    # "\r", "\x85" and "\u2028" separate columns within a line, as
+    # str.split sees them, and end no line.
+    corpus = parse_conll("Rom\u2028NNP B-LOC\r\nblev\x85VB O\n")
+    assert corpus.sentences[0].texts == ("Rom", "blev")
+    assert corpus.sentences[0].extras == (("NNP",), ("VB",))
+
+
+def test_read_conll_errors_name_the_file(tmp_path):
+    bad_tag = tmp_path / "tag.conll"
+    bad_tag.write_text("Rom B-LOC\n\nblev B-GPE\n", encoding="utf-8")
+    with pytest.raises(TagError, match=f"^{re.escape(str(bad_tag))}: line 3: unknown tag 'B-GPE'$") as err:
+        read_conll(bad_tag)
+    assert err.value.line == 3
+    latin1 = tmp_path / "latin1.conll"
+    latin1.write_bytes("Rom B-LOC\n\nS\u00f8ren B-PER\n".encode("latin-1"))
+    with pytest.raises(ConllError, match=f"^{re.escape(str(latin1))}: not UTF-8 text \\(invalid start byte\\)$"):
+        read_conll(latin1)
 
 
 def test_parse_unknown_tag():
@@ -279,6 +301,23 @@ def test_parsed_corpus_retains_at_most_two_thirds_of_token_objects_bytes():
     columnar = retained_bytes(parse_conll, text) / tokens
     token_objects = retained_bytes(token_object_parse, text) / tokens
     assert columnar <= 2 / 3 * token_objects, (columnar, token_objects)
+
+
+def test_read_conll_peak_is_bounded_by_the_parsed_corpus(tmp_path):
+    # read_conll parses its file a line at a time: neither the whole text
+    # nor a list of its lines is held while the corpus is built.
+    corpus = make_twin_languages(seed=3, n_src_train=1000).src_train
+    path = tmp_path / "train.conll"
+    path.write_text(write_conll(corpus), encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parsed = read_conll(path, corpus.language)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == corpus
+    assert peak <= 1.25 * retained + 64 * 1024, (peak, retained)
 
 
 # ---------------------------------------------------------------- validation

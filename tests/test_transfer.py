@@ -4,7 +4,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from xlner.conll import Corpus, write_conll
+from xlner.conll import Corpus, take_first_tokens, write_conll
 from xlner.embeddings import align_tables, save_embeddings
 from xlner.evaluation import AggregateReport, EvalReport, MetricSummary
 from xlner.synthetic import make_twin_languages
@@ -13,6 +13,7 @@ from xlner.serialize import replacing
 from xlner.transfer import (
     BILINGUAL_REGIMES,
     REGIMES,
+    TARGET_TOKENS,
     ExperimentConfig,
     ExperimentError,
     Resources,
@@ -25,7 +26,6 @@ from xlner.transfer import (
     run_seed,
     _grid_inputs,
     _NEEDS,
-    _slice_target,
 )
 
 from conftest import make_corpus
@@ -74,19 +74,45 @@ def test_config_invariants():
         ExperimentConfig(regime="joint", alignment_direction="sideways")
     config = ExperimentConfig(regime="joint", source_size="medium", target_size="tiny")
     assert config.cell == ("joint", "medium", "tiny")
+    assert ExperimentConfig(regime="joint", source_size="large").cell == ("joint", "large", "none")
+
+
+@pytest.mark.parametrize(
+    "regime, source",
+    [
+        ("majority", "none"),
+        ("tnt_baseline", "none"),
+        ("in_language_plain", "none"),
+        ("in_language_pretrained", "none"),
+        ("fine_tune", "large"),
+    ],
+)
+def test_regime_that_trains_on_the_target_alone_needs_a_target_size(regime, source):
+    # Rejected when the config is built, not when its task trains on an
+    # empty corpus; a grid file names the cell line.
+    with pytest.raises(ExperimentError, match=f"^{regime} requires target_size = tiny or small$"):
+        ExperimentConfig(regime=regime, source_size=source)
+    with pytest.raises(ExperimentError, match=f"^line 3: {regime} requires target_size = tiny or small$"):
+        parse_experiment_config(f"seeds = 1\ncell = majority:none:tiny\ncell = {regime}:{source}:none\n")
+    assert ExperimentConfig(regime=regime, source_size=source, target_size="tiny").cell == (regime, source, "tiny")
+
+
+def slice_target(corpus, size):
+    """The target training slice run_seed trains on."""
+    return take_first_tokens(corpus, TARGET_TOKENS[size])
 
 
 def test_slice_target_sizes():
     corpus = make_corpus(*[[(f"w{i}", "O")] * 10 for i in range(30)])  # 300 tokens
-    assert len(_slice_target(corpus, "none")) == 0
-    tiny = _slice_target(corpus, "tiny")
+    assert len(slice_target(corpus, "none")) == 0
+    tiny = slice_target(corpus, "tiny")
     assert sum(len(s) for s in tiny) <= 5000
     assert len(tiny) == len(corpus)  # corpus smaller than the budget
 
 
 def test_slice_target_respects_sentence_boundaries():
     corpus = make_corpus(*[[(f"w{i}{j}", "O") for j in range(400)] for i in range(30)])
-    tiny = _slice_target(corpus, "tiny")
+    tiny = slice_target(corpus, "tiny")
     total = sum(len(s) for s in tiny)
     assert total <= 5000
     assert total + 400 > 5000  # adding one more sentence would overflow
@@ -106,6 +132,24 @@ def test_prepare_sources_medium_split(tmp_path):
     assert len(train_c) == 18 and len(dev_c) == 2
     assert train_c.sentences[0].texts == ("w0", "x")
     assert dev_c.sentences[-1].texts == ("w19", "x")
+
+
+def test_prepare_sources_large_reads_iob1_train_and_dev_in_order(tmp_path):
+    train_rows = [
+        [("John", "I-PER"), ("Smith", "I-PER"), ("went", "O")],
+        [("to", "O"), ("Paris", "I-LOC"), ("Rome", "B-LOC")],
+        [("IBM", "I-ORG")],
+    ]
+    dev_rows = [[("Berlin", "I-LOC")], [("in", "O"), ("EU", "I-MISC"), ("talks", "O")]]
+    (tmp_path / "eng.train").write_text(write_conll(make_corpus(*train_rows)))
+    (tmp_path / "eng.testa").write_text(write_conll(make_corpus(*dev_rows)))
+    config = ExperimentConfig(regime="joint", source_size="large", target_size="tiny", data_dir=str(tmp_path))
+    train_c, dev_c = prepare_sources(config)
+    assert train_c.language == dev_c.language == "en"
+    assert [s.texts for s in train_c] == [tuple(w for w, _ in row) for row in train_rows]
+    assert [s.tags for s in train_c] == [("B-PER", "I-PER", "O"), ("O", "B-LOC", "B-LOC"), ("B-ORG",)]
+    assert [s.texts for s in dev_c] == [tuple(w for w, _ in row) for row in dev_rows]
+    assert [s.tags for s in dev_c] == [("B-LOC",), ("O", "B-MISC", "O")]
 
 
 # ---------------------------------------------------------- bilingual tables
@@ -316,6 +360,37 @@ def test_render_matrix_shape_and_absences():
         assert column in header
     assert "42.50" in zero and "61.25" in tiny
     assert small.count("---") == 6
+
+
+def test_render_matrix_full_text():
+    # Every column filled: +Medium and +Large read zero_shot in the
+    # zero-shot row (not the joint cells of that row) and joint in the
+    # others; FineTune prefers medium over large.
+    f1s = {
+        ("tnt_baseline", "none", "tiny"): 11.0,
+        ("tnt_baseline", "none", "small"): 12.0,
+        ("in_language_plain", "none", "tiny"): 21.0,
+        ("in_language_plain", "none", "small"): 22.0,
+        ("in_language_pretrained", "none", "tiny"): 31.0,
+        ("in_language_pretrained", "none", "small"): 32.0,
+        ("zero_shot", "medium", "none"): 40.5,
+        ("joint", "medium", "tiny"): 41.25,
+        ("joint", "medium", "small"): 42.25,
+        ("zero_shot", "large", "none"): 50.5,
+        ("joint", "large", "tiny"): 51.25,
+        ("joint", "large", "small"): 52.25,
+        ("fine_tune", "medium", "tiny"): 61.0,
+        ("fine_tune", "large", "tiny"): 71.0,
+        ("fine_tune", "large", "small"): 72.0,
+        ("joint", "medium", "none"): 98.0,
+        ("joint", "large", "none"): 99.0,
+    }
+    assert render_matrix({cell: _fake_summary(f1) for cell, f1 in f1s.items()}) == (
+        "                 TnT     plain     +Poly   +Medium    +Large  FineTune\n"
+        "zero-shot        ---       ---       ---     40.50     50.50       ---\n"
+        "Tiny           11.00     21.00     31.00     41.25     51.25     61.00\n"
+        "Small          12.00     22.00     32.00     42.25     52.25     72.00\n"
+    )
 
 
 def test_run_grid_rejects_duplicate_cells(twins):
@@ -541,8 +616,21 @@ def test_parse_errors():
         parse_experiment_config("seeds = 1\ncell = majority:none:tiny\ncell = zero_shot:large:tiny")
     with pytest.raises(ExperimentError, match="line 2: zero_shot requires target_size = none"):
         parse_experiment_config("target_size = tiny\nregime = zero_shot")
+    with pytest.raises(ExperimentError, match="^line 1: regime has no effect in a grid"):
+        parse_experiment_config("regime = joint\ntarget_size = small\ncell = majority:none:tiny\n")
     with pytest.raises(ExperimentError, match="seeds"):
         ExperimentConfig(regime="majority", seeds=())
+
+
+@pytest.mark.parametrize("key, value", [("regime", "joint"), ("source_size", "large"), ("target_size", "small")])
+def test_grid_file_rejects_single_cell_keys(key, value):
+    # Each cell line names its regime and sizes; a shared key would be ignored.
+    for text, line in (
+        (f"seeds = 1\n{key} = {value}\ncell = majority:none:tiny\n", 2),
+        (f"cell = majority:none:tiny\n# note\n\n{key} = {value}\n", 4),
+    ):
+        with pytest.raises(ExperimentError, match=f"^line {line}: {key} has no effect in a grid"):
+            parse_experiment_config(text)
 
 
 def test_repeated_seeds_are_rejected():
@@ -572,7 +660,7 @@ def test_every_string_field_is_a_config_key():
 
 def test_parse_boolean_spellings():
     for text, want in (("True", True), ("yes", True), ("1", True), ("FALSE", False), ("No", False), ("0", False)):
-        (config,) = parse_experiment_config(f"regime = majority\ntagger.unk_word_dropout = {text}")
+        (config,) = parse_experiment_config(f"regime = majority\ntarget_size = tiny\ntagger.unk_word_dropout = {text}")
         assert config.tagger.unk_word_dropout is want
     with pytest.raises(ExperimentError, match="line 2.*unk_word_dropout"):
         parse_experiment_config("regime = majority\ntagger.unk_word_dropout = ture")
