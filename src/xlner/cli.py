@@ -3,10 +3,18 @@ on success, 1 on operation errors, 2 on usage errors."""
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the caller set a count: the tagger's matrix
+# products are small, trained bits depend on the thread count, and --jobs
+# workers (spawned, so they inherit the environment) run side by side.
+# It must be set before numpy is first imported, which the imports below do.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -23,6 +31,7 @@ from .conll import (
 )
 from .embeddings import (
     EmbeddingError,
+    align_tables,
     load_embeddings,
     mine_identical_seeds,
     save_embeddings,
@@ -35,7 +44,6 @@ from .transfer import (
     ExperimentError,
     parse_experiment_config,
     render_matrix,
-    rotated_table,
     run_grid,
 )
 
@@ -147,9 +155,11 @@ def _cmd_align(args) -> int:
     tgt = load_embeddings(_resolve(args.tgt))
     seeds = mine_identical_seeds(src, tgt)
     _log(f"seeds: {len(seeds)}")
-    mapped = rotated_table(args.direction, src, tgt, seeds)
-    save_embeddings(mapped, args.out)
-    _log(f"wrote mapped table ({len(mapped)} words, dim {mapped.dim}) to {args.out}")
+    # tgt_to_src rotates tgt into the src space, src_to_tgt the reverse;
+    # each block of rows is rotated as it is written.
+    fixed, moved = (src, tgt) if args.direction == "tgt_to_src" else (tgt, src)
+    save_embeddings(moved, args.out, align_tables(fixed, moved, seeds))
+    _log(f"wrote mapped table ({len(moved)} words, dim {moved.dim}) to {args.out}")
     return 0
 
 

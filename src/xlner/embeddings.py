@@ -194,13 +194,17 @@ def _checked_lines(lines: list[str], start: int, index: dict[str, int], dim: Opt
     return list(rows), np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), dim or 0)
 
 
-def save_embeddings(table: EmbeddingTable, path: Union[str, Path]) -> None:
+def save_embeddings(table: EmbeddingTable, path: Union[str, Path], mapping: Optional[OrthogonalMap] = None) -> None:
     """Write table as text in place of path, whole or not at all (see
-    serialize.replacing), BLOCK_ROWS rows per write."""
+    serialize.replacing), BLOCK_ROWS rows per write. Given a mapping, each
+    block is rotated as apply_mapping rotates it just before it is written,
+    so no rotated copy of the table is made."""
+    _check_dim(table, mapping)
     with replacing(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         for start in range(0, len(table), BLOCK_ROWS):
-            rows = zip(table.words[start : start + BLOCK_ROWS], table.matrix[start : start + BLOCK_ROWS].tolist())
+            block = _rotated(table.matrix[start : start + BLOCK_ROWS], mapping)
+            rows = zip(table.words[start : start + BLOCK_ROWS], block.tolist())
             fh.write("".join(word + " " + " ".join(map(repr, row)) + "\n" for word, row in rows))
 
 
@@ -281,14 +285,25 @@ def align_tables(src: EmbeddingTable, tgt: EmbeddingTable, seeds: Optional[SeedL
     return procrustes_align(x, y)
 
 
+def _check_dim(table: EmbeddingTable, mapping: Optional[OrthogonalMap]) -> None:
+    if mapping is not None and table.dim != mapping.dim:
+        raise EmbeddingError(f"dimension mismatch: table {table.dim} vs map {mapping.dim}")
+
+
 def apply_mapping(table: EmbeddingTable, mapping: OrthogonalMap) -> EmbeddingTable:
     """Rotate every vector into the aligned space. The result shares the
     table's words and index."""
-    if table.dim != mapping.dim:
-        raise EmbeddingError(f"dimension mismatch: table {table.dim} vs map {mapping.dim}")
+    _check_dim(table, mapping)
     matrix = np.empty_like(table.matrix)
     _put_rows(matrix, np.arange(len(table)), table, mapping)
     return EmbeddingTable(table.words, matrix, table.index)
+
+
+def cut_table(table: EmbeddingTable, words: Iterable[str]) -> EmbeddingTable:
+    """The table's rows of those of words it holds, in table order, as one
+    new matrix; a cut with no rows keeps the table's dimension."""
+    rows = sorted(table.index[word] for word in words if word in table.index)
+    return EmbeddingTable([table.words[i] for i in rows], table.matrix[rows])
 
 
 def merge_tables(
@@ -314,9 +329,11 @@ def _put_rows(out: np.ndarray, at: np.ndarray, table: EmbeddingTable, mapping: O
     """out[at[i]] = table's row i, times mapping's matrix unless mapping is
     None, BLOCK_ROWS rows at a time."""
     for start in range(0, len(table), BLOCK_ROWS):
-        rows = table.matrix[start : start + BLOCK_ROWS]
-        if mapping is not None:
-            # A stack of vector-matrix products: bit-equal to each row's
-            # `vec @ w`, where the matrix-matrix product `rows @ w` is not.
-            rows = np.matmul(rows[:, None, :], mapping.matrix)[:, 0]
-        out[at[start : start + BLOCK_ROWS]] = rows
+        out[at[start : start + BLOCK_ROWS]] = _rotated(table.matrix[start : start + BLOCK_ROWS], mapping)
+
+
+def _rotated(rows: np.ndarray, mapping: Optional[OrthogonalMap]) -> np.ndarray:
+    """rows times mapping's matrix, or rows themselves if mapping is None.
+    A stack of vector-matrix products: bit-equal to each row's `vec @ w`,
+    where the matrix-matrix product `rows @ w` is not."""
+    return rows if mapping is None else np.matmul(rows[:, None, :], mapping.matrix)[:, 0]

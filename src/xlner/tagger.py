@@ -181,7 +181,9 @@ def init_params(
 ) -> dict[str, np.ndarray]:
     """Seeded uniform(-sqrt(3/fan_in), +sqrt(3/fan_in)) weights, zero
     biases; pretrained rows overwrite matching word embedding rows."""
-    if pretrained is not None and len(pretrained) and pretrained.dim != config.word_emb_dim:
+    # Only a table with neither rows nor dimension (an empty file) is exempt:
+    # one cut to no rows keeps the dimension of the table it was cut from.
+    if pretrained is not None and (len(pretrained) or pretrained.dim) and pretrained.dim != config.word_emb_dim:
         raise ValueError(
             f"pretrained dim {pretrained.dim} != word_emb_dim {config.word_emb_dim}"
         )

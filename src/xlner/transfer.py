@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import os
+from collections import ChainMap
+from collections.abc import Container, Iterable
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -15,11 +17,11 @@ from . import tnt
 from .conll import Corpus, convert_corpus_iob1_to_bio2, read_conll, take_first_tokens
 from .embeddings import (
     EmbeddingTable,
-    SeedLexicon,
     align_tables,
-    apply_mapping,
+    cut_table,
     load_embeddings,
     merge_tables,
+    word_form,
 )
 from .evaluation import (
     AggregateReport,
@@ -90,8 +92,12 @@ class ExperimentConfig:
             raise ExperimentError(f"{self.regime} requires target_size = none")
         if reads_target and self.regime != "joint" and self.target_size == "none":
             raise ExperimentError(f"{self.regime} requires target_size = tiny or small")
-        if self.regime.startswith("in_language") and self.source_size != "none":
-            raise ExperimentError("in_language regimes require source_size = none")
+        # Only regimes that read src_train take a source size; with none, they read the src_*_path files.
+        reads_source = "src_train" in _NEEDS[self.regime]
+        if not reads_source and self.source_size != "none":
+            raise ExperimentError(f"{self.regime} requires source_size = none")
+        if reads_source and self.source_size == "none" and not (self.src_train_path and self.src_dev_path):
+            raise ExperimentError(f"{self.regime} with source_size = none requires src_train_path and src_dev_path")
 
     @property
     def cell(self) -> tuple[str, str, str]:
@@ -168,24 +174,29 @@ def load_resources(config: ExperimentConfig, loaded: Optional[dict] = None) -> R
     return res
 
 
-def rotated_table(
-    direction: str, src: EmbeddingTable, tgt: EmbeddingTable, seeds: Optional[SeedLexicon] = None
-) -> EmbeddingTable:
-    """The table an alignment direction rotates, in the other table's
-    space: tgt into the src space for "tgt_to_src", src into the tgt space
-    for "src_to_tgt". Seeds default to the identical words of the two."""
-    fixed, moved = (src, tgt) if direction == "tgt_to_src" else (tgt, src)
-    return apply_mapping(moved, align_tables(fixed, moved, seeds))
+def _reached(known: Container[str], texts: Iterable[str]) -> set[str]:
+    """The forms word_form finds in known for some of texts."""
+    return {word_form(known, text) for text in texts} - {None}
 
 
-def bilingual_table(config: ExperimentConfig, res: Resources) -> EmbeddingTable:
+def bilingual_table(config: ExperimentConfig, res: Resources, reach: Optional[Iterable[str]] = None) -> EmbeddingTable:
     """Source and target embeddings in one shared space via identical-seed
-    Procrustes alignment; source-side vectors win on shared words."""
-    if res.src_emb is None or res.tgt_emb is None:
+    Procrustes alignment, fitted on the whole tables; source-side vectors
+    win on shared words. Given reach, the table holds only the rows of the
+    forms word_form finds in the merged vocabulary for some text of reach,
+    each taken from the side the merge takes it from, and only those rows
+    are rotated: every such lookup finds the row the whole table holds."""
+    src, tgt = res.src_emb, res.tgt_emb
+    if src is None or tgt is None:
         raise ExperimentError("bilingual regimes need both embedding tables")
     if config.alignment_direction == "tgt_to_src":
-        return merge_tables(res.src_emb, res.tgt_emb, secondary_map=align_tables(res.src_emb, res.tgt_emb))
-    return merge_tables(res.src_emb, res.tgt_emb, primary_map=align_tables(res.tgt_emb, res.src_emb))
+        maps = {"secondary_map": align_tables(src, tgt)}
+    else:
+        maps = {"primary_map": align_tables(tgt, src)}
+    if reach is not None:
+        kept = _reached(ChainMap(src.index, tgt.index), reach)
+        src, tgt = cut_table(src, kept), cut_table(tgt, kept.difference(src.index))
+    return merge_tables(src, tgt, **maps)
 
 
 def _concat(a: Corpus, b: Corpus) -> Corpus:
@@ -279,19 +290,29 @@ def _grid_inputs(
     """Each cell's inputs: a Resources holding only the fields its regime
     reads (_NEEDS) and, for bilingual regimes, its bilingual table. Every
     input file is read once and every table pair aligned once per
-    direction, however many cells use them."""
+    direction, however many cells use them. Each table is then cut to the
+    rows that word_form finds in it for some token of the grid's corpora,
+    which are the only rows build_vocab and init_params read, so every
+    output stays as it is with the whole table; the whole tables are not
+    returned."""
     loaded: dict = {}
-    aligned: dict = {}
+    given = [resources if resources is not None else load_resources(config, loaded) for config in configs]
+    corpora = [getattr(res, name) for res in given for name in ("src_train", "src_dev", "tgt_train", "tgt_dev")]
+    texts = {text for corpus in filter(None, corpora) for sentence in corpus for text in sentence.texts}
+    tables: dict = {}
     inputs = []
-    for config in configs:
-        res = resources if resources is not None else load_resources(config, loaded)
+    for config, res in zip(configs, given):
+        needed = Resources(**{name: getattr(res, name) for name in _NEEDS[config.regime]})
+        if needed.tgt_emb is not None:
+            if id(res.tgt_emb) not in tables:
+                tables[id(res.tgt_emb)] = cut_table(res.tgt_emb, _reached(res.tgt_emb.index, texts))
+            needed.tgt_emb = tables[id(res.tgt_emb)]
         shared = None
         if config.regime in BILINGUAL_REGIMES:
             key = (id(res.src_emb), id(res.tgt_emb), config.alignment_direction)
-            if key not in aligned:
-                aligned[key] = bilingual_table(config, res)
-            shared = aligned[key]
-        needed = Resources(**{name: getattr(res, name) for name in _NEEDS[config.regime]})
+            if key not in tables:
+                tables[key] = bilingual_table(config, res, texts)
+            shared = tables[key]
         inputs.append((needed, shared))
     return inputs
 

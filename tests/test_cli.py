@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -10,11 +13,13 @@ from xlner.cli import main
 from xlner.conll import Corpus, parse_conll, repair_bio, write_conll
 from xlner.embeddings import align_tables, load_embeddings, save_embeddings
 from xlner.serialize import FORMAT_VERSION, read_container, write_container
+from xlner.synthetic import make_twin_languages
 from xlner.tagger import MODEL_MAGIC, Tagger, TaggerConfig, build_vocab, init_params, save_model
 
 from conftest import TABLE_FIXTURE, drop_key, make_corpus, table_from_dict
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -367,6 +372,29 @@ def test_train_rejects_malformed_boolean(capsys, tmp_path, sample):
     assert len(errors) == 1
     assert "line 2" in errors[0] and "unk_word_dropout" in errors[0]
     assert not (tmp_path / "m.bin").exists()
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_train_writes_the_same_model_with_the_blas_variables_unset_or_one(tmp_path):
+    # xlner runs one BLAS thread unless the caller sets a count, so the
+    # model file does not depend on the machine's core count. Batches of 8
+    # default-size sentences make products large enough for OpenBLAS to
+    # split over threads on a multi-core machine.
+    twins = make_twin_languages(seed=0, n_src_train=300)
+    (tmp_path / "train.conll").write_text(write_conll(twins.src_train), encoding="utf-8")
+    (tmp_path / "dev.conll").write_text(write_conll(twins.src_dev), encoding="utf-8")
+    (tmp_path / "train.conf").write_text("max_epochs = 1\nbatch_size = 8\n", encoding="utf-8")
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    models = []
+    for name, blas in (("unset", {}), ("one", dict.fromkeys(BLAS_VARIABLES, "1"))):
+        argv = ["--train", "train.conll", "--dev", "dev.conll", "--config", "train.conf", "--out", f"{name}.bin"]
+        command = [sys.executable, "-m", "xlner.cli", "train", *argv]
+        subprocess.run(command, cwd=tmp_path, env={**env, **blas}, check=True, capture_output=True)
+        models.append((tmp_path / f"{name}.bin").read_bytes())
+    assert models[0] == models[1]
 
 
 # ----------------------------------------------------------- bad model files

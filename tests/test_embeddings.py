@@ -18,6 +18,7 @@ from xlner.embeddings import (
     OrthogonalMap,
     align_tables,
     apply_mapping,
+    cut_table,
     load_embeddings,
     merge_tables,
     mine_identical_seeds,
@@ -483,6 +484,28 @@ def test_mapping_bit_equal_to_per_row_product(n):
 def test_mapping_dimension_mismatch():
     with pytest.raises(EmbeddingError):
         apply_mapping(table_of(["a"], dim=3), OrthogonalMap(np.eye(4)))
+    with pytest.raises(EmbeddingError, match="dimension mismatch"):
+        save_embeddings(table_of(["a"], dim=3), os.devnull, OrthogonalMap(np.eye(4)))
+
+
+@pytest.mark.parametrize("n", [300, 1, 0])
+def test_save_with_a_mapping_writes_the_mapped_table(tmp_path, n):
+    # Blocks rotated as they are written give apply_mapping's bytes.
+    table = table_of([f"w{i}" for i in range(n)], dim=16, seed=13)
+    mapping = OrthogonalMap(random_orthogonal(np.random.default_rng(14), 16))
+    save_embeddings(table, tmp_path / "streamed.vec", mapping)
+    save_embeddings(apply_mapping(table, mapping), tmp_path / "mapped.vec")
+    assert (tmp_path / "streamed.vec").read_bytes() == (tmp_path / "mapped.vec").read_bytes()
+
+
+def test_cut_table_keeps_the_named_rows_in_table_order():
+    table = table_of(["a", "b", "c", "d"], seed=15)
+    cut = cut_table(table, ["d", "zz", "b"])
+    assert cut.words == ["b", "d"] and cut.index == {"b": 0, "d": 1}
+    assert cut.matrix.tobytes() == table.matrix[[1, 3]].tobytes()
+    assert not cut.matrix.flags.writeable
+    empty = cut_table(table, ["zz"])
+    assert (len(empty), empty.dim, empty.matrix.shape) == (0, 3, (0, 3))
 
 
 def test_merge_is_the_dict_union():

@@ -1,16 +1,18 @@
 import json
+import pickle
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from xlner.conll import Corpus, take_first_tokens, write_conll
-from xlner.embeddings import align_tables, save_embeddings
+from xlner.embeddings import EmbeddingTable, align_tables, save_embeddings, word_form
 from xlner.evaluation import AggregateReport, EvalReport, MetricSummary
 from xlner.synthetic import make_twin_languages
 from xlner.tagger import TaggerConfig
 from xlner.serialize import replacing
 from xlner.transfer import (
+    ALIGNMENT_DIRECTIONS,
     BILINGUAL_REGIMES,
     REGIMES,
     TARGET_TOKENS,
@@ -18,6 +20,7 @@ from xlner.transfer import (
     ExperimentError,
     Resources,
     bilingual_table,
+    load_resources,
     matrix_dict,
     parse_experiment_config,
     prepare_sources,
@@ -95,6 +98,35 @@ def test_regime_that_trains_on_the_target_alone_needs_a_target_size(regime, sour
     with pytest.raises(ExperimentError, match=f"^line 3: {regime} requires target_size = tiny or small$"):
         parse_experiment_config(f"seeds = 1\ncell = majority:none:tiny\ncell = {regime}:{source}:none\n")
     assert ExperimentConfig(regime=regime, source_size=source, target_size="tiny").cell == (regime, source, "tiny")
+
+
+@pytest.mark.parametrize(
+    "regime, source",
+    [
+        ("majority", "large"),
+        ("tnt_baseline", "medium"),
+        ("in_language_plain", "large"),
+        ("in_language_pretrained", "medium"),
+    ],
+)
+def test_regime_that_reads_no_source_rejects_a_source_size(regime, source):
+    # It would fail at run time on an eng.* file that it never reads.
+    with pytest.raises(ExperimentError, match=f"^{regime} requires source_size = none$"):
+        ExperimentConfig(regime=regime, source_size=source, target_size="tiny")
+    with pytest.raises(ExperimentError, match=f"^line 3: {regime} requires source_size = none$"):
+        parse_experiment_config(f"seeds = 1\ncell = majority:none:tiny\ncell = {regime}:{source}:tiny\n")
+
+
+@pytest.mark.parametrize("regime, target", [("zero_shot", "none"), ("joint", "tiny"), ("fine_tune", "tiny")])
+def test_bilingual_regime_without_a_source_size_reads_the_source_paths(regime, target):
+    message = f"{regime} with source_size = none requires src_train_path and src_dev_path"
+    with pytest.raises(ExperimentError, match=f"^{message}$"):
+        ExperimentConfig(regime=regime, target_size=target)
+    for paths in ("", "src_train_path = en.train\n", "src_dev_path = en.dev\n"):
+        with pytest.raises(ExperimentError, match=f"^line {2 + paths.count(chr(10))}: {message}$"):
+            parse_experiment_config(f"seeds = 1\n{paths}cell = {regime}:none:{target}\n")
+    text = f"src_train_path = en.train\nsrc_dev_path = en.dev\ncell = {regime}:none:{target}\n"
+    assert [config.cell for config in parse_experiment_config(text)] == [(regime, "none", target)]
 
 
 def slice_target(corpus, size):
@@ -513,6 +545,83 @@ def test_grid_inputs_hold_only_what_each_regime_reads(tmp_path):
             if shared is not None:
                 tables.setdefault(config.alignment_direction, set()).add(id(shared))
         assert {direction: len(ids) for direction, ids in tables.items()} == n_tables
+
+
+def corpus_texts(res):
+    corpora = (res.src_train, res.src_dev, res.tgt_train, res.tgt_dev)
+    return {text for corpus in corpora for sentence in corpus for text in sentence.texts}
+
+
+@pytest.fixture(scope="module")
+def paper_scale_resources():
+    """The twins' corpora with two 12,000-row 64-d tables, the size of the
+    benchmark's pipeline_grid tables. Each twin table is grown with the
+    lowercase forms of the corpora's capitalized tokens, which word_form
+    reaches only for a token that neither table holds, and then with
+    random rows whose words the other table lacks and no token reaches."""
+    twins = make_twin_languages(seed=2, dim=64)
+    rng = np.random.default_rng(2)
+    res = twin_resources(twins)
+    lowered = {text.lower() for text in corpus_texts(res)} - twins.src_emb.index.keys() - twins.tgt_emb.index.keys()
+    lowered = sorted(lowered)
+
+    def grown(table, prefix):
+        extra = 12000 - len(table) - len(lowered)
+        words = table.words + lowered + [f"{prefix}{i}" for i in range(extra)]
+        return EmbeddingTable(words, np.vstack([table.matrix, rng.standard_normal((12000 - len(table), 64))]))
+
+    res.src_emb, res.tgt_emb = grown(twins.src_emb, "~src"), grown(twins.tgt_emb, "~tgt")
+    return res
+
+
+@pytest.mark.parametrize("direction", ALIGNMENT_DIRECTIONS)
+def test_grid_tables_hold_only_the_rows_the_corpora_reach(paper_scale_resources, direction):
+    # Each task's table holds exactly the rows word_form finds in the whole
+    # table for some corpus token, bit for bit as the whole table holds
+    # them; so a bilingual task pickles to under 1 MB, not 12 MB.
+    res = paper_scale_resources
+    configs = [
+        ExperimentConfig(regime=regime, source_size=source, target_size=target, alignment_direction=direction)
+        for regime, source, target in (cell.split(":") for cell in GRID_CELLS)
+    ]
+    texts = corpus_texts(res)
+    checked = []
+    for config, (needed, shared) in zip(configs, _grid_inputs(configs, res)):
+        if config.regime in BILINGUAL_REGIMES:
+            whole, table = bilingual_table(config, res), shared
+            assert len(pickle.dumps((needed, shared))) < 1_000_000 < len(pickle.dumps(whole))
+        elif config.regime == "in_language_pretrained":
+            whole, table = res.tgt_emb, needed.tgt_emb
+        else:
+            continue
+        reached = {word_form(whole.index, text) for text in texts} - {None}
+        assert sorted(table.words) == sorted(reached) and 0 < len(table) < len(whole) // 20
+        assert table.dim == whole.dim
+        for word in table.words:
+            assert table.matrix[table.index[word]].tobytes() == whole.matrix[whole.index[word]].tobytes()
+        checked.append(config.regime)
+    assert checked == ["in_language_pretrained", "zero_shot", "joint", "fine_tune"]
+
+
+@pytest.mark.parametrize("cell", ["in_language_pretrained:none:tiny", "zero_shot:large:none"])
+def test_table_no_corpus_reaches_still_fails_the_dimension_check(tmp_path, capsys, cell):
+    # Cut to the rows the corpora reach, a 64-d table keeps no row, and a
+    # 16-d model must still refuse it as the whole table is refused.
+    from xlner.cli import main
+
+    config_path = write_grid(tmp_path)
+    rng = np.random.default_rng(0)
+    for name in ("src.vec", "tgt.vec"):
+        save_embeddings(EmbeddingTable([f"~{i}" for i in range(40)], rng.standard_normal((40, 64))), tmp_path / name)
+    lines = [line for line in config_path.read_text().splitlines() if not line.startswith("cell =")]
+    config_path.write_text("\n".join([*lines, f"cell = {cell}"]) + "\n")
+    (config,) = parse_experiment_config(config_path.read_text())
+    (res, shared), = _grid_inputs([config], None)
+    assert len(shared if shared is not None else res.tgt_emb) == 0
+    with pytest.raises(ValueError, match="^pretrained dim 64 != word_emb_dim 16$"):
+        run_seed(config, load_resources(config), seed=1)
+    assert main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: pretrained dim 64 != word_emb_dim 16"
 
 
 def test_run_grid_jobs_match_serial_in_memory(twins):
