@@ -284,9 +284,7 @@ def render_matrix(matrix: Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grid_inputs(
-    configs: list[ExperimentConfig], resources: Optional[Resources]
-) -> list[tuple[Resources, Optional[EmbeddingTable]]]:
+def _grid_inputs(configs: list[ExperimentConfig]) -> list[tuple[Resources, Optional[EmbeddingTable]]]:
     """Each cell's inputs: a Resources holding only the fields its regime
     reads (_NEEDS) and, for bilingual regimes, its bilingual table. Every
     input file is read once and every table pair aligned once per
@@ -296,7 +294,7 @@ def _grid_inputs(
     output stays as it is with the whole table; the whole tables are not
     returned."""
     loaded: dict = {}
-    given = [resources if resources is not None else load_resources(config, loaded) for config in configs]
+    given = [load_resources(config, loaded) for config in configs]
     corpora = [getattr(res, name) for res in given for name in ("src_train", "src_dev", "tgt_train", "tgt_dev")]
     texts = {text for corpus in filter(None, corpora) for sentence in corpus for text in sentence.texts}
     tables: dict = {}
@@ -340,24 +338,18 @@ def _run_task(
     return report
 
 
-def run_grid(
-    configs: list[ExperimentConfig],
-    resources: Optional[Resources] = None,
-    out_dir: Optional[Path] = None,
-    jobs: int = 1,
-) -> Matrix:
+def run_grid(configs: list[ExperimentConfig], out_dir: Optional[Path] = None, jobs: int = 1) -> Matrix:
     """Run every seed of every cell and aggregate each cell's reports.
-    Cells share their inputs: `resources` when given, otherwise each file
-    the configs name is read once, and each bilingual table is aligned
-    once. One seed of one cell is one task, which carries only its cell's
-    inputs; with jobs > 1 the tasks run in up to that many worker
-    processes."""
+    Cells share their inputs: each file the configs name is read once, and
+    each bilingual table is aligned once. One seed of one cell is one task,
+    which carries only its cell's inputs; with jobs > 1 the tasks run in up
+    to that many worker processes."""
     keys = [c.cell for c in configs]
     if not keys:
         raise ExperimentError("grid has no cells")
     if len(set(keys)) != len(keys):
         raise ExperimentError("duplicate cell keys in grid")
-    inputs = zip(configs, _grid_inputs(configs, resources))
+    inputs = zip(configs, _grid_inputs(configs))
     tasks = [(out_dir, config, res, shared, seed) for config, (res, shared) in inputs for seed in config.seeds]
     workers = min(jobs, len(tasks))
     with ExitStack() as stack:

@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import pickle
+import re
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xlner.conll import Corpus, take_first_tokens, write_conll
+from xlner.conll import Corpus, convert_corpus_iob1_to_bio2, from_columns, read_conll, take_first_tokens, write_conll
 from xlner.embeddings import EmbeddingTable, align_tables, save_embeddings, word_form
 from xlner.evaluation import AggregateReport, EvalReport, MetricSummary
 from xlner.synthetic import make_twin_languages
@@ -59,6 +62,47 @@ def twin_resources(twins):
         src_emb=twins.src_emb,
         tgt_emb=twins.tgt_emb,
     )
+
+
+GRID_CELLS = (
+    "majority:none:tiny",
+    "tnt_baseline:none:tiny",
+    "in_language_plain:none:tiny",
+    "in_language_pretrained:none:tiny",
+    "zero_shot:large:none",
+    "joint:large:tiny",
+    "fine_tune:large:tiny",
+)
+ONE_EPOCH = replace(FAST, max_epochs=1, patience=1)
+
+
+def write_grid(directory, twins=None):
+    """A seven-cell grid config over twin-language files in directory,
+    small twins unless given; returns the config path."""
+    if twins is None:
+        twins = make_twin_languages(seed=1, n_src_train=12, n_src_dev=6, n_tgt_train=8, n_tgt_dev=6)
+    for name in ("src_train", "src_dev", "tgt_train", "tgt_dev"):
+        (directory / f"{name}.conll").write_text(write_conll(getattr(twins, name)))
+    save_embeddings(twins.src_emb, directory / "src.vec")
+    save_embeddings(twins.tgt_emb, directory / "tgt.vec")
+    lines = [
+        f"data_dir = {directory}",
+        *(f"{name}_path = {name}.conll" for name in ("src_train", "src_dev", "tgt_train", "tgt_dev")),
+        "src_emb_path = src.vec",
+        "tgt_emb_path = tgt.vec",
+        "seeds = 1, 2",
+        *(f"tagger.{key} = {value}" for key, value in vars(ONE_EPOCH).items()),
+        *(f"cell = {cell}" for cell in GRID_CELLS),
+    ]
+    path = directory / "grid.conf"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def grid_cell(directory, cell, **changes):
+    """The config of one write_grid(directory) cell, "regime:source:target", with changes."""
+    (config,) = [c for c in parse_experiment_config(write_grid(directory).read_text()) if ":".join(c.cell) == cell]
+    return replace(config, **changes)
 
 
 # ------------------------------------------------------------- config checks
@@ -307,11 +351,9 @@ def test_run_seed_deterministic(twins):
 # ------------------------------------------------------------ output layout
 
 
-def test_run_regime_writes_cell_layout(tmp_path, twins):
-    config = ExperimentConfig(
-        regime="in_language_plain", target_size="tiny", seeds=(1, 2), tagger=FAST
-    )
-    summary = run_grid([config], twin_resources(twins), out_dir=tmp_path)[config.cell]
+def test_run_regime_writes_cell_layout(tmp_path):
+    config = grid_cell(tmp_path, "in_language_plain:none:tiny", seeds=(1, 2), tagger=FAST)
+    summary = run_grid([config], out_dir=tmp_path)[config.cell]
     assert summary.runs == 2
     for seed in (1, 2):
         cell = tmp_path / "in_language_plain" / "none" / "tiny" / str(seed)
@@ -322,9 +364,9 @@ def test_run_regime_writes_cell_layout(tmp_path, twins):
         assert {"precision", "recall", "f1", "per_type"} <= payload.keys()
 
 
-def test_report_json_keys(tmp_path, twins):
-    config = ExperimentConfig(regime="majority", target_size="tiny", seeds=(1,), tagger=FAST)
-    matrix = run_grid([config], twin_resources(twins), out_dir=tmp_path)
+def test_report_json_keys(tmp_path):
+    config = grid_cell(tmp_path, "majority:none:tiny", seeds=(1,), tagger=FAST)
+    matrix = run_grid([config], out_dir=tmp_path)
     scores = ["precision", "recall", "f1", "gold", "predicted", "correct"]
     payload = json.loads((tmp_path / "majority" / "none" / "tiny" / "1" / "report.json").read_text())
     assert list(payload) == scores + ["repairs", "per_type"]
@@ -336,17 +378,15 @@ def test_report_json_keys(tmp_path, twins):
     assert cell == matrix_dict(matrix)["majority/none/tiny"]
 
 
-def test_run_regime_baselines_write_no_model(tmp_path, twins):
-    config = ExperimentConfig(
-        regime="majority", target_size="tiny", seeds=(1,), tagger=FAST
-    )
-    run_grid([config], twin_resources(twins), out_dir=tmp_path)
+def test_run_regime_baselines_write_no_model(tmp_path):
+    config = grid_cell(tmp_path, "majority:none:tiny", seeds=(1,), tagger=FAST)
+    run_grid([config], out_dir=tmp_path)
     cell = tmp_path / "majority" / "none" / "tiny" / "1"
     assert (cell / "report.json").exists()
     assert not (cell / "model").exists()
 
 
-def test_seed_that_fails_writing_leaves_no_report_and_no_temp_file(tmp_path, twins, monkeypatch):
+def test_seed_that_fails_writing_leaves_no_report_and_no_temp_file(tmp_path, monkeypatch):
     # report.json is written last, each file whole or not at all: a seed
     # directory that holds report.json is complete.
     import xlner.transfer as transfer
@@ -361,9 +401,9 @@ def test_seed_that_fails_writing_leaves_no_report_and_no_temp_file(tmp_path, twi
         save_model(tagger, path)
 
     monkeypatch.setattr(transfer, "save_model", save_fails_for_seed_2)
-    config = ExperimentConfig(regime="in_language_plain", target_size="tiny", seeds=(1, 2), tagger=FAST)
+    config = grid_cell(tmp_path, "in_language_plain:none:tiny", seeds=(1, 2), tagger=FAST)
     with pytest.raises(OSError, match="disk full"):
-        run_grid([config], twin_resources(twins), out_dir=tmp_path)
+        run_grid([config], out_dir=tmp_path)
     cell = tmp_path / "in_language_plain" / "none" / "tiny"
     assert sorted(p.name for p in (cell / "1").iterdir()) == ["log", "model", "report.json"]
     assert list((cell / "2").iterdir()) == []
@@ -425,18 +465,18 @@ def test_render_matrix_full_text():
     )
 
 
-def test_run_grid_rejects_duplicate_cells(twins):
-    config = ExperimentConfig(regime="majority", target_size="tiny", tagger=FAST)
+def test_run_grid_rejects_duplicate_cells(tmp_path):
+    config = grid_cell(tmp_path, "majority:none:tiny", tagger=FAST)
     with pytest.raises(ExperimentError, match="duplicate"):
-        run_grid([config, replace(config)], twin_resources(twins))
+        run_grid([config, replace(config)])
 
 
-def test_run_grid_writes_matrix_files(tmp_path, twins):
+def test_run_grid_writes_matrix_files(tmp_path):
     configs = [
-        ExperimentConfig(regime="majority", target_size="tiny", seeds=(1,), tagger=FAST),
-        ExperimentConfig(regime="tnt_baseline", target_size="tiny", seeds=(1,), tagger=FAST),
+        grid_cell(tmp_path, "majority:none:tiny", seeds=(1,), tagger=FAST),
+        grid_cell(tmp_path, "tnt_baseline:none:tiny", seeds=(1,), tagger=FAST),
     ]
-    matrix = run_grid(configs, twin_resources(twins), out_dir=tmp_path)
+    matrix = run_grid(configs, out_dir=tmp_path)
     assert set(matrix) == {
         ("majority", "none", "tiny"),
         ("tnt_baseline", "none", "tiny"),
@@ -446,53 +486,15 @@ def test_run_grid_writes_matrix_files(tmp_path, twins):
     assert "tnt_baseline/none/tiny" in payload
 
 
-def test_run_grid_deterministic(twins):
-    configs = [
-        ExperimentConfig(
-            regime="in_language_plain", target_size="tiny", seeds=(1, 2), tagger=FAST
-        )
-    ]
-    a = run_grid(configs, twin_resources(twins))
-    b = run_grid(configs, twin_resources(twins))
+def test_run_grid_deterministic(tmp_path):
+    configs = [grid_cell(tmp_path, "in_language_plain:none:tiny", seeds=(1, 2), tagger=FAST)]
+    a = run_grid(configs)
+    b = run_grid(configs)
     key = ("in_language_plain", "none", "tiny")
     assert a[key].f1 == b[key].f1
 
 
 # ------------------------------------------------- shared grid inputs, --jobs
-
-GRID_CELLS = (
-    "majority:none:tiny",
-    "tnt_baseline:none:tiny",
-    "in_language_plain:none:tiny",
-    "in_language_pretrained:none:tiny",
-    "zero_shot:large:none",
-    "joint:large:tiny",
-    "fine_tune:large:tiny",
-)
-ONE_EPOCH = replace(FAST, max_epochs=1, patience=1)
-
-
-def write_grid(directory):
-    """A seven-cell grid config over small twin-language files in
-    directory; returns the config path."""
-    twins = make_twin_languages(seed=1, n_src_train=12, n_src_dev=6, n_tgt_train=8, n_tgt_dev=6)
-    for name in ("src_train", "src_dev", "tgt_train", "tgt_dev"):
-        (directory / f"{name}.conll").write_text(write_conll(getattr(twins, name)))
-    save_embeddings(twins.src_emb, directory / "src.vec")
-    save_embeddings(twins.tgt_emb, directory / "tgt.vec")
-    lines = [
-        f"data_dir = {directory}",
-        *(f"{name}_path = {name}.conll" for name in ("src_train", "src_dev", "tgt_train", "tgt_dev")),
-        "src_emb_path = src.vec",
-        "tgt_emb_path = tgt.vec",
-        "seeds = 1, 2",
-        *(f"tagger.{key} = {value}" for key, value in vars(ONE_EPOCH).items()),
-        *(f"cell = {cell}" for cell in GRID_CELLS),
-    ]
-    path = directory / "grid.conf"
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
 
 def test_run_grid_reads_each_input_once_and_aligns_once_per_direction(tmp_path, monkeypatch):
     import xlner.transfer as transfer
@@ -536,7 +538,7 @@ def test_grid_inputs_hold_only_what_each_regime_reads(tmp_path):
     flipped = [replace(c, alignment_direction="src_to_tgt") if c.regime == "fine_tune" else c for c in configs]
     for grid, n_tables in ((configs, {"tgt_to_src": 1}), (flipped, {"tgt_to_src": 1, "src_to_tgt": 1})):
         tables = {}
-        for config, (res, shared) in zip(grid, _grid_inputs(grid, None)):
+        for config, (res, shared) in zip(grid, _grid_inputs(grid)):
             for f in fields(Resources):
                 assert (getattr(res, f.name) is not None) == (f.name in _NEEDS[config.regime]), (config.cell, f.name)
             assert res.src_emb is None
@@ -553,40 +555,38 @@ def corpus_texts(res):
 
 
 @pytest.fixture(scope="module")
-def paper_scale_resources():
-    """The twins' corpora with two 12,000-row 64-d tables, the size of the
-    benchmark's pipeline_grid tables. Each twin table is grown with the
-    lowercase forms of the corpora's capitalized tokens, which word_form
-    reaches only for a token that neither table holds, and then with
-    random rows whose words the other table lacks and no token reaches."""
+def paper_scale_grid(tmp_path_factory):
+    """write_grid's files of the twins' corpora with two 12,000-row 64-d
+    tables, the size of the benchmark's pipeline_grid tables; returns the
+    config path and the same inputs in memory. Each twin table is grown
+    with the lowercase forms of the corpora's capitalized tokens, which
+    word_form reaches only for a token that neither table holds, and then
+    with random rows whose words the other table lacks and no token
+    reaches."""
     twins = make_twin_languages(seed=2, dim=64)
     rng = np.random.default_rng(2)
-    res = twin_resources(twins)
-    lowered = {text.lower() for text in corpus_texts(res)} - twins.src_emb.index.keys() - twins.tgt_emb.index.keys()
-    lowered = sorted(lowered)
+    lowered = {text.lower() for text in corpus_texts(twin_resources(twins))}
+    lowered = sorted(lowered - twins.src_emb.index.keys() - twins.tgt_emb.index.keys())
 
     def grown(table, prefix):
         extra = 12000 - len(table) - len(lowered)
         words = table.words + lowered + [f"{prefix}{i}" for i in range(extra)]
         return EmbeddingTable(words, np.vstack([table.matrix, rng.standard_normal((12000 - len(table), 64))]))
 
-    res.src_emb, res.tgt_emb = grown(twins.src_emb, "~src"), grown(twins.tgt_emb, "~tgt")
-    return res
+    twins = replace(twins, src_emb=grown(twins.src_emb, "~src"), tgt_emb=grown(twins.tgt_emb, "~tgt"))
+    return write_grid(tmp_path_factory.mktemp("paper_scale"), twins), twin_resources(twins)
 
 
 @pytest.mark.parametrize("direction", ALIGNMENT_DIRECTIONS)
-def test_grid_tables_hold_only_the_rows_the_corpora_reach(paper_scale_resources, direction):
+def test_grid_tables_hold_only_the_rows_the_corpora_reach(paper_scale_grid, direction):
     # Each task's table holds exactly the rows word_form finds in the whole
     # table for some corpus token, bit for bit as the whole table holds
     # them; so a bilingual task pickles to under 1 MB, not 12 MB.
-    res = paper_scale_resources
-    configs = [
-        ExperimentConfig(regime=regime, source_size=source, target_size=target, alignment_direction=direction)
-        for regime, source, target in (cell.split(":") for cell in GRID_CELLS)
-    ]
+    config_path, res = paper_scale_grid
+    configs = [replace(c, alignment_direction=direction) for c in parse_experiment_config(config_path.read_text())]
     texts = corpus_texts(res)
     checked = []
-    for config, (needed, shared) in zip(configs, _grid_inputs(configs, res)):
+    for config, (needed, shared) in zip(configs, _grid_inputs(configs)):
         if config.regime in BILINGUAL_REGIMES:
             whole, table = bilingual_table(config, res), shared
             assert len(pickle.dumps((needed, shared))) < 1_000_000 < len(pickle.dumps(whole))
@@ -616,24 +616,12 @@ def test_table_no_corpus_reaches_still_fails_the_dimension_check(tmp_path, capsy
     lines = [line for line in config_path.read_text().splitlines() if not line.startswith("cell =")]
     config_path.write_text("\n".join([*lines, f"cell = {cell}"]) + "\n")
     (config,) = parse_experiment_config(config_path.read_text())
-    (res, shared), = _grid_inputs([config], None)
+    (res, shared), = _grid_inputs([config])
     assert len(shared if shared is not None else res.tgt_emb) == 0
     with pytest.raises(ValueError, match="^pretrained dim 64 != word_emb_dim 16$"):
         run_seed(config, load_resources(config), seed=1)
     assert main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "error: pretrained dim 64 != word_emb_dim 16"
-
-
-def test_run_grid_jobs_match_serial_in_memory(twins):
-    configs = [
-        ExperimentConfig(
-            regime=regime, source_size=source, target_size=target, seeds=(1,), tagger=ONE_EPOCH
-        )
-        for regime, source, target in (cell.split(":") for cell in GRID_CELLS)
-    ]
-    serial = run_grid(configs, twin_resources(twins), jobs=1)
-    parallel = run_grid(configs, twin_resources(twins), jobs=2)
-    assert matrix_dict(parallel) == matrix_dict(serial)
 
 
 def tree_bytes(root):
@@ -664,6 +652,63 @@ def test_experiment_jobs_match_serial_from_files(tmp_path, capsys):
             + [f"{cell.replace(':', '/')}/{seed}/model" for cell in neural for seed in (1, 2)]
         )
         assert tree_bytes(parallel) == files
+
+
+# ------------------------------------------------------------- the demo
+
+
+@pytest.fixture(scope="module")
+def demo():
+    """scripts/run_synthetic_experiment.py as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_synthetic_experiment", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_demo_writes_its_inputs_and_its_grid_config_reruns_to_the_same_tree(tmp_path, capsys, demo):
+    from xlner.cli import main
+
+    out = tmp_path / "demo"
+    assert demo.main(["--epochs", "1", "--seeds", "1", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert all(f"  {cell.replace(':', '/')} " in printed for cell in GRID_CELLS)
+    data = out / "data"
+    names = ["eng.testa", "eng.train", "grid.conf", "src.vec", "tgt.vec", "tgt_dev.conll", "tgt_train.conll"]
+    assert sorted(p.name for p in data.iterdir()) == names
+    # the source files hold the twins' corpora in IOB1, which prepare_sources converts back
+    twins = make_twin_languages(seed=0)
+    for name, corpus in (("eng.train", twins.src_train), ("eng.testa", twins.src_dev)):
+        assert convert_corpus_iob1_to_bio2(read_conll(data / name)).sentences == corpus.sentences
+        assert "B-" not in (data / name).read_text()
+    assert main(["experiment", "--config", str(data / "grid.conf"), "--out", str(tmp_path / "again"), "--jobs", "2"]) == 0
+    files = tree_bytes(out)
+    assert tree_bytes(tmp_path / "again") == {name: b for name, b in files.items() if not name.startswith("data/")}
+    assert "zero_shot/large/none/1/model" in files
+
+
+def test_demo_iob1_opens_an_entity_with_b_only_after_its_own_type(demo):
+    tags = ("B-PER", "B-PER", "I-PER", "O", "B-LOC", "B-ORG", "I-ORG")
+    corpus = Corpus((from_columns(tuple("abcdefg"), tags, ((),) * 7),), "en")
+    (sentence,) = demo.iob1(corpus).sentences
+    assert sentence.tags == ("I-PER", "B-PER", "I-PER", "O", "I-LOC", "I-ORG", "I-ORG")
+    assert convert_corpus_iob1_to_bio2(demo.iob1(corpus)) == corpus
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["--seeds", "1,1"], "seeds"), (["--seeds", "1,x"], "seeds"), (["--epochs", "-1"], "tagger.max_epochs")],
+)
+def test_demo_bad_argument_ends_in_one_error_line_naming_its_config_line(tmp_path, capsys, demo, argv, key):
+    out = tmp_path / "demo"
+    assert demo.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert errors == err[-1:], err
+    lineno = int(re.search(r": line (\d+): ", errors[0]).group(1))
+    assert (out / "data" / "grid.conf").read_text().splitlines()[lineno - 1].startswith(f"{key} = ")
+    assert not (out / "matrix.json").exists()
 
 
 # ------------------------------------------------------------- config parser
