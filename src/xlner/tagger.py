@@ -10,6 +10,7 @@ configs share; checked model files."""
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
@@ -64,9 +65,10 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 
 def option_lines(text: str) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) for each `key = value` line of text;
-    `#` starts a comment, blank lines are skipped."""
+    `#` starts a comment at the start of a line or after whitespace, so a
+    value such as a path may hold one; blank lines are skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

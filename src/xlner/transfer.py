@@ -9,7 +9,7 @@ import os
 from collections import ChainMap
 from collections.abc import Container, Iterable
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -46,6 +46,9 @@ _NEEDS = {
 REGIMES = tuple(_NEEDS)
 # Regimes that train on the source corpora, and so on the aligned source+target embedding table.
 BILINGUAL_REGIMES = tuple(regime for regime, needs in _NEEDS.items() if "src_train" in needs)
+# Regimes that start from the source-only model, and the corpora it reads (tgt_train when given).
+SOURCE_MODEL_REGIMES = ("zero_shot", "fine_tune")
+_SOURCE_MODEL_READS = ("src_train", "src_dev", "tgt_dev", "tgt_train")
 # The English files each source size reads.
 _SOURCE_FILES = {"medium": ("eng.testa",), "large": ("eng.train", "eng.testa")}
 SOURCE_SIZES = ("none", *_SOURCE_FILES)
@@ -203,19 +206,38 @@ def _concat(a: Corpus, b: Corpus) -> Corpus:
     return Corpus(a.sentences + b.sentences, f"{a.language}+{b.language}")
 
 
+def _require(config: ExperimentConfig, res: Resources) -> None:
+    for name in _NEEDS[config.regime]:
+        if getattr(res, name) is None:
+            raise ExperimentError(f"regime needs resource {name!r}")
+
+
+def _source_model(config: ExperimentConfig, res: Resources, seed: int, shared: EmbeddingTable) -> Tagger:
+    """The source-only model that zero_shot evaluates and fine_tune
+    continues from. Its vocabulary is fixed by the config alone: the source
+    training words plus the words of src_dev, tgt_dev and the whole
+    tgt_train (when the config names one) that the table covers. So every
+    cell on the same files, table, tagger options and seed has this model."""
+    _require(config, res)
+    extra = [corpus for corpus in (res.tgt_dev, res.tgt_train) if corpus is not None]
+    tagger_config = replace(config.tagger, seed=seed)
+    return train(tagger_config, res.src_train, res.src_dev, pretrained=shared, extra_vocab_corpora=extra)[0]
+
+
 def run_seed(
     config: ExperimentConfig,
     res: Resources,
     seed: int,
     shared: Optional[EmbeddingTable] = None,
+    stage1: Optional[Tagger] = None,
 ) -> tuple[EvalReport, Optional[Tagger]]:
     """One training/evaluation run; the report scores the target dev set.
     Bilingual regimes train on `shared`, the bilingual table of res in the
-    config's direction, and build it when it is None."""
+    config's direction, and build it when it is None. zero_shot and
+    fine_tune start from `stage1`, the source-only model of the same
+    inputs and seed, and train it when it is None; fine_tune trains a copy."""
     regime = config.regime
-    for name in _NEEDS[regime]:
-        if getattr(res, name) is None:
-            raise ExperimentError(f"regime needs resource {name!r}")
+    _require(config, res)
     if regime in BILINGUAL_REGIMES and shared is None:
         shared = bilingual_table(config, res)
     tgt_train = None if res.tgt_train is None else take_first_tokens(res.tgt_train, TARGET_TOKENS[config.target_size])
@@ -225,10 +247,8 @@ def run_seed(
         return evaluate(res.tgt_dev, tnt.tag_corpus(tnt.estimate(tgt_train), res.tgt_dev)), None
 
     tagger_config = replace(config.tagger, seed=seed)
-    if regime in ("zero_shot", "fine_tune"):
-        # The source-only model; fine_tune's vocabulary also holds the target training words.
-        extra = [res.tgt_dev] if regime == "zero_shot" else [res.tgt_dev, tgt_train]
-        tagger, _ = train(tagger_config, res.src_train, res.src_dev, pretrained=shared, extra_vocab_corpora=extra)
+    if regime in SOURCE_MODEL_REGIMES:
+        tagger = stage1 if stage1 is not None else _source_model(config, res, seed, shared)
         if regime == "fine_tune":
             # Same learning rate, fresh early stopping on the target dev set.
             tagger, _ = train(tagger_config, tgt_train, res.tgt_dev, initial=tagger)
@@ -286,8 +306,9 @@ def render_matrix(matrix: Matrix) -> str:
 
 def _grid_inputs(configs: list[ExperimentConfig]) -> list[tuple[Resources, Optional[EmbeddingTable]]]:
     """Each cell's inputs: a Resources holding only the fields its regime
-    reads (_NEEDS) and, for bilingual regimes, its bilingual table. Every
-    input file is read once and every table pair aligned once per
+    reads (_NEEDS, plus _SOURCE_MODEL_READS for the regimes that start from
+    the source-only model) and, for bilingual regimes, its bilingual table.
+    Every input file is read once and every table pair aligned once per
     direction, however many cells use them. Each table is then cut to the
     rows that word_form finds in it for some token of the grid's corpora,
     which are the only rows build_vocab and init_params read, so every
@@ -300,7 +321,8 @@ def _grid_inputs(configs: list[ExperimentConfig]) -> list[tuple[Resources, Optio
     tables: dict = {}
     inputs = []
     for config, res in zip(configs, given):
-        needed = Resources(**{name: getattr(res, name) for name in _NEEDS[config.regime]})
+        names = {*_NEEDS[config.regime], *(_SOURCE_MODEL_READS if config.regime in SOURCE_MODEL_REGIMES else ())}
+        needed = Resources(**{name: getattr(res, name) for name in names})
         if needed.tgt_emb is not None:
             if id(res.tgt_emb) not in tables:
                 tables[id(res.tgt_emb)] = cut_table(res.tgt_emb, _reached(res.tgt_emb.index, texts))
@@ -320,14 +342,53 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _run_task(
-    out_dir: Optional[Path], config: ExperimentConfig, res: Resources, shared: Optional[EmbeddingTable], seed: int
-) -> EvalReport:
-    """One seed of one cell. With out_dir set, its model, log and
-    report.json land under <regime>/<src>/<tgt>/<seed>/, each whole or not
-    at all, report.json last: a seed directory that holds it is complete."""
-    report, tagger = run_seed(config, res, seed, shared)
-    if out_dir is not None:
+Cells = list[tuple[ExperimentConfig, Resources, Optional[EmbeddingTable]]]  # a task's cells and their inputs
+
+
+def _grid_tasks(configs: list[ExperimentConfig]) -> list[tuple[int, Cells]]:
+    """The grid's (seed, cells) tasks, longest first by training tokens
+    (ties in config order). zero_shot and fine_tune cells that read the same
+    corpora and bilingual table with the same tagger options make one task
+    per seed, which trains their source-only model once; every other cell
+    is one task per seed."""
+    groups: dict[tuple, Cells] = {}
+    for i, (config, (res, shared)) in enumerate(zip(configs, _grid_inputs(configs))):
+        if config.regime in SOURCE_MODEL_REGIMES:
+            key = (*(id(getattr(res, name)) for name in _SOURCE_MODEL_READS), id(shared), astuple(config.tagger))
+        else:
+            key = (i,)
+        for seed in config.seeds:
+            groups.setdefault((*key, seed), []).append((config, res, shared))
+    tasks = [(key[-1], cells) for key, cells in groups.items()]
+    return sorted(tasks, key=lambda task: -_training_tokens(task[1]))
+
+
+def _training_tokens(cells: Cells) -> int:
+    """The tokens a task's trainings read in max_epochs epochs: the source
+    corpus once (the source-only model, or joint's source half), plus each
+    cell's target slice where the cell trains on it."""
+    config, res, _ = cells[0]
+    tokens = sum(map(len, res.src_train)) if config.regime in BILINGUAL_REGIMES else 0
+    for config, res, _ in cells:
+        if config.regime not in ("zero_shot", "majority", "tnt_baseline"):
+            tokens += sum(map(len, take_first_tokens(res.tgt_train, TARGET_TOKENS[config.target_size])))
+    return tokens * config.tagger.max_epochs
+
+
+def _run_task(out_dir: Optional[Path], seed: int, cells: Cells) -> dict[tuple, EvalReport]:
+    """One seed of a task's cells, by (cell key, seed); their zero_shot and
+    fine_tune cells share one source-only model, trained here and dropped
+    on return. With out_dir set, each cell's model, log and report.json
+    land under <regime>/<src>/<tgt>/<seed>/, each whole or not at all,
+    report.json last: a seed directory that holds it is complete."""
+    config, res, shared = cells[0]
+    stage1 = _source_model(config, res, seed, shared) if config.regime in SOURCE_MODEL_REGIMES else None
+    reports = {}
+    for config, res, shared in cells:
+        report, tagger = run_seed(config, res, seed, shared, stage1)
+        reports[config.cell, seed] = report
+        if out_dir is None:
+            continue
         seed_dir = Path(out_dir) / config.regime / config.source_size / config.target_size / str(seed)
         seed_dir.mkdir(parents=True, exist_ok=True)
         if tagger is not None:
@@ -335,23 +396,23 @@ def _run_task(
         label = f"regime={config.regime} source={config.source_size} target={config.target_size} seed={seed}"
         _write_text(seed_dir / "log", f"{label} f1={report.f1:.2f}\n")
         _write_text(seed_dir / "report.json", json.dumps(asdict(report), indent=2))
-    return report
+    return reports
 
 
 def run_grid(configs: list[ExperimentConfig], out_dir: Optional[Path] = None, jobs: int = 1) -> Matrix:
     """Run every seed of every cell and aggregate each cell's reports.
-    Cells share their inputs: each file the configs name is read once, and
-    each bilingual table is aligned once. One seed of one cell is one task,
-    which carries only its cell's inputs; with jobs > 1 the tasks run in up
-    to that many worker processes."""
+    Cells share their inputs: each file the configs name is read once, each
+    bilingual table is aligned once, and each source-only model is trained
+    once per seed. A task carries only its cells' inputs; with jobs > 1 the
+    tasks run in up to that many worker processes, longest first."""
     keys = [c.cell for c in configs]
     if not keys:
         raise ExperimentError("grid has no cells")
     if len(set(keys)) != len(keys):
         raise ExperimentError("duplicate cell keys in grid")
-    inputs = zip(configs, _grid_inputs(configs))
-    tasks = [(out_dir, config, res, shared, seed) for config, (res, shared) in inputs for seed in config.seeds]
+    tasks = _grid_tasks(configs)
     workers = min(jobs, len(tasks))
+    reports = {}
     with ExitStack() as stack:
         run = map
         if workers > 1:  # imported here only: they add to a one-worker grid's peak memory
@@ -360,8 +421,9 @@ def run_grid(configs: list[ExperimentConfig], out_dir: Optional[Path] = None, jo
 
             spawn = multiprocessing.get_context("spawn")  # fork is unsafe with BLAS threads
             run = stack.enter_context(concurrent.futures.ProcessPoolExecutor(workers, spawn)).map
-        reports = run(_run_task, *zip(*tasks))
-        matrix = {config.cell: aggregate([next(reports) for _ in config.seeds]) for config in configs}
+        for done in run(_run_task, [out_dir] * len(tasks), *zip(*tasks)):
+            reports.update(done)
+    matrix = {config.cell: aggregate([reports[config.cell, seed] for seed in config.seeds]) for config in configs}
     if out_dir is not None:  # made by the tasks
         _write_text(Path(out_dir) / "matrix.json", json.dumps(matrix_dict(matrix), indent=2))
         _write_text(Path(out_dir) / "matrix.txt", render_matrix(matrix))

@@ -19,6 +19,7 @@ from xlner.tagger import (
     constrained_transitions,
     init_params,
     load_model,
+    parse_tagger_config,
     save_model,
     tag_corpus,
     train,
@@ -951,3 +952,12 @@ def test_model_rejects_wrong_magic(tmp_path, corpus):
     path.write_bytes(bytes(raw))
     with pytest.raises(ContainerError, match="magic"):
         load_model(path)
+
+
+def test_tagger_config_hash_starts_a_comment_only_at_a_line_start_or_after_whitespace():
+    text = "# a comment line\nmax_epochs = 3 # the epochs\n  #indented comment\nbatch_size = 4\t#tab\n"
+    config = parse_tagger_config(text, seed=1)
+    assert (config.max_epochs, config.batch_size) == (3, 4)
+    # a `#` inside a value is part of it, so the value is refused, not cut to 3
+    with pytest.raises(ValueError, match="^line 2: .*'3#4'"):
+        parse_tagger_config("seed = 2\nmax_epochs = 3#4\n", seed=1)

@@ -1,7 +1,9 @@
+import gc
 import importlib.util
 import json
 import pickle
 import re
+import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 
 from xlner.conll import Corpus, convert_corpus_iob1_to_bio2, from_columns, read_conll, take_first_tokens, write_conll
 from xlner.embeddings import EmbeddingTable, align_tables, save_embeddings, word_form
-from xlner.evaluation import AggregateReport, EvalReport, MetricSummary
+from xlner.evaluation import AggregateReport, EvalReport, MetricSummary, aggregate
 from xlner.synthetic import make_twin_languages
 from xlner.tagger import TaggerConfig
 from xlner.serialize import replacing
@@ -526,9 +528,17 @@ def test_run_grid_reads_each_input_once_and_aligns_once_per_direction(tmp_path, 
     )
     assert len(fits) == 2 and len(set(fits)) == 2
 
-    for config in configs:
-        alone = run_grid([config])[config.cell]
-        assert asdict(matrix[config.cell]) == asdict(alone)
+    # Here fine_tune shares no source-only model with zero_shot; in the grid
+    # as written it does. Either way each cell alone, as a one-cell grid and
+    # seed by seed through run_seed, gets its grid result.
+    sharing = parse_experiment_config(write_grid(tmp_path).read_text())
+    for grid, results in ((configs, matrix), (sharing, run_grid(sharing))):
+        for config in grid:
+            alone = run_grid([config])[config.cell]
+            assert asdict(results[config.cell]) == asdict(alone)
+            if config.regime in ("zero_shot", "fine_tune"):
+                reports = [run_seed(config, load_resources(config), seed)[0] for seed in config.seeds]
+                assert asdict(aggregate(reports)) == asdict(alone)
 
 
 def test_grid_inputs_hold_only_what_each_regime_reads(tmp_path):
@@ -539,8 +549,10 @@ def test_grid_inputs_hold_only_what_each_regime_reads(tmp_path):
     for grid, n_tables in ((configs, {"tgt_to_src": 1}), (flipped, {"tgt_to_src": 1, "src_to_tgt": 1})):
         tables = {}
         for config, (res, shared) in zip(grid, _grid_inputs(grid)):
+            # zero_shot's source-only model also reads the whole tgt_train, for its vocabulary
+            reads = {*_NEEDS[config.regime], *(["tgt_train"] if config.regime == "zero_shot" else [])}
             for f in fields(Resources):
-                assert (getattr(res, f.name) is not None) == (f.name in _NEEDS[config.regime]), (config.cell, f.name)
+                assert (getattr(res, f.name) is not None) == (f.name in reads), (config.cell, f.name)
             assert res.src_emb is None
             assert (res.tgt_emb is not None) == (config.regime == "in_language_pretrained")
             assert (shared is not None) == (config.regime in BILINGUAL_REGIMES)
@@ -652,6 +664,125 @@ def test_experiment_jobs_match_serial_from_files(tmp_path, capsys):
             + [f"{cell.replace(':', '/')}/{seed}/model" for cell in neural for seed in (1, 2)]
         )
         assert tree_bytes(parallel) == files
+
+
+# ------------------------------------------- one source-only model per seed
+
+
+def write_eng_grid(directory, cells, seeds="1, 2"):
+    """write_grid's files with its source corpora also as eng.train and
+    eng.testa, and a grid config of cells that reads them, so that medium
+    and large read different source corpora; returns the config path."""
+    config_path = write_grid(directory)
+    (directory / "eng.train").write_text((directory / "src_train.conll").read_text())
+    (directory / "eng.testa").write_text((directory / "src_dev.conll").read_text())
+    dropped = ("cell =", "src_train_path =", "src_dev_path =", "seeds =")
+    lines = [line for line in config_path.read_text().splitlines() if not line.startswith(dropped)]
+    path = directory / "eng.conf"
+    path.write_text("\n".join([*lines, f"seeds = {seeds}", *(f"cell = {cell}" for cell in cells)]) + "\n")
+    return path
+
+
+def source_models(monkeypatch):
+    """Wraps transfer.train and returns a list that gets a weakref to each
+    source-only model it trains (the one training on an English corpus
+    alone), in order. Before each such training it checks that every
+    earlier one is gone: one task holds one source-only model at a time."""
+    import xlner.transfer as transfer
+
+    original, models = transfer.train, []
+
+    def wrapper(config, train_corpus, *args, **kwargs):
+        source_only = train_corpus.language == "en"
+        if source_only:
+            gc.collect()
+            assert [ref() for ref in models if ref() is not None] == []
+        tagger, history = original(config, train_corpus, *args, **kwargs)
+        if source_only:
+            models.append(weakref.ref(tagger))
+        return tagger, history
+
+    monkeypatch.setattr(transfer, "train", wrapper)
+    return models
+
+
+SOURCE_GRID = (
+    "zero_shot:medium:none",
+    "zero_shot:large:none",
+    *(f"fine_tune:{source}:{target}" for source in ("medium", "large") for target in ("tiny", "small")),
+)
+
+
+def test_full_grid_trains_one_source_model_per_source_size_and_seed(tmp_path, monkeypatch):
+    # Six cells of three seeds each trained their own: 18 source-only models.
+    models = source_models(monkeypatch)
+    configs = parse_experiment_config(write_eng_grid(tmp_path, SOURCE_GRID, "1, 2, 3").read_text())
+    matrix = run_grid(configs)
+    assert len(models) == 6 and sorted(matrix) == sorted(c.cell for c in configs)
+    gc.collect()
+    assert [ref() for ref in models if ref() is not None] == []
+
+
+def test_seven_cell_grid_trains_one_source_model_per_seed(tmp_path, monkeypatch):
+    # zero_shot and fine_tune trained one each per seed: 2 become 1.
+    models = source_models(monkeypatch)
+    configs = parse_experiment_config(write_grid(tmp_path).read_text())
+    assert [c.cell for c in configs] == [tuple(cell.split(":")) for cell in GRID_CELLS]
+    run_grid(configs)
+    assert len(models) == 2  # seeds 1, 2
+
+
+ORDER_GRID = (
+    "majority:none:tiny",
+    "in_language_plain:none:tiny",
+    "zero_shot:medium:none",
+    "fine_tune:medium:tiny",
+    "joint:large:tiny",
+    "zero_shot:large:none",
+    "fine_tune:large:tiny",
+    "fine_tune:large:small",
+)
+
+
+def test_jobs_run_tasks_longest_first_and_write_the_serial_tree(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    from xlner.cli import main
+
+    submitted = []
+
+    class InProcess:
+        """A pool that records the tasks in the order it receives them and runs them here."""
+
+        def __init__(self, workers, context):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            submitted.extend(zip(*iterables))
+            return map(fn, *iterables)
+
+    path = write_eng_grid(tmp_path, ORDER_GRID)
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "jobs1")]) == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "jobs2"), "--jobs", "2"]) == 0
+    capsys.readouterr()
+    # Tokens read per epoch (one epoch each): eng.train 97, eng.testa's
+    # first five sentences (medium) 34, tgt_train 65 (tiny and small alike).
+    # The large group trains on 97 + 65 + 65, joint on 97 + 65, the medium
+    # group on 34 + 65, in_language_plain on 65; majority trains nothing.
+    large = ["zero_shot:large:none", "fine_tune:large:tiny", "fine_tune:large:small"]
+    medium = ["zero_shot:medium:none", "fine_tune:medium:tiny"]
+    joint, plain, majority = ["joint:large:tiny"], ["in_language_plain:none:tiny"], ["majority:none:tiny"]
+    order = [[":".join(config.cell) for config, _, _ in cells] for _, _, cells in submitted]
+    assert order == [large, large, joint, joint, medium, medium, plain, plain, majority, majority]
+    assert [seed for _, seed, _ in submitted] == [1, 2] * 5
+    assert tree_bytes(tmp_path / "jobs2") == tree_bytes(tmp_path / "jobs1")
 
 
 # ------------------------------------------------------------- the demo
@@ -834,6 +965,27 @@ def test_parse_paths_and_direction():
     assert config.alignment_direction == "src_to_tgt"
     assert config.src_emb_path == "emb/src.vec"
     assert config.data_dir == "/tmp/data"
+
+
+def test_grid_file_keeps_a_hash_inside_a_value():
+    configs = parse_experiment_config(
+        """
+        # the corpora live under a directory whose name holds a '#'
+        data_dir = /x/a#b/data  # a trailing comment
+        tgt_train_path = da#1.conll\t# tab before the comment
+        tgt_dev_path = da.dev#
+        seeds = 1, 2 #two seeds
+        tagger.max_epochs = 2 # epochs
+        cell = majority:none:tiny # one cell
+        cell = tnt_baseline:none:tiny
+        """
+    )
+    assert [c.cell for c in configs] == [("majority", "none", "tiny"), ("tnt_baseline", "none", "tiny")]
+    for config in configs:
+        assert (config.data_dir, config.tgt_train_path, config.tgt_dev_path) == ("/x/a#b/data", "da#1.conll", "da.dev#")
+        assert config.seeds == (1, 2) and config.tagger.max_epochs == 2
+    with pytest.raises(ExperimentError, match="^line 2: .*'2#3'"):
+        parse_experiment_config("regime = majority\ntagger.max_epochs = 2#3\n")
 
 
 # ----------------------------------------------------- cross-regime sanity
