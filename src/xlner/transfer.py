@@ -218,7 +218,6 @@ def _source_model(config: ExperimentConfig, res: Resources, seed: int, shared: E
     training words plus the words of src_dev, tgt_dev and the whole
     tgt_train (when the config names one) that the table covers. So every
     cell on the same files, table, tagger options and seed has this model."""
-    _require(config, res)
     extra = [corpus for corpus in (res.tgt_dev, res.tgt_train) if corpus is not None]
     tagger_config = replace(config.tagger, seed=seed)
     return train(tagger_config, res.src_train, res.src_dev, pretrained=shared, extra_vocab_corpora=extra)[0]
@@ -313,7 +312,8 @@ def _grid_inputs(configs: list[ExperimentConfig]) -> list[tuple[Resources, Optio
     rows that word_form finds in it for some token of the grid's corpora,
     which are the only rows build_vocab and init_params read, so every
     output stays as it is with the whole table; the whole tables are not
-    returned."""
+    returned. A cell missing a resource its regime needs is an error here,
+    before any task trains."""
     loaded: dict = {}
     given = [load_resources(config, loaded) for config in configs]
     corpora = [getattr(res, name) for res in given for name in ("src_train", "src_dev", "tgt_train", "tgt_dev")]
@@ -323,6 +323,7 @@ def _grid_inputs(configs: list[ExperimentConfig]) -> list[tuple[Resources, Optio
     for config, res in zip(configs, given):
         names = {*_NEEDS[config.regime], *(_SOURCE_MODEL_READS if config.regime in SOURCE_MODEL_REGIMES else ())}
         needed = Resources(**{name: getattr(res, name) for name in names})
+        _require(config, needed)
         if needed.tgt_emb is not None:
             if id(res.tgt_emb) not in tables:
                 tables[id(res.tgt_emb)] = cut_table(res.tgt_emb, _reached(res.tgt_emb.index, texts))
@@ -346,11 +347,10 @@ Cells = list[tuple[ExperimentConfig, Resources, Optional[EmbeddingTable]]]  # a 
 
 
 def _grid_tasks(configs: list[ExperimentConfig]) -> list[tuple[int, Cells]]:
-    """The grid's (seed, cells) tasks, longest first by training tokens
-    (ties in config order). zero_shot and fine_tune cells that read the same
-    corpora and bilingual table with the same tagger options make one task
-    per seed, which trains their source-only model once; every other cell
-    is one task per seed."""
+    """The grid's (seed, cells) tasks, in config order. zero_shot and
+    fine_tune cells that read the same corpora and bilingual table with the
+    same tagger options make one task per seed, which trains their
+    source-only model once; every other cell is one task per seed."""
     groups: dict[tuple, Cells] = {}
     for i, (config, (res, shared)) in enumerate(zip(configs, _grid_inputs(configs))):
         if config.regime in SOURCE_MODEL_REGIMES:
@@ -359,20 +359,7 @@ def _grid_tasks(configs: list[ExperimentConfig]) -> list[tuple[int, Cells]]:
             key = (i,)
         for seed in config.seeds:
             groups.setdefault((*key, seed), []).append((config, res, shared))
-    tasks = [(key[-1], cells) for key, cells in groups.items()]
-    return sorted(tasks, key=lambda task: -_training_tokens(task[1]))
-
-
-def _training_tokens(cells: Cells) -> int:
-    """The tokens a task's trainings read in max_epochs epochs: the source
-    corpus once (the source-only model, or joint's source half), plus each
-    cell's target slice where the cell trains on it."""
-    config, res, _ = cells[0]
-    tokens = sum(map(len, res.src_train)) if config.regime in BILINGUAL_REGIMES else 0
-    for config, res, _ in cells:
-        if config.regime not in ("zero_shot", "majority", "tnt_baseline"):
-            tokens += sum(map(len, take_first_tokens(res.tgt_train, TARGET_TOKENS[config.target_size])))
-    return tokens * config.tagger.max_epochs
+    return [(key[-1], cells) for key, cells in groups.items()]
 
 
 def _run_task(out_dir: Optional[Path], seed: int, cells: Cells) -> dict[tuple, EvalReport]:
@@ -404,7 +391,7 @@ def run_grid(configs: list[ExperimentConfig], out_dir: Optional[Path] = None, jo
     Cells share their inputs: each file the configs name is read once, each
     bilingual table is aligned once, and each source-only model is trained
     once per seed. A task carries only its cells' inputs; with jobs > 1 the
-    tasks run in up to that many worker processes, longest first."""
+    tasks run in up to that many worker processes."""
     keys = [c.cell for c in configs]
     if not keys:
         raise ExperimentError("grid has no cells")

@@ -732,57 +732,17 @@ def test_seven_cell_grid_trains_one_source_model_per_seed(tmp_path, monkeypatch)
     assert len(models) == 2  # seeds 1, 2
 
 
-ORDER_GRID = (
-    "majority:none:tiny",
-    "in_language_plain:none:tiny",
-    "zero_shot:medium:none",
-    "fine_tune:medium:tiny",
-    "joint:large:tiny",
-    "zero_shot:large:none",
-    "fine_tune:large:tiny",
-    "fine_tune:large:small",
-)
-
-
-def test_jobs_run_tasks_longest_first_and_write_the_serial_tree(tmp_path, monkeypatch, capsys):
-    import concurrent.futures
-
-    from xlner.cli import main
-
-    submitted = []
-
-    class InProcess:
-        """A pool that records the tasks in the order it receives them and runs them here."""
-
-        def __init__(self, workers, context):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            submitted.extend(zip(*iterables))
-            return map(fn, *iterables)
-
-    path = write_eng_grid(tmp_path, ORDER_GRID)
-    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "jobs1")]) == 0
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
-    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "jobs2"), "--jobs", "2"]) == 0
-    capsys.readouterr()
-    # Tokens read per epoch (one epoch each): eng.train 97, eng.testa's
-    # first five sentences (medium) 34, tgt_train 65 (tiny and small alike).
-    # The large group trains on 97 + 65 + 65, joint on 97 + 65, the medium
-    # group on 34 + 65, in_language_plain on 65; majority trains nothing.
-    large = ["zero_shot:large:none", "fine_tune:large:tiny", "fine_tune:large:small"]
-    medium = ["zero_shot:medium:none", "fine_tune:medium:tiny"]
-    joint, plain, majority = ["joint:large:tiny"], ["in_language_plain:none:tiny"], ["majority:none:tiny"]
-    order = [[":".join(config.cell) for config, _, _ in cells] for _, _, cells in submitted]
-    assert order == [large, large, joint, joint, medium, medium, plain, plain, majority, majority]
-    assert [seed for _, seed, _ in submitted] == [1, 2] * 5
-    assert tree_bytes(tmp_path / "jobs2") == tree_bytes(tmp_path / "jobs1")
+def test_grid_names_a_missing_resource_before_it_trains(tmp_path, monkeypatch):
+    # The source-only model of a shared group trains before any cell's
+    # run_seed: the grid checks every cell's inputs first.
+    models = source_models(monkeypatch)
+    configs = [
+        grid_cell(tmp_path, "in_language_plain:none:tiny"),
+        grid_cell(tmp_path, "zero_shot:large:none", tgt_dev_path=None),
+    ]
+    with pytest.raises(ExperimentError, match="^regime needs resource 'tgt_dev'$"):
+        run_grid(configs)
+    assert models == []
 
 
 # ------------------------------------------------------------- the demo
